@@ -20,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import MomentProfile, SourceSpec, moment_profile
-from .errors import IndexOutOfRange, InvalidParams, ZeroDenominator
+from .errors import (IndexOutOfRange, InvalidParams, ZeroDenominator,
+                     _check_alpha)
 
 #: Relative floor below which a population skewness / excess kurtosis is
 #: treated as an exact zero when testing denominators.
@@ -68,12 +69,6 @@ def _as_profiles(profiles):
     if not out:
         raise ValueError("need at least one source profile")
     return out
-
-
-def _check_alpha(alpha):
-    if not (0.0 <= alpha <= 1.0) or not math.isfinite(alpha):
-        raise InvalidParams(f"alpha must be in [0, 1], got {alpha!r}")
-    return float(alpha)
 
 
 def _diag_law(prs):
@@ -133,6 +128,16 @@ def _quad_num(z, alpha, w1, w2):
     return a * a * z.zeta11 + b * b * z.zeta22 + 2.0 * a * b * z.zeta12
 
 
+def _deflation_law(pr, alpha):
+    """ASV(w_kl), l > k, of the deflation estimator for component profile
+    ``pr``; ``math.inf`` where its criterion 3 alpha gamma^2 +
+    4 (1 - alpha) kappa^2 vanishes."""
+    den = 3.0 * alpha * pr.gamma**2 + 4.0 * (1.0 - alpha) * pr.kappa**2
+    if den == 0.0:
+        return math.inf
+    return _quad_num(zeta_deflation(pr), alpha, 3.0, 4.0) / den**2
+
+
 def asv_deflation(profiles, alpha):
     """ASV table of the deflation-based projection pursuit estimator.
 
@@ -144,15 +149,12 @@ def asv_deflation(profiles, alpha):
     prs = _as_profiles(profiles)
     alpha = _check_alpha(alpha)
     p = len(prs)
-    dens = [3.0 * alpha * pr.gamma**2 + 4.0 * (1.0 - alpha) * pr.kappa**2
-            for pr in prs]
-    bad = tuple(k for k, d in enumerate(dens) if d == 0.0)
+    base = [_deflation_law(pr, alpha) for pr in prs]
+    bad = tuple(k for k, v in enumerate(base) if v == math.inf)
     if bad:
         raise ZeroDenominator(
             f"deflation criterion vanishes for component(s) {list(bad)} at "
             f"alpha={alpha}", components=bad)
-    base = [_quad_num(zeta_deflation(pr), alpha, 3.0, 4.0) / d**2
-            for pr, d in zip(prs, dens)]
     off = np.zeros((p, p))
     for k in range(p):
         for l in range(p):
@@ -299,11 +301,7 @@ def cluster_objective(alpha, pi, mu):
     rather than raising.
     """
     alpha = _check_alpha(alpha)
-    pr = _mixture_profile_snapped(pi, mu)
-    den = 3.0 * alpha * pr.gamma**2 + 4.0 * (1.0 - alpha) * pr.kappa**2
-    if den == 0.0:
-        return math.inf
-    return _quad_num(zeta_deflation(pr), alpha, 3.0, 4.0) / den**2
+    return _deflation_law(_mixture_profile_snapped(pi, mu), alpha)
 
 
 def optimal_alpha(pi, mu, grid_tol=1e-3):
@@ -345,10 +343,7 @@ def optimal_alpha(pi, mu, grid_tol=1e-3):
     pr = _mixture_profile_snapped(pi, mu)
 
     def f(alpha):
-        den = 3.0 * alpha * pr.gamma**2 + 4.0 * (1.0 - alpha) * pr.kappa**2
-        if den == 0.0:
-            return math.inf
-        return _quad_num(zeta_deflation(pr), alpha, 3.0, 4.0) / den**2
+        return _deflation_law(pr, alpha)
 
     steps = max(2, round(1.0 / grid_tol))
     grid = np.linspace(0.0, 1.0, steps + 1)

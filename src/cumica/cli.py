@@ -21,20 +21,21 @@ import sys
 
 import numpy as np
 
-from .asymptotics import (asv_allcumulant, asv_compound, asv_deflation,
-                          asv_symmetric, optimal_alpha)
+from .asymptotics import optimal_alpha
 from .errors import CumicaError
-from .estimators import (SolverOptions, all_cumulant, compound_cumulant,
-                         deflation_pp, symmetric_pp)
-from .simulation import (IcModelSpec, canonical_method, check_assumptions,
+from .estimators import SolverOptions
+from .simulation import (_ALIASES, _ASV_TABLES, _ESTIMATORS, IcModelSpec,
+                         _csv_table, _estimate_once, _fmt, check_assumptions,
                          contour_grid, generate_ic_sample,
-                         monte_carlo_experiment, read_config)
+                         monte_carlo_experiment, read_config, resolve_method)
+
+_METHODS = (*_ESTIMATORS, *_ALIASES)
 
 _GRAMMAR = """\
 usage: cumica <command> [flags]
 
 commands:
-  estimate           --in FILE --method {deflation,symmetric,compound,jade,fobi}
+  estimate           --in FILE --method {%s}
                      --alpha A [--standardizer {symmetric,fobi}] [--tol T]
                      [--restarts R] [--seed S] [--out FILE]
   simulate           --sources SPECS --method M --alpha A --n N --reps R
@@ -49,16 +50,8 @@ commands:
 SPECS is a comma-separated list of source distributions, e.g.
 gamma:2,ep:4,mix:0.3:5,normal.  Ranges are LO:HI.  --config names a
 key = value file supplying any simulate flag not given on the line.
-"""
-
-_ASV_FUNCS = {
-    "deflation": asv_deflation,
-    "symmetric": asv_symmetric,
-    "compound": asv_compound,
-    "all_cumulant": asv_allcumulant,
-}
-
-_CSV_HEADER = "method,alpha,n,reps,k,l,n_var,asv,rel_err"
+Method fobi fixes alpha at 0 and needs no --alpha.
+""" % ",".join(_METHODS)
 
 
 class UsageError(Exception):
@@ -70,12 +63,6 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise UsageError(message)
-
-
-def _fmt(x):
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)
 
 
 def _echo(command, **resolved):
@@ -121,36 +108,15 @@ def _write_output(text, out):
             fh.write(text)
 
 
-def _resolve_alias(method, alpha, standardizer):
-    """Apply the method aliases to (canonical name, alpha, standardizer).
-
-    "jade" names the all-cumulant estimator; "fobi" forces the compound
-    estimator with alpha = 0 and the FOBI standardizer.
-    """
-    raw = str(method).lower().replace("-", "_")
-    name = canonical_method(raw)
-    if raw == "fobi":
-        return name, 0.0, "fobi"
-    return name, alpha, standardizer
-
-
 def _cmd_estimate(args):
-    name, alpha, standardizer = _resolve_alias(args.method, args.alpha,
-                                               args.standardizer)
+    name, standardizer = _resolve_flags(args)
+    standardizer = standardizer or args.standardizer
     if standardizer is not None and name != "compound":
         raise UsageError("--standardizer applies to the compound method only")
     opts = SolverOptions(tol=args.tol, restarts=args.restarts, seed=args.seed)
     X = _load_matrix(args.infile)
-    if name == "deflation":
-        est = deflation_pp(X, alpha, opts)
-    elif name == "symmetric":
-        est = symmetric_pp(X, alpha, opts)
-    elif name == "compound":
-        est = compound_cumulant(X, alpha, standardizer=standardizer,
-                                opts=opts)
-    else:
-        est = all_cumulant(X, alpha, opts)
-    lines = [_echo("estimate", method=name, alpha=alpha,
+    est = _estimate_once(name, X, args.alpha, opts, standardizer)
+    lines = [_echo("estimate", method=name, alpha=args.alpha,
                    standardizer=standardizer, tol=opts.tol,
                    restarts=opts.restarts, seed=opts.seed,
                    infile=args.infile)]
@@ -203,6 +169,14 @@ def _require(args, *names):
         raise UsageError("missing required flags: " + ", ".join(missing))
 
 
+def _resolve_flags(args):
+    """(canonical method, standardizer) of --method; sets args.alpha to
+    the effective weight, which is required unless the method fixes it."""
+    name, args.alpha, standardizer = resolve_method(args.method, args.alpha)
+    _require(args, "alpha")
+    return name, standardizer
+
+
 def _build_model(sources, mixing, seed):
     if mixing == "random":
         return IcModelSpec(sources=sources, mixing=("random", int(seed)))
@@ -228,7 +202,8 @@ def _cmd_simulate(args):
         for row in X:
             lines.append(",".join(format(v, ".17g") for v in row) + "\n")
         return "".join(lines)
-    _require(args, "method", "alpha", "n", "reps")
+    _require(args, "method", "n", "reps")
+    _resolve_flags(args)
     model = _build_model(specs, args.mixing, args.seed)
     res = monte_carlo_experiment(model, args.method, args.alpha, args.n,
                                  args.reps, master_seed=args.seed,
@@ -240,19 +215,13 @@ def _cmd_simulate(args):
 
 
 def _cmd_asv(args):
-    name, alpha, _ = _resolve_alias(args.method, args.alpha, None)
+    name, _ = _resolve_flags(args)
     specs = _split_sources(args.sources)
-    table = _ASV_FUNCS[name](list(specs), alpha)
-    p = table.diag.shape[0]
-    lines = [_echo("asv", method=name, alpha=alpha,
-                   sources=",".join(specs)),
-             _CSV_HEADER + "\n"]
-    for k in range(p):
-        for l in range(p):
-            value = table.diag[k] if k == l else table.offdiag[k, l]
-            lines.append(f"{name},{alpha!r},0,0,{k},{l},nan,"
-                         f"{float(value)!r},nan\n")
-    return "".join(lines)
+    table = _ASV_TABLES[name](list(specs), args.alpha)
+    return (_echo("asv", method=name, alpha=args.alpha,
+                  sources=",".join(specs))
+            + _csv_table((), name, args.alpha, 0, 0,
+                         table.offdiag + np.diag(table.diag)))
 
 
 def _cmd_optimal_alpha(args):
@@ -264,6 +233,7 @@ def _cmd_optimal_alpha(args):
 
 
 def _cmd_contour(args):
+    _resolve_flags(args)
     grid = contour_grid(args.family_x, args.range_x, args.family_y,
                         args.range_y, args.method, args.alpha,
                         steps=args.steps)
@@ -277,6 +247,7 @@ def _cmd_contour(args):
 
 
 def _cmd_check_assumptions(args):
+    _resolve_flags(args)
     specs = _split_sources(args.sources)
     model = IcModelSpec(sources=specs)
     number = check_assumptions(model, args.method, args.alpha)
@@ -290,12 +261,11 @@ def _build_parser():
     parser = _Parser(prog="cumica", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
-    methods = ["deflation", "symmetric", "compound", "jade", "fobi"]
 
     est = sub.add_parser("estimate", help="unmix a CSV data matrix")
     est.add_argument("--in", dest="infile", required=True)
-    est.add_argument("--method", required=True, choices=methods)
-    est.add_argument("--alpha", type=float, required=True)
+    est.add_argument("--method", required=True, choices=_METHODS)
+    est.add_argument("--alpha", type=float)
     est.add_argument("--standardizer", choices=["symmetric", "fobi"])
     est.add_argument("--tol", type=float, default=1e-9)
     est.add_argument("--restarts", type=int, default=10)
@@ -306,7 +276,7 @@ def _build_parser():
     sim = sub.add_parser("simulate",
                          help="Monte Carlo validation, or --emit-data")
     sim.add_argument("--sources")
-    sim.add_argument("--method", choices=methods)
+    sim.add_argument("--method", choices=_METHODS)
     sim.add_argument("--alpha", type=float)
     sim.add_argument("--n", type=int)
     sim.add_argument("--reps", type=int)
@@ -320,8 +290,8 @@ def _build_parser():
     sim.set_defaults(func=_cmd_simulate)
 
     asv = sub.add_parser("asv", help="analytic asymptotic-variance table")
-    asv.add_argument("--method", required=True, choices=methods)
-    asv.add_argument("--alpha", type=float, required=True)
+    asv.add_argument("--method", required=True, choices=_METHODS)
+    asv.add_argument("--alpha", type=float)
     asv.add_argument("--sources", required=True)
     asv.add_argument("--out")
     asv.set_defaults(func=_cmd_asv)
@@ -339,16 +309,16 @@ def _build_parser():
     con.add_argument("--range-x", type=_parse_range, required=True)
     con.add_argument("--family-y", required=True)
     con.add_argument("--range-y", type=_parse_range, required=True)
-    con.add_argument("--method", required=True, choices=methods)
-    con.add_argument("--alpha", type=float, required=True)
+    con.add_argument("--method", required=True, choices=_METHODS)
+    con.add_argument("--alpha", type=float)
     con.add_argument("--steps", type=int, default=40)
     con.set_defaults(func=_cmd_contour, out=None)
 
     chk = sub.add_parser("check-assumptions",
                          help="identifiability check for a source model")
     chk.add_argument("--sources", required=True)
-    chk.add_argument("--method", required=True, choices=methods)
-    chk.add_argument("--alpha", type=float, required=True)
+    chk.add_argument("--method", required=True, choices=_METHODS)
+    chk.add_argument("--alpha", type=float)
     chk.set_defaults(func=_cmd_check_assumptions, out=None)
 
     return parser

@@ -1,4 +1,7 @@
-"""Exception and warning types shared across the package."""
+"""Exception and warning types shared across the package, and the check
+of the cumulant weight alpha that every entry point applies."""
+
+import math
 
 
 class CumicaError(Exception):
@@ -33,8 +36,15 @@ class InvalidSpec(CumicaError):
     """A source or model specification has out-of-range parameters."""
 
 
-class InvalidParams(CumicaError):
+class InvalidParams(CumicaError, ValueError):
     """A numeric argument is outside its documented domain."""
+
+
+def _check_alpha(alpha):
+    """Return alpha as a float, or raise InvalidParams outside [0, 1]."""
+    if not (0.0 <= alpha <= 1.0) or not math.isfinite(alpha):
+        raise InvalidParams(f"alpha must be in [0, 1], got {alpha!r}")
+    return float(alpha)
 
 
 class ZeroDenominator(CumicaError):

@@ -27,7 +27,6 @@ step along the Riemannian gradient is used instead, so the logged
 objective history is non-decreasing by construction.
 """
 
-import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -35,7 +34,7 @@ import numpy as np
 
 from .cumulants import compound_matrices, cum3_stack, cum4_stack, fobi_matrix, standardize
 from .errors import (DegenerateObjective, NearDegenerateSpectrum,
-                     RankDeficient)
+                     RankDeficient, _check_alpha)
 from .linalg import joint_diagonalize, polar_orthogonal, random_orthogonal, sym_eig
 
 #: Objective floor (times p) below which the estimate cannot be trusted
@@ -100,12 +99,6 @@ class UnmixingEstimate:
     objective: float
     restarts_used: int
     objective_history: object = None
-
-
-def _check_alpha(alpha):
-    if not (0.0 <= alpha <= 1.0) or not math.isfinite(alpha):
-        raise ValueError(f"alpha must be in [0, 1], got {alpha!r}")
-    return float(alpha)
 
 
 def _source_cumulants(xst, U):
@@ -436,7 +429,7 @@ def _spectrum_warning(alpha, xst, U, n):
             f"reliably identified", NearDegenerateSpectrum, stacklevel=3)
 
 
-def compound_cumulant(X, alpha, standardizer=None, opts=None):
+def compound_cumulant(X, alpha, opts=None, *, standardizer=None):
     """Compound cumulant-matrix estimator.
 
     The data are first unmixed by a pilot root-n-consistent estimator

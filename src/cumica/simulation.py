@@ -12,7 +12,6 @@ before any work is dispatched, so results are bitwise identical
 whatever the worker parallelism.
 """
 
-import io
 import math
 import os
 import time
@@ -25,13 +24,15 @@ from scipy.optimize import linear_sum_assignment
 
 from . import asymptotics
 from .distributions import SourceSpec, moment_profile, sample_source
-from .errors import (AssumptionViolated, InvalidSpec, SingularInput,
-                     TooManyFailures)
+from .errors import (AssumptionViolated, CumicaError, InvalidSpec,
+                     SingularInput, TooManyFailures, _check_alpha)
 from .estimators import (SolverOptions, all_cumulant, compound_cumulant,
                          deflation_pp, symmetric_pp)
 
 _MAX_CONDITION = 1e8
 
+# The method registry: estimator and variance table per canonical name,
+# looked up at call time; resolve_method applies the aliases.
 _ESTIMATORS = {
     "deflation": deflation_pp,
     "symmetric": symmetric_pp,
@@ -45,6 +46,26 @@ _ASV_TABLES = {
     "compound": asymptotics.asv_compound,
     "all_cumulant": asymptotics.asv_allcumulant,
 }
+
+_ALIASES = {"jade": "all_cumulant", "fobi": "compound"}
+
+
+def resolve_method(method, alpha):
+    """Map a method name and weight to ``(name, alpha, standardizer)``.
+
+    "jade" is the all-cumulant estimator; "fobi" is the compound one with
+    alpha forced to 0 and the FOBI standardizer.  Otherwise the
+    standardizer is None and alpha is checked (None passes through).
+    """
+    raw = str(method).lower().replace("-", "_")
+    name = _ALIASES.get(raw, raw)
+    if name not in _ESTIMATORS:
+        raise InvalidSpec(
+            f"unknown method {method!r}; expected one of "
+            f"{sorted(_ESTIMATORS)} or aliases {sorted(_ALIASES)}")
+    if raw == "fobi":
+        return name, 0.0, "fobi"
+    return name, None if alpha is None else _check_alpha(alpha), None
 
 
 @dataclass
@@ -204,9 +225,7 @@ def check_assumptions(model, method, alpha, tol=1e-12):
     else:
         profs = [moment_profile(s) if isinstance(s, (str, SourceSpec)) else s
                  for s in model]
-    method = canonical_method(method)
-    if not (0.0 <= alpha <= 1.0):
-        raise InvalidSpec(f"alpha must be in [0, 1], got {alpha!r}")
+    method, alpha, _ = resolve_method(method, alpha)
     gammas = [pr.gamma for pr in profs]
     kappas = [pr.kappa for pr in profs]
     p = len(profs)
@@ -262,16 +281,7 @@ def check_assumptions(model, method, alpha, tol=1e-12):
 
 def canonical_method(method):
     """Resolve method aliases: jade -> all_cumulant, fobi -> compound."""
-    name = str(method).lower().replace("-", "_")
-    if name == "jade":
-        return "all_cumulant"
-    if name == "fobi":
-        return "compound"
-    if name not in _ESTIMATORS:
-        raise InvalidSpec(
-            f"unknown method {method!r}; expected one of "
-            f"{sorted(_ESTIMATORS)} or aliases 'jade', 'fobi'")
-    return name
+    return resolve_method(method, None)[0]
 
 
 def _fmt(x):
@@ -279,6 +289,33 @@ def _fmt(x):
     if isinstance(x, float):
         return repr(x)
     return str(x)
+
+
+def _csv_table(comments, method, alpha, n, reps, asv, n_var=None,
+               rel_err=None, path_or_file=None):
+    """Return the CSV table with one row per entry of the 2-d ``asv``,
+    after '# ' comment lines; a missing n_var or rel_err reads nan.  The
+    text also goes to ``path_or_file`` (a path or file object) if given."""
+    missing = np.full(asv.shape, np.nan)
+    n_var = missing if n_var is None else n_var
+    rel_err = missing if rel_err is None else rel_err
+    lines = [f"# {c}\n" for c in comments]
+    lines.append("method,alpha,n,reps,k,l,n_var,asv,rel_err\n")
+    rows, cols = asv.shape
+    for k in range(rows):
+        for l in range(cols):
+            lines.append(",".join([
+                method, _fmt(alpha), str(n), str(reps), str(k), str(l),
+                _fmt(float(n_var[k, l])), _fmt(float(asv[k, l])),
+                _fmt(float(rel_err[k, l])),
+            ]) + "\n")
+    text = "".join(lines)
+    if hasattr(path_or_file, "write"):
+        path_or_file.write(text)
+    elif path_or_file is not None:
+        with open(path_or_file, "w") as fh:
+            fh.write(text)
+    return text
 
 
 @dataclass
@@ -302,33 +339,17 @@ class McResult:
 
     def to_csv(self, path_or_file=None):
         """Serialize as CSV (one row per matrix entry); returns the text."""
-        buf = io.StringIO()
-        srcs = ",".join(str(s) for s in self.sources)
-        buf.write(f"# monte carlo: method={self.method} alpha={_fmt(self.alpha)} "
-                  f"n={self.n} reps={self.replications} seed={self.master_seed}\n")
-        buf.write(f"# sources: {srcs}\n")
-        buf.write(f"# mdi: mean={_fmt(self.mdi_mean)} "
-                  f"median={_fmt(self.mdi_median)} max={_fmt(self.mdi_max)}\n")
-        buf.write(f"# failures: {self.failures}\n")
-        buf.write("method,alpha,n,reps,k,l,n_var,asv,rel_err\n")
-        p = self.n_var.shape[0]
-        for k in range(p):
-            for l in range(p):
-                buf.write(",".join([
-                    self.method, _fmt(self.alpha), str(self.n),
-                    str(self.replications), str(k), str(l),
-                    _fmt(float(self.n_var[k, l])),
-                    _fmt(float(self.asv[k, l])),
-                    _fmt(float(self.rel_err[k, l])),
-                ]) + "\n")
-        text = buf.getvalue()
-        if path_or_file is not None:
-            if hasattr(path_or_file, "write"):
-                path_or_file.write(text)
-            else:
-                with open(path_or_file, "w") as fh:
-                    fh.write(text)
-        return text
+        comments = [
+            f"monte carlo: method={self.method} alpha={_fmt(self.alpha)} "
+            f"n={self.n} reps={self.replications} seed={self.master_seed}",
+            "sources: " + ",".join(str(s) for s in self.sources),
+            f"mdi: mean={_fmt(self.mdi_mean)} "
+            f"median={_fmt(self.mdi_median)} max={_fmt(self.mdi_max)}",
+            f"failures: {self.failures}",
+        ]
+        return _csv_table(comments, self.method, self.alpha, self.n,
+                          self.replications, self.asv, self.n_var,
+                          self.rel_err, path_or_file)
 
 
 def resolve_threads(threads=None):
@@ -345,15 +366,15 @@ def resolve_threads(threads=None):
     return threads
 
 
-def _estimate_once(method, X, alpha, opts):
-    fn = _ESTIMATORS[method]
-    return fn(X, alpha, opts=opts)
+def _estimate_once(method, X, alpha, opts, standardizer=None):
+    extra = {"standardizer": standardizer} if standardizer else {}
+    return _ESTIMATORS[method](X, alpha, opts=opts, **extra)
 
 
 def _run_replication(args):
     """One Monte Carlo replication; must stay a top-level function so the
     process pool can pickle it."""
-    sources, method, alpha, n, child_seed, opts = args
+    sources, method, alpha, standardizer, n, child_seed, opts = args
     child = np.random.SeedSequence(entropy=child_seed[0],
                                    spawn_key=tuple(child_seed[1]))
     data_ss, solver_ss = child.spawn(2)
@@ -364,8 +385,9 @@ def _run_replication(args):
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            est = _estimate_once(method, X, alpha, opts)
-    except Exception as exc:  # noqa: BLE001 - failure accounting
+            est = _estimate_once(method, X, alpha, opts, standardizer)
+    except (CumicaError, np.linalg.LinAlgError) as exc:
+        # numerical failures are counted; a programming error propagates
         return ("error", type(exc).__name__, None, None)
     if not est.converged:
         return ("unconverged", None, None, None)
@@ -404,13 +426,7 @@ def monte_carlo_experiment(model, method, alpha, n, replications,
     t0 = time.perf_counter()
     if not isinstance(model, IcModelSpec):
         model = IcModelSpec(sources=tuple(model))
-    raw_method = str(method).lower().replace("-", "_")
-    method = canonical_method(method)
-    if raw_method == "fobi":
-        # the compound estimator resolves its default standardizer to the
-        # kurtosis-weighted scatter exactly when alpha == 0
-        alpha = 0.0
-    alpha = float(alpha)
+    method, alpha, standardizer = resolve_method(method, alpha)
     if replications < 2:
         raise InvalidSpec("need at least two replications")
     check_assumptions(model, method, alpha)
@@ -425,7 +441,8 @@ def monte_carlo_experiment(model, method, alpha, n, replications,
     else:
         root = np.random.SeedSequence(master_seed)
     children = root.spawn(replications)
-    jobs = [(tuple(str(s) for s in model.sources), method, alpha, n,
+    jobs = [(tuple(str(s) for s in model.sources), method, alpha,
+             standardizer, n,
              (child.entropy, list(child.spawn_key)), opts)
             for child in children]
 
@@ -473,38 +490,32 @@ class ContourGrid:
     values: np.ndarray  # values[i, j] for (x_values[i], y_values[j]); NaN missing
 
     def to_csv(self, path_or_file=None):
-        buf = io.StringIO()
-        buf.write(f"# contour: method={self.method} alpha={_fmt(self.alpha)} "
-                  f"family_x={self.family_x} family_y={self.family_y}\n")
-        buf.write("# x: " + ",".join(_fmt(float(v)) for v in self.x_values) + "\n")
-        buf.write("# y: " + ",".join(_fmt(float(v)) for v in self.y_values) + "\n")
-        buf.write("# columns k,l index x and y; asv holds the pair criterion\n")
-        buf.write("method,alpha,n,reps,k,l,n_var,asv,rel_err\n")
-        for i in range(len(self.x_values)):
-            for j in range(len(self.y_values)):
-                buf.write(",".join([
-                    self.method, _fmt(self.alpha), "0", "0", str(i), str(j),
-                    "nan", _fmt(float(self.values[i, j])), "nan",
-                ]) + "\n")
-        text = buf.getvalue()
-        if path_or_file is not None:
-            if hasattr(path_or_file, "write"):
-                path_or_file.write(text)
-            else:
-                with open(path_or_file, "w") as fh:
-                    fh.write(text)
-        return text
+        """Serialize as CSV (one row per grid cell); returns the text."""
+        comments = [
+            f"contour: method={self.method} alpha={_fmt(self.alpha)} "
+            f"family_x={self.family_x} family_y={self.family_y}",
+            "x: " + ",".join(_fmt(float(v)) for v in self.x_values),
+            "y: " + ",".join(_fmt(float(v)) for v in self.y_values),
+            "columns k,l index x and y; asv holds the pair criterion",
+        ]
+        return _csv_table(comments, self.method, self.alpha, 0, 0,
+                          self.values, path_or_file=path_or_file)
 
 
 def contour_grid(family_x, range_x, family_y, range_y, method, alpha,
                  steps=40):
     """Pair criterion over a parameter grid of two one-parameter families.
 
-    Cells whose profiles do not exist or whose ASV denominators vanish
-    are recorded as NaN rather than failing the whole grid.
+    The families must be one-parameter ones ("gamma" or "ep").  Cells
+    whose profiles do not exist or whose ASV denominators vanish are
+    recorded as NaN rather than failing the whole grid.
     """
-    method = canonical_method(method)
+    method, alpha, _ = resolve_method(method, alpha)
     table_fn = _ASV_TABLES[method]
+    for family in (family_x, family_y):
+        if str(family).lower() not in ("gamma", "ep"):
+            raise InvalidSpec(f"contour families are gamma and ep, "
+                              f"got {family!r}")
     lo_x, hi_x = map(float, range_x)
     lo_y, hi_y = map(float, range_y)
     if steps < 2:
@@ -519,9 +530,11 @@ def contour_grid(family_x, range_x, family_y, range_y, method, alpha,
                 pl = moment_profile(f"{family_y}:{float(yv)!r}")
                 table = table_fn([pk, pl], alpha)
                 vals[i, j] = asymptotics.offdiag_criterion(table, 0, 1)
-            except Exception:  # noqa: BLE001 - cell-level missing marker
+            except (CumicaError, ArithmeticError):
+                # no profile, a vanishing denominator, or moments too
+                # large for floats: the cell is missing
                 continue
-    return ContourGrid(method=method, alpha=float(alpha),
+    return ContourGrid(method=method, alpha=alpha,
                        family_x=family_x, family_y=family_y,
                        x_values=xs, y_values=ys, values=vals)
 

@@ -18,6 +18,10 @@ from cumica.estimators import SolverOptions, all_cumulant
 from cumica.simulation import mdi
 
 
+CONTOUR = ["contour", "--family-x", "gamma", "--range-x", "0.5:8",
+           "--family-y", "ep", "--range-y", "0.5:4", "--steps", "3"]
+
+
 def run(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -111,6 +115,29 @@ class TestUsageErrors:
                             "--method", "symmetric", "--alpha", "1"])
         assert code == 1
 
+    def test_alpha_required_unless_fixed(self):
+        code, _, err = run(["asv", "--method", "symmetric", "--sources",
+                            "gamma:1,gamma:2"])
+        assert code == 1 and "--alpha" in err
+
+    def test_weight_outside_unit_interval_exit_2(self, tmp_path):
+        path = tmp_path / "x.csv"
+        np.savetxt(path, np.random.default_rng(0).gamma(2.0, size=(200, 2)),
+                   delimiter=",")
+        code, out, err = run(["estimate", "--in", str(path), "--method",
+                              "symmetric", "--alpha", "1.5"])
+        assert (code, out) == (2, "")
+        assert err.startswith("InvalidParams: alpha must be in [0, 1]")
+        code, out, err = run(CONTOUR + ["--method", "compound", "--alpha",
+                                        "1.5"])
+        assert (code, out) == (2, "") and err.startswith("InvalidParams")
+
+    def test_contour_family_must_be_one_parameter(self):
+        argv = CONTOUR + ["--method", "compound", "--alpha", "0.5"]
+        argv[argv.index("--family-x") + 1] = "foo"
+        code, out, err = run(argv)
+        assert (code, out) == (2, "") and err.startswith("InvalidSpec")
+
     def test_standardizer_restricted_to_compound(self):
         code, _, err = run(["estimate", "--in", "x.csv", "--method",
                             "symmetric", "--alpha", "1", "--standardizer",
@@ -200,6 +227,42 @@ class TestSimulateAndEstimate:
         cfg.write_text("bogus = 1\n")
         code, _, err = run(["simulate", "--config", str(cfg)])
         assert code == 1 and "unknown config keys" in err
+
+
+class TestFobiAlias:
+    SOURCES = ["--sources", "gamma:1,gamma:2,gamma:4"]
+
+    @pytest.mark.parametrize("argv", [
+        ["asv", "--method", "fobi", *SOURCES],
+        [*CONTOUR, "--method", "fobi"],
+        ["check-assumptions", "--method", "fobi", *SOURCES],
+        ["simulate", "--method", "fobi", "--n", "1000", "--reps", "4",
+         "--threads", "1", *SOURCES],
+    ])
+    def test_alpha_optional_and_forced_to_zero(self, argv):
+        code, out, err = run(argv)
+        assert code == 0, err
+        for alpha in ("0", "0.7"):
+            assert run(argv + ["--alpha", alpha]) == (0, out, err)
+
+    @pytest.mark.filterwarnings(
+        "ignore::cumica.errors.NearDegenerateSpectrum")
+    def test_estimate_alpha_optional(self, tmp_path):
+        path = TestSimulateAndEstimate().emit(tmp_path)
+        argv = ["estimate", "--in", str(path), "--method", "fobi"]
+        code, out, err = run(argv)
+        assert code == 0, err
+        assert run(argv + ["--alpha", "0.7"])[1] == out
+
+    def test_contour_matches_compound_at_zero(self):
+        fobi = run([*CONTOUR, "--method", "fobi", "--alpha", "0.5"])
+        compound = run([*CONTOUR, "--method", "compound", "--alpha", "0"])
+        assert fobi[0] == 0 and fobi == compound
+
+    def test_check_assumptions_reports_kurtosis_assumption(self):
+        code, out, _ = run(["check-assumptions", "--method", "fobi",
+                            "--alpha", "1", "--sources", "ep:1,ep:4"])
+        assert code == 0 and data_rows(out)[-1] == "6,true"
 
 
 class TestContourCli:

@@ -16,7 +16,8 @@ import contextlib
 import hashlib
 import io
 import os
-import sys
+import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
@@ -86,7 +87,6 @@ def test_estimate_stdout(method, tmp_path, monkeypatch):
 
 
 def _regenerate(workdir):
-    import warnings
     GOLDEN.mkdir(exist_ok=True)
     for name, argv in CASES.items():
         (GOLDEN / f"{name}.txt").write_text(_stdout(argv))
@@ -102,7 +102,5 @@ def _regenerate(workdir):
 
 
 if __name__ == "__main__":
-    import tempfile
     with tempfile.TemporaryDirectory() as tmp:
         _regenerate(tmp)
-    sys.exit(0)

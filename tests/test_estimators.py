@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from cumica.cumulants import sample_cov
-from cumica.errors import DegenerateObjective, NearDegenerateSpectrum
+from cumica.errors import (DegenerateObjective, InvalidParams,
+                           NearDegenerateSpectrum)
 from cumica.estimators import (SolverOptions, all_cumulant, compound_cumulant,
                                deflation_pp, symmetric_pp)
 from cumica.simulation import IcModelSpec, generate_ic_sample, mdi
@@ -147,6 +148,14 @@ class TestClassicalLimits:
         W_ref = align_to(classical_fobi(X), est.W)
         np.testing.assert_allclose(est.W, W_ref, atol=1e-8)
 
+    def test_compound_positional_opts(self):
+        X, _ = make_sample(SPREAD_MODEL, n=5000)
+        positional = compound_cumulant(X, 0.5, OPTS)
+        keyword = compound_cumulant(X, 0.5, opts=OPTS)
+        assert np.array_equal(positional.W, keyword.W)
+        with pytest.raises(TypeError):
+            compound_cumulant(X, 0.5, OPTS, "fobi")
+
     def test_compound_standardizer_modes(self):
         X, omega = make_sample(SPREAD_MODEL, n=8000)
         for std in (None, "symmetric", "fobi", np.eye(3)):
@@ -166,6 +175,17 @@ class TestDiagnostics:
         X, _, _ = generate_ic_sample(model, 4000, np.random.default_rng(8))
         with pytest.warns(NearDegenerateSpectrum):
             compound_cumulant(X, 0.5, opts=SolverOptions(restarts=2, seed=0))
+
+    @pytest.mark.parametrize("fit", [deflation_pp, symmetric_pp,
+                                     compound_cumulant, all_cumulant])
+    def test_weight_outside_unit_interval(self, fit):
+        X, _ = make_sample(n=500)
+        for bad in (-0.1, 1.5, float("nan")):
+            with pytest.raises(InvalidParams):
+                fit(X, bad)
+        # InvalidParams is a ValueError, so older handlers still catch it
+        with pytest.raises(ValueError):
+            fit(X, 1.5)
 
     def test_solver_options_validation(self):
         with pytest.raises(ValueError):

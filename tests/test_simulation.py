@@ -11,8 +11,9 @@ import math
 import numpy as np
 import pytest
 
-from cumica.errors import (AssumptionViolated, InvalidSpec, SingularInput,
-                           TooManyFailures)
+import cumica.simulation
+from cumica.errors import (AssumptionViolated, InvalidParams, InvalidSpec,
+                           SingularInput, TooManyFailures)
 from cumica.estimators import SolverOptions
 from cumica.simulation import (ContourGrid, IcModelSpec,
                                align_signed_permutation, canonical_method,
@@ -115,6 +116,8 @@ class TestCheckAssumptions:
         assert check_assumptions(GAMMA3, "compound", 0.0) == 6
         assert check_assumptions(GAMMA3, "compound", 0.5) == 8
         assert check_assumptions(GAMMA3, "fobi", 0.0) == 6
+        # fobi fixes alpha = 0 whatever weight is passed
+        assert check_assumptions(GAMMA3, "fobi", 1.0) == 6
 
     def test_violations(self):
         two_sym = IcModelSpec(sources=("ep:1", "ep:4"))
@@ -179,6 +182,15 @@ class TestMonteCarlo:
         bad = IcModelSpec(sources=("ep:1", "ep:4"))
         with pytest.raises(AssumptionViolated):
             monte_carlo_experiment(bad, "symmetric", 1.0, 1000, 8)
+
+    def test_programming_error_is_not_a_failure(self, monkeypatch):
+        def broken(X, alpha, opts=None):
+            raise TypeError("bug in an estimator")
+        monkeypatch.setitem(cumica.simulation._ESTIMATORS, "symmetric",
+                            broken)
+        with pytest.raises(TypeError, match="bug in an estimator"):
+            monte_carlo_experiment(GAMMA3, "symmetric", 0.8, 1000, 8,
+                                   threads=1)
 
     def test_too_many_failures(self):
         starved = SolverOptions(max_iter=1, tol=1e-14, restarts=1)
@@ -248,6 +260,38 @@ class TestContour:
         with pytest.raises(InvalidSpec):
             contour_grid("gamma", (1, 2), "gamma", (3, 4), "symmetric",
                          0.5, steps=1)
+
+    def test_fobi_alias_forces_zero_weight(self):
+        a = contour_grid("gamma", (0.5, 8.0), "ep", (0.5, 4.0), "fobi",
+                         0.5, steps=4)
+        b = contour_grid("gamma", (0.5, 8.0), "ep", (0.5, 4.0), "compound",
+                         0.0, steps=4)
+        assert (a.method, a.alpha) == ("compound", 0.0)
+        assert a.to_csv() == b.to_csv()
+
+    def test_rejects_bad_weight_and_family(self):
+        with pytest.raises(InvalidParams):
+            contour_grid("gamma", (1, 2), "gamma", (3, 4), "symmetric", 1.5)
+        for fx, fy in (("foo", "gamma"), ("gamma", "mix"), ("normal", "ep")):
+            with pytest.raises(InvalidSpec):
+                contour_grid(fx, (1, 2), fy, (3, 4), "symmetric", 0.5)
+
+    def test_programming_error_propagates(self, monkeypatch):
+        def broken(profiles, alpha):
+            raise TypeError("bug in a variance table")
+        monkeypatch.setitem(cumica.simulation._ASV_TABLES, "symmetric",
+                            broken)
+        with pytest.raises(TypeError, match="bug in a variance table"):
+            contour_grid("gamma", (1, 2), "gamma", (3, 4), "symmetric", 0.5,
+                         steps=2)
+
+    def test_unrepresentable_cells_are_missing(self):
+        # gamma:1e-300 has no float moments and gamma:1e-80 overflows the
+        # variance formulas; both cells read NaN instead of failing the grid
+        g = contour_grid("gamma", (1e-300, 1.0), "gamma", (1e-80, 2.0),
+                         "deflation", 0.5, steps=2)
+        assert np.isnan(g.values[0]).all() and np.isnan(g.values[:, 0]).all()
+        assert np.isfinite(g.values[1, 1])
 
 
 class TestConfigAndThreads:
