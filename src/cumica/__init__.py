@@ -19,9 +19,10 @@ from .distributions import (MomentProfile, SourceSpec, moment_profile,
                             sample_source)
 from .errors import (AssumptionViolated, CumicaError, CumicaWarning,
                      DegenerateObjective, IndexOutOfRange, InvalidParams,
-                     InvalidSpec, NearDegenerateSpectrum, NotPositiveDefinite,
-                     NotUnit, RankDeficient, SingularCustomWhitener,
-                     SingularInput, TooManyFailures, ZeroDenominator)
+                     InvalidSpec, NearDegenerateSpectrum, NonFiniteInput,
+                     NotPositiveDefinite, NotUnit, RankDeficient,
+                     SingularCustomWhitener, SingularInput, TooManyFailures,
+                     ZeroDenominator)
 from .estimators import (SolverOptions, UnmixingEstimate, all_cumulant,
                          compound_cumulant, deflation_pp, symmetric_pp)
 from .linalg import (JointDiagResult, inv_sqrt_sym, is_orthogonal,
@@ -38,8 +39,9 @@ __all__ = [
     "AssumptionViolated", "AsvTable", "ContourGrid", "CumicaError",
     "CumicaWarning", "DegenerateObjective", "IcModelSpec", "IndexOutOfRange",
     "InvalidParams", "InvalidSpec", "JointDiagResult", "McResult",
-    "MomentProfile", "NearDegenerateSpectrum", "NotPositiveDefinite",
-    "NotUnit", "RankDeficient", "SingularCustomWhitener", "SingularInput",
+    "MomentProfile", "NearDegenerateSpectrum", "NonFiniteInput",
+    "NotPositiveDefinite", "NotUnit", "RankDeficient",
+    "SingularCustomWhitener", "SingularInput",
     "SolverOptions", "SourceSpec", "StandardizedSample", "TooManyFailures",
     "UnmixingEstimate", "ZeroDenominator", "ZetaTriple",
     "align_signed_permutation", "all_cumulant", "asv_allcumulant",

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (IndexOutOfRange, NotPositiveDefinite, NotUnit,
-                     SingularCustomWhitener)
+from .errors import (IndexOutOfRange, NonFiniteInput, NotPositiveDefinite,
+                     NotUnit, SingularCustomWhitener)
 from .linalg import inv_sqrt_sym
 
 
@@ -68,6 +68,14 @@ def standardize(X, whitener="symmetric"):
         raise ValueError(f"expected a 2-d data matrix, got shape {X.shape}")
     n, p = X.shape
     mean = X.mean(axis=0)
+    # a NaN or inf makes its column mean non-finite, so finite data cost
+    # no full scan
+    if not np.isfinite(mean).all():
+        bad = np.argwhere(~np.isfinite(X))
+        if len(bad):
+            raise NonFiniteInput(
+                f"data matrix has non-finite entries ({len(bad)} in all, "
+                f"first at row {bad[0][0]}, column {bad[0][1]})")
     Xc = X - mean
     S = (Xc.T @ Xc) / n
 

@@ -98,7 +98,10 @@ class SourceSpec:
 
 
 _NORMAL_MOMENTS = (1.0, 0.0, 1.0, 0.0, 3.0, 0.0, 15.0)  # E N(0,1)^r, r=0..6
-_FLOAT_MAX = 1.7976931348623157e308
+# The variance formulas multiply standardized moments up to a total order
+# of 16 (the squared fourth-cumulant criterion): with |E z^r| capped at
+# _MOMENT_SCALE**r every such product stays below 1e288, a finite float.
+_MOMENT_SCALE = 1e18
 
 
 def _gamma_raw_moments(shape):
@@ -118,11 +121,8 @@ def _gamma_raw_moments(shape):
     return m[1:]
 
 
-def moment_profile(spec):
-    """Exact moment profile of a parsed (or string) source spec."""
-    if isinstance(spec, str):
-        spec = SourceSpec.parse(spec)
-
+def _standardized_moments(spec):
+    """``[E z^0, ..., E z^6]`` of the standardized source ``z``."""
     if spec.family == "normal":
         m = list(_NORMAL_MOMENTS)
     elif spec.family == "gamma":
@@ -143,10 +143,6 @@ def moment_profile(spec):
             log_mr = (math.lgamma((r + 1.0) / alpha)
                       + (r / 2.0 - 1.0) * math.lgamma(1.0 / alpha)
                       - (r / 2.0) * math.lgamma(3.0 / alpha))
-            if log_mr > math.log(_FLOAT_MAX):
-                raise InvalidSpec(
-                    f"ep:{alpha} has a standardized moment of order {r} too "
-                    f"large to represent")
             m.append(math.exp(log_mr))
     elif spec.family == "mix":
         pi, mu = spec.params
@@ -163,6 +159,25 @@ def moment_profile(spec):
             m.append((pi * t0 + (1.0 - pi) * t1) / sd**r)
     else:  # pragma: no cover - parse() already rejects unknown families
         raise InvalidSpec(f"unknown source family {spec.family!r}")
+    return m
+
+
+def moment_profile(spec):
+    """Exact moment profile of a parsed (or string) source spec.
+
+    Raises ``InvalidSpec`` when a standardized moment ``E z^r`` exceeds
+    ``1e18**r`` or overflows in floating point.
+    """
+    if isinstance(spec, str):
+        spec = SourceSpec.parse(spec)
+    try:
+        m = _standardized_moments(spec)
+        representable = all(abs(m[r]) <= _MOMENT_SCALE**r for r in range(3, 7))
+    except ArithmeticError:
+        representable = False
+    if not representable:
+        raise InvalidSpec(
+            f"{spec} has standardized moments too large to represent")
 
     gamma, beta = m[3], m[4]
     return MomentProfile(

@@ -32,6 +32,10 @@ class SingularInput(CumicaError):
     """A matrix argument that must be invertible is numerically singular."""
 
 
+class NonFiniteInput(CumicaError, ValueError):
+    """A data matrix or matrix argument has NaN or infinite entries."""
+
+
 class InvalidSpec(CumicaError):
     """A source or model specification has out-of-range parameters."""
 

@@ -1,17 +1,18 @@
-"""Symmetric-matrix and orthogonal-group primitives built on Jacobi rotations.
+"""Symmetric-matrix and orthogonal-group primitives.
 
-One rotation engine serves every decomposition in the package: plane
-rotations with the closed-form optimal Givens angle, applied in cyclic order
-over index pairs.  A single symmetric matrix makes it the classical Jacobi
-eigensolver; a weighted stack makes it the approximate joint diagonalizer
-used by the cumulant-matrix estimators.  The solver is self-contained on
-purpose — dimensions here are small (p <= 50) and the same code path then
-backs the eigendecompositions, symmetric inverse square roots and polar
-factors, so all of them share one set of conventions:
+LAPACK backs the eigen and polar primitives: ``sym_eig`` (and the
+``inv_sqrt_sym`` built on it) wraps ``numpy.linalg.eigh``, and
+``polar_orthogonal`` takes the polar factor from the SVD (Higham 1986).
+They share one set of conventions:
 
 * eigenvalues sorted in descending order,
 * each eigenvector's largest-magnitude entry made positive,
-* rotation-angle convergence test (largest |theta| in a sweep below tol).
+* a relative floor of ``EIG_FLOOR`` on eigenvalues and singular values.
+
+Jacobi rotations back only ``joint_diagonalize``, which has no LAPACK
+equivalent (Cardoso & Souloumiac 1996): plane rotations with the
+closed-form optimal Givens angle, applied in cyclic order over index
+pairs until the largest |angle| in a sweep falls below the tolerance.
 """
 
 import math
@@ -19,18 +20,27 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotPositiveDefinite, RankDeficient
+from .errors import NonFiniteInput, NotPositiveDefinite, RankDeficient
 
 # Relative eigenvalue/singular-value floor below which a matrix is treated
 # as not positive definite / rank deficient.
 EIG_FLOOR = 1e-12
 
 
+def _require_square(A, name):
+    """Validate that ``A`` is a finite square matrix."""
+    A = np.asarray(A, dtype=float)
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise ValueError(f"{name} must be square, got shape {A.shape}")
+    if not np.isfinite(A).all():
+        raise NonFiniteInput(f"{name} has non-finite entries")
+    return A
+
+
 def require_symmetric(S, tol=1e-12, name="matrix"):
-    """Validate that ``S`` is square and symmetric to relative tolerance."""
-    S = np.asarray(S, dtype=float)
-    if S.ndim != 2 or S.shape[0] != S.shape[1]:
-        raise ValueError(f"{name} must be square, got shape {S.shape}")
+    """Validate that ``S`` is finite, square and symmetric to relative
+    tolerance."""
+    S = _require_square(S, name)
     scale = max(1.0, np.abs(S).max()) if S.size else 1.0
     if np.abs(S - S.T).max() > tol * scale:
         raise ValueError(f"{name} is not symmetric (relative tol {tol})")
@@ -195,20 +205,16 @@ def joint_diagonalize(matrices, weights=None, tol=1e-10, max_sweeps=100):
     )
 
 
-def sym_eig(S, tol=1e-12, max_sweeps=100):
-    """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
+def sym_eig(S):
+    """Eigendecomposition of a symmetric matrix.
 
     Returns ``(values, vectors)`` with eigenvalues sorted in descending
     order, eigenvectors in the columns of ``vectors``, and each column's
     largest-magnitude entry made positive.
     """
-    S = require_symmetric(S)
-    res = joint_diagonalize([S], tol=tol, max_sweeps=max_sweeps)
-    values = res.diagonals[0]
-    vectors = res.U.T  # rows of U diagonalize, so columns of U.T are eigenvectors
-    order = np.argsort(-values, kind="stable")
-    values = values[order]
-    vectors = vectors[:, order]
+    values, vectors = np.linalg.eigh(require_symmetric(S))
+    values = values[::-1]
+    vectors = vectors[:, ::-1]
     flip = vectors[np.abs(vectors).argmax(axis=0), np.arange(len(values))] < 0
     vectors[:, flip] *= -1.0
     return values, vectors
@@ -232,27 +238,18 @@ def inv_sqrt_sym(S):
 
 
 def polar_orthogonal(T):
-    """Orthogonal polar factor U = T (T^T T)^{-1/2}.
+    """Orthogonal polar factor U = T (T^T T)^{-1/2}, computed as P Q^T from
+    the SVD T = P diag(sv) Q^T.
 
     Among all orthogonal matrices, U maximizes trace(U T^T).  Requires the
     smallest singular value to exceed ``1e-12`` times the largest.
     """
-    T = np.asarray(T, dtype=float)
-    if T.ndim != 2 or T.shape[0] != T.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {T.shape}")
-    values, vectors = sym_eig(T.T @ T)
-    if values[0] <= 0.0 or values[-1] <= (EIG_FLOOR ** 2) * values[0]:
+    P, sv, Qt = np.linalg.svd(_require_square(T, "matrix"))
+    if sv[-1] <= EIG_FLOOR * sv[0]:
         raise RankDeficient(
-            f"matrix is numerically rank deficient (squared singular value "
-            f"range [{values[-1]:.3e}, {values[0]:.3e}])")
-    U = T @ ((vectors / np.sqrt(values)) @ vectors.T)
-    # One polish pass keeps U orthogonal to machine precision even when T is
-    # poorly conditioned (the T^T T route squares the condition number).
-    defect = U @ U.T - np.eye(U.shape[0])
-    if np.abs(defect).max() > 1e-12:
-        values, vectors = sym_eig(U.T @ U)
-        U = U @ ((vectors / np.sqrt(values)) @ vectors.T)
-    return U
+            f"matrix is numerically rank deficient (singular value range "
+            f"[{sv[-1]:.3e}, {sv[0]:.3e}])")
+    return P @ Qt
 
 
 def random_orthogonal(p, rng):

@@ -523,17 +523,24 @@ def contour_grid(family_x, range_x, family_y, range_y, method, alpha,
     xs = np.linspace(lo_x, hi_x, steps)
     ys = np.linspace(lo_y, hi_y, steps)
     vals = np.full((steps, steps), np.nan)
+
+    def profile(family, value):
+        try:
+            return moment_profile(f"{family}:{float(value)!r}")
+        except CumicaError:
+            return None  # no profile: its whole row or column is missing
+
+    pls = [profile(family_y, yv) for yv in ys]
     for i, xv in enumerate(xs):
-        for j, yv in enumerate(ys):
+        pk = profile(family_x, xv)
+        for j, pl in enumerate(pls):
+            if pk is None or pl is None:
+                continue
             try:
-                pk = moment_profile(f"{family_x}:{float(xv)!r}")
-                pl = moment_profile(f"{family_y}:{float(yv)!r}")
                 table = table_fn([pk, pl], alpha)
                 vals[i, j] = asymptotics.offdiag_criterion(table, 0, 1)
-            except (CumicaError, ArithmeticError):
-                # no profile, a vanishing denominator, or moments too
-                # large for floats: the cell is missing
-                continue
+            except CumicaError:
+                continue  # a vanishing denominator: the cell is missing
     return ContourGrid(method=method, alpha=alpha,
                        family_x=family_x, family_y=family_y,
                        x_values=xs, y_values=ys, values=vals)

@@ -63,6 +63,13 @@ class TestAsv:
         assert code == 2
         assert "ZeroDenominator" in err
 
+    @pytest.mark.parametrize("shape", ["1e-300", "1e-80", "1e300"])
+    def test_unrepresentable_gamma_shape_exit_2(self, shape):
+        code, out, err = run(["asv", "--method", "deflation", "--alpha",
+                              "0.5", "--sources", f"gamma:{shape},gamma:2"])
+        assert (code, out) == (2, "")
+        assert err.startswith(f"InvalidSpec: gamma:{float(shape)!r} ")
+
 
 class TestOptimalAlpha:
     def test_symmetric_mixture_forces_zero(self):
@@ -137,6 +144,17 @@ class TestUsageErrors:
         argv[argv.index("--family-x") + 1] = "foo"
         code, out, err = run(argv)
         assert (code, out) == (2, "") and err.startswith("InvalidSpec")
+
+    def test_non_finite_data_exit_2(self, tmp_path):
+        path = tmp_path / "x.csv"
+        X = np.random.default_rng(0).gamma(2.0, size=(200, 2))
+        X[3, 0] = np.nan
+        np.savetxt(path, X, delimiter=",")
+        code, out, err = run(["estimate", "--in", str(path), "--method",
+                              "jade", "--alpha", "0.8"])
+        assert (code, out) == (2, "")
+        assert err == ("NonFiniteInput: data matrix has non-finite entries "
+                       "(1 in all, first at row 3, column 0)\n")
 
     def test_standardizer_restricted_to_compound(self):
         code, _, err = run(["estimate", "--in", "x.csv", "--method",

@@ -7,6 +7,7 @@ large draw.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -70,6 +71,13 @@ class TestMomentProfiles:
     def test_ep_moment_overflow_guard(self):
         with pytest.raises(InvalidSpec):
             moment_profile("ep:0.004")
+
+    @pytest.mark.parametrize("spec", ["gamma:1e-300", "gamma:1e-80",
+                                      "gamma:1e300", "ep:0.008"])
+    def test_unrepresentable_moments_name_the_source(self, spec):
+        name = re.escape(str(SourceSpec.parse(spec)))
+        with pytest.raises(InvalidSpec, match=name):
+            moment_profile(spec)
 
 
 class TestMixtureGeometry:

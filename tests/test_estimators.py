@@ -11,7 +11,7 @@ import pytest
 
 from cumica.cumulants import sample_cov
 from cumica.errors import (DegenerateObjective, InvalidParams,
-                           NearDegenerateSpectrum)
+                           NearDegenerateSpectrum, NonFiniteInput)
 from cumica.estimators import (SolverOptions, all_cumulant, compound_cumulant,
                                deflation_pp, symmetric_pp)
 from cumica.simulation import IcModelSpec, generate_ic_sample, mdi
@@ -186,6 +186,15 @@ class TestDiagnostics:
         # InvalidParams is a ValueError, so older handlers still catch it
         with pytest.raises(ValueError):
             fit(X, 1.5)
+
+    @pytest.mark.parametrize("fit", [deflation_pp, symmetric_pp,
+                                     compound_cumulant, all_cumulant])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_data_rejected(self, fit, bad):
+        X, _ = make_sample(n=500)
+        X[7, 1] = bad
+        with pytest.raises(NonFiniteInput, match="row 7, column 1"):
+            fit(X, 0.5, SolverOptions(restarts=2, seed=0))
 
     def test_solver_options_validation(self):
         with pytest.raises(ValueError):

@@ -1,17 +1,20 @@
 """Linear-algebra kernel tests.
 
-Ground truth: numpy.linalg (eigh, svd) and exact invariants — orthogonal
-rotations conserve Frobenius mass, the polar factor is the nearest
-orthogonal matrix, and a planted commuting family is jointly
-diagonalizable to machine precision.
+Ground truth: numpy.linalg (eigh, svd), the Jacobi engine of
+``joint_diagonalize`` as an independent eigensolver, and exact
+invariants — orthogonal rotations conserve Frobenius mass, the polar
+factor is the nearest orthogonal matrix, and a planted commuting family
+is jointly diagonalizable to machine precision.
 """
 
 import numpy as np
 import pytest
 
-from cumica.errors import NotPositiveDefinite, RankDeficient
-from cumica.linalg import (inv_sqrt_sym, is_orthogonal, joint_diagonalize,
-                           polar_orthogonal, random_orthogonal, sym_eig)
+import cumica.linalg
+from cumica.errors import NonFiniteInput, NotPositiveDefinite, RankDeficient
+from cumica.linalg import (EIG_FLOOR, inv_sqrt_sym, is_orthogonal,
+                           joint_diagonalize, polar_orthogonal,
+                           random_orthogonal, sym_eig)
 
 
 def random_spd(rng, p, spread=3.0):
@@ -50,6 +53,42 @@ class TestSymEig:
     def test_rejects_nonsymmetric(self):
         with pytest.raises(Exception):
             sym_eig(np.array([[1.0, 2.0], [0.0, 1.0]]))
+
+    @pytest.mark.parametrize("p", [10, 30, 50])
+    def test_agrees_with_jacobi_engine(self, p):
+        rng = np.random.default_rng(p)
+        A = rng.normal(size=(p, p))
+        S = (A + A.T) / 2
+        vals, vecs = sym_eig(S)
+        res = joint_diagonalize([S])
+        order = np.argsort(-res.diagonals[0])
+        ref_vecs = res.U.T[:, order]
+        flip = ref_vecs[np.abs(ref_vecs).argmax(axis=0), np.arange(p)] < 0
+        ref_vecs[:, flip] *= -1.0
+        np.testing.assert_allclose(vals, res.diagonals[0][order], atol=1e-12)
+        np.testing.assert_allclose(vecs, ref_vecs, atol=1e-8)
+
+    def test_sign_convention_with_repeated_eigenvalue(self):
+        rng = np.random.default_rng(17)
+        Q = random_orthogonal(6, rng)
+        S = Q @ np.diag([4.0, 4.0, 4.0, 1.0, 1.0, 0.5]) @ Q.T
+        vals, vecs = sym_eig((S + S.T) / 2)
+        np.testing.assert_allclose(vals, [4, 4, 4, 1, 1, 0.5], atol=1e-12)
+        np.testing.assert_allclose(vecs @ np.diag(vals) @ vecs.T, S,
+                                   atol=1e-12)
+        assert is_orthogonal(vecs, tol=1e-13)
+        assert (vecs[np.abs(vecs).argmax(axis=0), np.arange(6)] > 0).all()
+
+    def test_rejects_non_finite(self):
+        for bad in (np.nan, np.inf):
+            S = np.eye(3)
+            S[1, 1] = bad
+            with pytest.raises(NonFiniteInput):
+                sym_eig(S)
+            with pytest.raises(NonFiniteInput):
+                inv_sqrt_sym(S)
+            with pytest.raises(NonFiniteInput):
+                joint_diagonalize([S])
 
 
 class TestInvSqrt:
@@ -93,6 +132,33 @@ class TestPolar:
         T = np.outer([1.0, 2.0], [3.0, 4.0])
         with pytest.raises(RankDeficient):
             polar_orthogonal(T)
+
+    def test_ill_conditioned_factor_is_orthogonal(self, monkeypatch):
+        # condition number 1e10: the factor comes straight from the SVD,
+        # with no eigensolve and no orthogonality polish
+        def no_eigensolve(S):
+            raise AssertionError("polar_orthogonal called sym_eig")
+        monkeypatch.setattr(cumica.linalg, "sym_eig", no_eigensolve)
+        rng = np.random.default_rng(21)
+        Q1, Q2 = random_orthogonal(6, rng), random_orthogonal(6, rng)
+        T = Q1 @ np.diag(np.logspace(0, -10, 6)) @ Q2.T
+        U = polar_orthogonal(T)
+        assert np.abs(U @ U.T - np.eye(6)).max() <= 1e-12
+        np.testing.assert_allclose(U, Q1 @ Q2.T, atol=1e-8)
+
+    def test_rank_threshold_on_singular_value_ratio(self):
+        rng = np.random.default_rng(22)
+        Q1, Q2 = random_orthogonal(6, rng), random_orthogonal(6, rng)
+
+        def with_smallest(ratio):
+            return Q1 @ np.diag([1.0, 0.7, 0.5, 0.3, 0.2, ratio]) @ Q2.T
+        with pytest.raises(RankDeficient):
+            polar_orthogonal(with_smallest(0.99 * EIG_FLOOR))
+        assert is_orthogonal(polar_orthogonal(with_smallest(1.01 * EIG_FLOOR)))
+
+    def test_rejects_non_finite(self):
+        with pytest.raises(NonFiniteInput):
+            polar_orthogonal(np.array([[1.0, np.nan], [0.0, 1.0]]))
 
 
 class TestRandomOrthogonal:

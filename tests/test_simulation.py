@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import cumica.simulation
+from cumica.distributions import moment_profile
 from cumica.errors import (AssumptionViolated, InvalidParams, InvalidSpec,
                            SingularInput, TooManyFailures)
 from cumica.estimators import SolverOptions
@@ -284,6 +285,17 @@ class TestContour:
         with pytest.raises(TypeError, match="bug in a variance table"):
             contour_grid("gamma", (1, 2), "gamma", (3, 4), "symmetric", 0.5,
                          steps=2)
+
+    def test_one_profile_per_row_and_column(self, monkeypatch):
+        calls = []
+
+        def counting(spec):
+            calls.append(spec)
+            return moment_profile(spec)
+        monkeypatch.setattr(cumica.simulation, "moment_profile", counting)
+        contour_grid("gamma", (1, 2), "ep", (3, 4), "symmetric", 0.5,
+                     steps=40)
+        assert len(calls) == 80
 
     def test_unrepresentable_cells_are_missing(self):
         # gamma:1e-300 has no float moments and gamma:1e-80 overflows the
