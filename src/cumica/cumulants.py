@@ -6,6 +6,11 @@ covariance to the identity; all cumulant statistics are then computed on
 the standardized rows.  Sample moments divide by ``n`` throughout (no
 small-sample bias corrections), so the statistics are exactly the plug-in
 moment estimators that the asymptotic theory describes.
+
+One moment kernel, ``_SourceMoments``, serves every estimator: it forms
+the candidate sources ``Y = xst @ U.T`` of a rotation once and yields
+their skewness, excess kurtosis, projection index and estimating
+equations (the fixed-point form of Hyvarinen 1999).
 """
 
 from dataclasses import dataclass
@@ -59,6 +64,10 @@ def standardize(X, whitener="symmetric"):
         already whitens the sample, it is returned unchanged up to
         floating-point noise.
 
+    Singular data raise ``NotPositiveDefinite``, which names the cause
+    when it is ``n <= p`` or a constant column; NaN or inf entries raise
+    ``NonFiniteInput``.
+
     Returns
     -------
     StandardizedSample
@@ -67,6 +76,17 @@ def standardize(X, whitener="symmetric"):
     if X.ndim != 2:
         raise ValueError(f"expected a 2-d data matrix, got shape {X.shape}")
     n, p = X.shape
+    custom = not isinstance(whitener, str)
+    if custom:
+        W0 = np.asarray(whitener, dtype=float)
+        if W0.shape != (p, p):
+            raise ValueError(f"whitener must be {p}x{p}, got {W0.shape}")
+    elif whitener != "symmetric":
+        raise ValueError(f"unknown whitener: {whitener!r}")
+    if n <= p:
+        raise NotPositiveDefinite(
+            f"sample covariance is singular: {n} observations of {p} "
+            f"variables (need more observations than variables)")
     mean = X.mean(axis=0)
     # a NaN or inf makes its column mean non-finite, so finite data cost
     # no full scan
@@ -76,17 +96,16 @@ def standardize(X, whitener="symmetric"):
             raise NonFiniteInput(
                 f"data matrix has non-finite entries ({len(bad)} in all, "
                 f"first at row {bad[0][0]}, column {bad[0][1]})")
+    const = np.flatnonzero((X == X[0]).all(axis=0))
+    if len(const):
+        raise NotPositiveDefinite(
+            f"sample covariance is singular: column {const[0]} is constant")
     Xc = X - mean
     S = (Xc.T @ Xc) / n
 
-    if isinstance(whitener, str):
-        if whitener != "symmetric":
-            raise ValueError(f"unknown whitener: {whitener!r}")
+    if not custom:
         G = inv_sqrt_sym(S)
     else:
-        W0 = np.asarray(whitener, dtype=float)
-        if W0.shape != (p, p):
-            raise ValueError(f"whitener must be {p}x{p}, got {W0.shape}")
         d = np.einsum("ij,jk,ik->i", W0, S, W0)
         if (d <= 0).any() or not np.all(np.isfinite(d)):
             raise SingularCustomWhitener(
@@ -132,9 +151,41 @@ def projection_cumulants(xst, u, tol=1e-10):
     nrm = np.linalg.norm(u)
     if abs(nrm - 1.0) > tol:
         raise NotUnit(f"projection direction has norm {nrm!r}, expected 1")
-    y = X @ u
-    y2 = y * y
-    return float(np.mean(y2 * y)), float(np.mean(y2 * y2) - 3.0)
+    mom = _SourceMoments(X, u[None, :])
+    return float(mom.h3[0]), float(mom.h4[0])
+
+
+class _SourceMoments:
+    """Per-row skewness ``h3``, fourth moment ``m4`` and excess kurtosis
+    ``h4`` of the candidate sources ``Y = xst @ U.T``, where the rows of
+    ``U`` are unit directions.  Only ``Y`` is kept, not its powers."""
+
+    __slots__ = ("U", "Y", "h3", "m4", "h4")
+
+    def __init__(self, xst, U):
+        self.U = U
+        self.Y = Y = xst @ U.T
+        Y2 = Y * Y
+        self.h3 = (Y2 * Y).mean(axis=0)
+        self.m4 = (Y2 * Y2).mean(axis=0)
+        self.h4 = self.m4 - 3.0
+
+    def objective(self, alpha):
+        """The index ``alpha * sum h3^2 + (1 - alpha) * sum h4^2``."""
+        h3, h4 = self.h3, self.h4
+        return float(alpha * (h3 @ h3) + (1.0 - alpha) * (h4 @ h4))
+
+    def gradient(self, alpha, xst):
+        """The stacked estimating equations, one row per source:
+        ``T = 3 alpha h3 E[y^2 x] + 4 (1 - alpha) h4 E[y^3 x]``, half the
+        Euclidean gradient of the objective at ``U``."""
+        n = xst.shape[0]
+        Y2 = self.Y * self.Y
+        T3 = xst.T @ Y2 / n
+        T4 = xst.T @ (Y2 * self.Y) / n
+        T = ((3.0 * alpha) * (T3 * self.h3)
+             + (4.0 * (1.0 - alpha)) * (T4 * self.h4))
+        return T.T
 
 
 def cum3_matrix(xst, i):
@@ -171,19 +222,17 @@ def cum4_matrix(xst, i, j):
 
 
 def compound_matrices(xst):
-    """The compound cumulant matrices ``(C3, C4)``.
-
-    ``C3`` accumulates ``cum3_matrix(xst, i)`` and ``C4`` accumulates
-    ``cum4_matrix(xst, i, i)`` over ``i = 0, ..., p-1`` in index order.
-    """
+    """The compound cumulant matrices ``(C3, C4)``: the sums over ``i``
+    of ``cum3_matrix(xst, i)`` and ``cum4_matrix(xst, i, i)``, in closed
+    form ``C3 = E[(1^T x) x x^T]`` and ``C4 = fobi_matrix(x) - tr(S) S -
+    2 S^2`` (the FOBI scatter minus its Gaussian part; Miettinen,
+    Taskinen, Nordhausen & Oja 2015), each symmetrized once."""
     X = _as_xst(xst)
-    p = X.shape[1]
-    C3 = np.zeros((p, p))
-    C4 = np.zeros((p, p))
-    for i in range(p):
-        C3 += cum3_matrix(X, i)
-        C4 += cum4_matrix(X, i, i)
-    return C3, C4
+    n = X.shape[0]
+    S = (X.T @ X) / n
+    C3 = (X * X.sum(axis=1)[:, None]).T @ X / n
+    C4 = fobi_matrix(X) - np.trace(S) * S - 2.0 * (S @ S)
+    return (C3 + C3.T) / 2.0, (C4 + C4.T) / 2.0
 
 
 def cum3_stack(xst):

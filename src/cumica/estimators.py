@@ -28,11 +28,13 @@ objective history is non-decreasing by construction.
 """
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .cumulants import compound_matrices, cum3_stack, cum4_stack, fobi_matrix, standardize
+from .cumulants import (_SourceMoments, compound_matrices, cum3_stack,
+                        cum4_stack, fobi_matrix, standardize)
 from .errors import (DegenerateObjective, NearDegenerateSpectrum,
                      RankDeficient, _check_alpha)
 from .linalg import joint_diagonalize, polar_orthogonal, random_orthogonal, sym_eig
@@ -101,19 +103,6 @@ class UnmixingEstimate:
     objective_history: object = None
 
 
-def _source_cumulants(xst, U):
-    """Per-row skewness and excess kurtosis of candidate sources xst @ U.T."""
-    Y = xst @ U.T
-    Y2 = Y * Y
-    h3 = (Y2 * Y).mean(axis=0)
-    h4 = (Y2 * Y2).mean(axis=0) - 3.0
-    return h3, h4
-
-
-def _objective(alpha, h3, h4):
-    return float(alpha * (h3 @ h3) + (1.0 - alpha) * (h4 @ h4))
-
-
 def _warn_if_degenerate(objective, p):
     if objective < _DEGENERATE_FLOOR * p:
         warnings.warn(
@@ -122,21 +111,17 @@ def _warn_if_degenerate(objective, p):
             f"these sources", DegenerateObjective, stacklevel=3)
 
 
-def _canonical_form(W, xst, whitener, alpha):
-    """Reorder and re-sign the rotation rows, then map through the whitener."""
-    h3, h4 = _source_cumulants(xst, W)
-    keys = alpha * h3 * h3 + (1.0 - alpha) * h4 * h4
+def _canonical_form(mom, whitener, alpha):
+    """Reorder and re-sign the rows of the rotation behind the moment
+    kernel ``mom``, then map through the whitener."""
+    keys = alpha * mom.h3 * mom.h3 + (1.0 - alpha) * mom.h4 * mom.h4
     order = np.argsort(-keys, kind="stable")
-    W = W[order].copy()
-    h3 = h3[order]
+    W = mom.U[order]
+    h3 = mom.h3[order]
     for k in range(W.shape[0]):
-        if alpha > 0.0 and h3[k] != 0.0:
-            if h3[k] < 0.0:
-                W[k] = -W[k]
-        else:
-            j = int(np.argmax(np.abs(W[k])))
-            if W[k, j] < 0.0:
-                W[k] = -W[k]
+        use_skew = alpha > 0.0 and h3[k] != 0.0
+        if (h3[k] if use_skew else W[k, np.argmax(np.abs(W[k]))]) < 0.0:
+            W[k] = -W[k]
     return W @ whitener
 
 
@@ -145,6 +130,56 @@ def _sign_blind_row_delta(U_new, U_old):
     diff = np.abs(U_new - U_old).max(axis=1)
     summ = np.abs(U_new + U_old).max(axis=1)
     return float(np.minimum(diff, summ).max())
+
+
+def _ascend(alpha, xst, U0, opts, step, path):
+    """Fixed-point ascent of the objective from the rotation ``U0``.
+
+    ``step(T)`` maps the estimating equations T at the current rotation
+    U to the next rotation, or to None where T vanishes.  An update that
+    would lower the objective is replaced by the first point of
+    ``path(U, T)`` that does not (see ``_backtrack``).  The accepted
+    iterate's moment kernel carries into the next step.  Returns
+    (obj, kernel, iterations, converged, objective history).
+    """
+    mom = _SourceMoments(xst, U0)
+    obj = mom.objective(alpha)
+    hist = [obj]
+    converged = False
+    iters = 0
+    for iters in range(1, opts.max_iter + 1):
+        T = mom.gradient(alpha, xst)
+        U_new = step(T)
+        if U_new is None:
+            converged = True  # stationary: the criterion is flat here
+            break
+        new = _SourceMoments(xst, U_new)
+        obj_new = new.objective(alpha)
+        if obj_new < obj:
+            new, obj_new = _backtrack(alpha, xst, mom, obj, path(mom.U, T))
+        delta = _sign_blind_row_delta(new.U, mom.U)
+        mom, obj = new, obj_new
+        hist.append(obj)
+        if delta < opts.tol:
+            converged = True
+            break
+    return obj, mom, iters, converged, np.array(hist)
+
+
+def _backtrack(alpha, xst, mom, obj, path):
+    """Ascent fallback: the kernel of the first ``path(t)``, t = 1, 1/2,
+    1/4, ..., whose objective is not below ``obj`` (None points are
+    skipped).  Returns the accepted (kernel, obj)."""
+    t = 1.0
+    for _ in range(60):
+        U_c = path(t)
+        if U_c is not None:
+            cand = _SourceMoments(xst, U_c)
+            obj_c = cand.objective(alpha)
+            if obj_c >= obj:
+                return cand, obj_c
+        t *= 0.5
+    return mom, obj  # numerically stationary
 
 
 def _stage_starts(p, restarts, rng):
@@ -194,92 +229,44 @@ def deflation_pp(X, alpha, opts=None):
         def project(v):
             return v - prev.T @ (prev @ v) if len(rows) else v
 
-        best = None  # (objective, restart index, u, iters, converged, history)
-        for r, R in enumerate(starts):
+        best = None  # (objective, kernel, iters, converged, history)
+        for R in starts:
             u = project(R[k])
             nrm = np.linalg.norm(u)
             u = _orthocomplement_vector(prev) if nrm < 1e-8 else u / nrm
-            hist = []
-            converged = False
-            iters = 0
-            y = xst @ u
-            obj = _stage_obj(alpha, y)
-            hist.append(obj)
-            for iters in range(1, opts.max_iter + 1):
-                t_vec = _stage_fixed_point(alpha, xst, y)
-                tp = project(t_vec)
-                tn = np.linalg.norm(tp)
-                if tn < 1e-300:
-                    converged = True  # criterion gradient vanishes here
-                    break
-                u_new = tp / tn
-                y_new = xst @ u_new
-                obj_new = _stage_obj(alpha, y_new)
-                if obj_new < obj:
-                    u_new, y_new, obj_new = _stage_backtrack(
-                        alpha, xst, project, u, y, obj, tp)
-                delta = min(np.abs(u_new - u).max(), np.abs(u_new + u).max())
-                u, y, obj = u_new, y_new, obj_new
-                hist.append(obj)
-                if delta < opts.tol:
-                    converged = True
-                    break
-            cand = (obj, -r, u, iters, converged, np.array(hist))
+            cand = _ascend(alpha, xst, u[None, :], opts,
+                           lambda T: _unit_row(project(T[0])),
+                           partial(_sphere_path, project))
             if best is None or cand[0] > best[0]:
                 best = cand
-        obj, neg_r, u, iters, conv, hist = best
-        rows.append(u)
+        obj, mom, iters, conv, hist = best
+        rows.append(mom.U[0])
         iterations.append(iters)
         histories.append(hist)
         all_converged = all_converged and conv
 
-    U = np.array(rows)
-    h3, h4 = _source_cumulants(xst, U)
-    objective = _objective(alpha, h3, h4)
+    mom = _SourceMoments(xst, np.array(rows))
+    objective = mom.objective(alpha)
     _warn_if_degenerate(objective, p)
-    W = _canonical_form(U, xst, st.whitener, alpha)
+    W = _canonical_form(mom, st.whitener, alpha)
     return UnmixingEstimate(
         W=W, method="deflation", alpha=alpha, iterations=iterations,
         converged=all_converged, objective=objective,
         restarts_used=opts.restarts, objective_history=histories)
 
 
-def _stage_obj(alpha, y):
-    y2 = y * y
-    h3 = float((y2 * y).mean())
-    h4 = float((y2 * y2).mean() - 3.0)
-    return alpha * h3 * h3 + (1.0 - alpha) * h4 * h4
+def _unit_row(v):
+    """``v`` normalized as a one-row rotation, or None if it vanishes."""
+    nrm = np.linalg.norm(v)
+    return (v / nrm)[None, :] if nrm > 1e-300 else None
 
 
-def _stage_fixed_point(alpha, xst, y):
-    """The estimating-equation vector T(u) for the current projection y."""
-    n = xst.shape[0]
-    y2 = y * y
-    y3 = y2 * y
-    h3 = float(y3.mean())
-    h4 = float((y2 * y2).mean() - 3.0)
-    t3 = xst.T @ y2 / n
-    t4 = xst.T @ y3 / n
-    return 3.0 * alpha * h3 * t3 + 4.0 * (1.0 - alpha) * h4 * t4
-
-
-def _stage_backtrack(alpha, xst, project, u, y, obj, t_vec):
-    """Ascent fallback: walk along the in-sphere gradient until the
-    criterion stops decreasing.  Returns the accepted (u, y, obj)."""
+def _sphere_path(project, U, T):
+    """Backtracking path of one deflation stage: along the in-sphere
+    gradient, kept orthogonal to the rows already found."""
+    u, t_vec = U[0], project(T[0])
     d = t_vec - (u @ t_vec) * u  # tangent component; ascent direction
-    step = 1.0
-    for _ in range(60):
-        cand = u + step * d
-        cand = project(cand)
-        nrm = np.linalg.norm(cand)
-        if nrm > 1e-300:
-            cand = cand / nrm
-            y_c = xst @ cand
-            obj_c = _stage_obj(alpha, y_c)
-            if obj_c >= obj:
-                return cand, y_c, obj_c
-        step *= 0.5
-    return u, y, obj  # numerically stationary
+    return lambda t: _unit_row(project(u + t * d))
 
 
 def symmetric_pp(X, alpha, opts=None):
@@ -299,95 +286,49 @@ def symmetric_pp(X, alpha, opts=None):
     rng = np.random.default_rng(opts.seed)
     starts = _stage_starts(p, opts.restarts, rng)
 
-    best = None  # (objective, -restart index, U, iters, converged, history)
+    best = None  # (objective, kernel, iters, converged, history)
     failures = 0
-    for r, U0 in enumerate(starts):
+    for U0 in starts:
         try:
-            cand = _symmetric_single(alpha, xst, U0, opts)
+            cand = _ascend(alpha, xst, U0, opts, _polar_step, _cayley_path)
         except RankDeficient:
             failures += 1
             continue
-        obj, U, iters, converged, hist = cand
-        key = (obj, -r)
-        if best is None or key > (best[0], best[1]):
-            best = (obj, -r, U, iters, converged, hist)
+        if best is None or cand[0] > best[0]:  # ties keep the earlier start
+            best = cand
     if best is None:
         raise RankDeficient(
             "estimating equations lost rank in every restart")
-    obj, neg_r, U, iters, converged, hist = best
+    obj, mom, iters, converged, hist = best
     _warn_if_degenerate(obj, p)
-    W = _canonical_form(U, xst, st.whitener, alpha)
+    W = _canonical_form(mom, st.whitener, alpha)
     return UnmixingEstimate(
         W=W, method="symmetric", alpha=alpha, iterations=[iters],
         converged=converged, objective=obj,
         restarts_used=opts.restarts - failures, objective_history=hist)
 
 
-def _symmetric_T(alpha, xst, U):
-    n = xst.shape[0]
-    Y = xst @ U.T
-    Y2 = Y * Y
-    Y3 = Y2 * Y
-    h3 = Y3.mean(axis=0)
-    h4 = (Y2 * Y2).mean(axis=0) - 3.0
-    T3 = xst.T @ Y2 / n
-    T4 = xst.T @ Y3 / n
-    T = (3.0 * alpha) * (T3 * h3) + (4.0 * (1.0 - alpha)) * (T4 * h4)
-    return T.T, h3, h4
+def _polar_step(T):
+    return None if np.abs(T).max() < 1e-300 else polar_orthogonal(T)
 
 
-def _symmetric_single(alpha, xst, U0, opts):
-    p = U0.shape[0]
-    U = U0.copy()
-    h3, h4 = _source_cumulants(xst, U)
-    obj = _objective(alpha, h3, h4)
-    hist = [obj]
-    converged = False
-    iters = 0
-    for iters in range(1, opts.max_iter + 1):
-        T, h3, h4 = _symmetric_T(alpha, xst, U)
-        if np.abs(T).max() < 1e-300:
-            converged = True  # stationary: every row criterion is flat
-            break
-        U_new = polar_orthogonal(T)
-        h3n, h4n = _source_cumulants(xst, U_new)
-        obj_new = _objective(alpha, h3n, h4n)
-        if obj_new < obj:
-            U_new, obj_new = _symmetric_backtrack(alpha, xst, U, obj, T)
-        delta = _sign_blind_row_delta(U_new, U)
-        U, obj = U_new, obj_new
-        hist.append(obj)
-        if delta < opts.tol:
-            converged = True
-            break
-    return obj, U, iters, converged, np.array(hist)
-
-
-def _symmetric_backtrack(alpha, xst, U, obj, T):
-    """Ascent fallback on the orthogonal group via Cayley steps.
+def _cayley_path(U, T):
+    """Backtracking path on the orthogonal group via Cayley steps.
 
     T is half the Euclidean gradient of the objective at U; the skew
     part of (2T) U^T generates the steepest-ascent rotation flow.
     """
-    p = U.shape[0]
-    G = 2.0 * T
-    A = G @ U.T
+    A = (2.0 * T) @ U.T
     A = A - A.T
-    eye = np.eye(p)
-    step = 1.0
-    for _ in range(60):
-        M = (0.5 * step) * A
+    eye = np.eye(U.shape[0])
+
+    def point(t):
+        M = (0.5 * t) * A
         try:
-            U_c = np.linalg.solve(eye - M, (eye + M) @ U)
+            return np.linalg.solve(eye - M, (eye + M) @ U)
         except np.linalg.LinAlgError:
-            step *= 0.5
-            continue
-        h3, h4 = _source_cumulants(xst, U_c)
-        obj_c = _objective(alpha, h3, h4)
-        if obj_c >= obj:
-            return U_c, obj_c
-        step *= 0.5
-    return U, obj  # numerically stationary
+            return None
+    return point
 
 
 def _fobi_unmixing(X):
@@ -398,21 +339,19 @@ def _fobi_unmixing(X):
     return vecs.T @ st.whitener
 
 
-def _spectrum_warning(alpha, xst, U, n):
-    """Warn when the eigenvalue gaps identifying the rotation are within
-    sampling noise (three standard errors) of zero for some pair."""
-    Y = xst @ U.T
-    Y2 = Y * Y
-    Y3 = Y2 * Y
+def _spectrum_warning(alpha, mom):
+    """Warn when the eigenvalue gaps identifying the rotation behind the
+    moment kernel ``mom`` are within sampling noise (three standard
+    errors) of zero for some pair."""
+    n, p = mom.Y.shape
+    g, k4, m4 = mom.h3, mom.h4, mom.m4
+    Y2 = mom.Y * mom.Y
+    Y3 = Y2 * mom.Y
     Y4 = Y2 * Y2
-    g = Y3.mean(axis=0)
-    k4 = Y4.mean(axis=0) - 3.0
     var3 = (Y3 * Y3).mean(axis=0) - g * g
-    m4 = Y4.mean(axis=0)
     var4 = (Y4 * Y4).mean(axis=0) - m4 * m4
     se3 = np.sqrt(np.maximum(var3, 0.0) / n)
     se4 = np.sqrt(np.maximum(var4, 0.0) / n)
-    p = U.shape[0]
     bad = []
     for a in range(p - 1):
         for b in range(a + 1, p):
@@ -470,10 +409,11 @@ def compound_cumulant(X, alpha, opts=None, *, standardizer=None):
     res = joint_diagonalize(stack, weights=weights,
                             tol=min(opts.tol, 1e-10),
                             max_sweeps=max(opts.max_iter, 100))
-    _spectrum_warning(alpha, xst, res.U, n)
+    mom = _SourceMoments(xst, res.U)
+    _spectrum_warning(alpha, mom)
     objective = res.objective
     _warn_if_degenerate(objective, p)
-    W = _canonical_form(res.U, xst, st.whitener, alpha)
+    W = _canonical_form(mom, st.whitener, alpha)
     return UnmixingEstimate(
         W=W, method="compound", alpha=alpha, iterations=[res.sweeps],
         converged=res.converged, objective=objective, restarts_used=1,
@@ -508,7 +448,7 @@ def all_cumulant(X, alpha, opts=None):
                             max_sweeps=max(opts.max_iter, 100))
     objective = res.objective
     _warn_if_degenerate(objective, p)
-    W = _canonical_form(res.U, xst, st.whitener, alpha)
+    W = _canonical_form(_SourceMoments(xst, res.U), st.whitener, alpha)
     return UnmixingEstimate(
         W=W, method="all_cumulant", alpha=alpha, iterations=[res.sweeps],
         converged=res.converged, objective=objective, restarts_used=1,

@@ -183,6 +183,13 @@ class TestClusterObjective:
         assert math.isfinite(cluster_objective(0.5, 0.5, 5.0))
         assert math.isfinite(cluster_objective(0.5, PI0, 5.0))
 
+    def test_underflowing_denominator_returns_inf(self):
+        # a tiny shift leaves gamma ~ 1e-124: the skewness-only criterion
+        # is nonzero, but its square underflows
+        assert cluster_objective(1.0, 0.3, 1e-108) == math.inf
+        with pytest.raises(ZeroDenominator):
+            asv_deflation(["mix:0.3:1e-108", "gamma:2"], 1.0)
+
     def test_domain_errors(self):
         with pytest.raises(InvalidParams):
             cluster_objective(0.5, 0.0, 5.0)

@@ -63,6 +63,15 @@ class TestAsv:
         assert code == 2
         assert "ZeroDenominator" in err
 
+    def test_underflowing_denominator_exit_2(self):
+        # gamma = 1.9e-124 for this mixture: the criterion is nonzero but
+        # its square underflows to 0.0
+        code, out, err = run(["asv", "--method", "deflation", "--alpha", "1",
+                              "--sources", "mix:0.3:1e-108,gamma:2"])
+        assert (code, out) == (2, "")
+        assert err.startswith("ZeroDenominator: deflation criterion vanishes "
+                              "for component(s) [0]")
+
     @pytest.mark.parametrize("shape", ["1e-300", "1e-80", "1e300"])
     def test_unrepresentable_gamma_shape_exit_2(self, shape):
         code, out, err = run(["asv", "--method", "deflation", "--alpha",
@@ -155,6 +164,21 @@ class TestUsageErrors:
         assert (code, out) == (2, "")
         assert err == ("NonFiniteInput: data matrix has non-finite entries "
                        "(1 in all, first at row 3, column 0)\n")
+
+    @pytest.mark.parametrize("method", ["symmetric", "jade", "fobi"])
+    def test_degenerate_data_exit_2(self, tmp_path, method):
+        X = np.random.default_rng(0).gamma(2.0, size=(200, 3))
+        X[:, 1] = 4.5
+        cases = [(X, "column 1 is constant"),
+                 (X[:2, [0, 2]], "2 observations of 2 variables")]
+        for data, cause in cases:
+            path = tmp_path / "x.csv"
+            np.savetxt(path, data, delimiter=",")
+            code, out, err = run(["estimate", "--in", str(path), "--method",
+                                  method, "--alpha", "0.8"])
+            assert (code, out) == (2, "")
+            assert err.startswith("NotPositiveDefinite: sample covariance is "
+                                  f"singular: {cause}"), err
 
     def test_standardizer_restricted_to_compound(self):
         code, _, err = run(["estimate", "--in", "x.csv", "--method",

@@ -10,12 +10,17 @@ pinned by its SHA-256 digest instead of a 150 kB file.
 Regenerate the files (only for an intended output change) with::
 
     PYTHONPATH=src python3 tests/test_cli_golden.py
+
+It prints one line per file it rewrites: "unchanged", or the worst
+relative change of any floating-point number in the file followed by
+each banner (``#``) line that differs, old and new.
 """
 
 import contextlib
 import hashlib
 import io
 import os
+import re
 import tempfile
 import warnings
 from pathlib import Path
@@ -86,19 +91,61 @@ def test_estimate_stdout(method, tmp_path, monkeypatch):
     assert _stdout(_estimate_argv(method)) == _golden(f"estimate_{method}")
 
 
+# a number with a fraction or an exponent, or a nan/inf cell
+_FLOAT = re.compile(r"[-+]?(?:\d+\.\d*(?:[eE][-+]?\d+)?|\d+[eE][-+]?\d+)"
+                    r"|\b(?:nan|inf)\b")
+
+
+def _drift(old, new):
+    """How a golden file's text moved: the report line's lines."""
+    if old == new:
+        return ["unchanged"]
+    a, b = _FLOAT.findall(old), _FLOAT.findall(new)
+    if len(a) != len(b):
+        lines = [f"layout changed ({len(a)} -> {len(b)} numbers)"]
+    else:
+        worst = 0.0
+        for x, y in zip(map(float, a), map(float, b)):
+            if x == y or (x != x and y != y):
+                continue
+            rel = abs(x - y) / max(abs(x), abs(y))
+            # a cell that became or stopped being nan or inf
+            worst = max(worst, rel) if rel == rel else float("inf")
+        lines = [f"worst relative change {worst:.1e}"]
+    old_b = [ln for ln in old.splitlines() if ln.startswith("#")]
+    new_b = [ln for ln in new.splitlines() if ln.startswith("#")]
+    for x, y in zip(old_b, new_b):
+        if x != y:
+            lines += [f"  - {x}", f"  + {y}"]
+    if len(old_b) != len(new_b):
+        lines.append(f"  banner lines {len(old_b)} -> {len(new_b)}")
+    return lines
+
+
+def _write_golden(name, text):
+    path = GOLDEN / f"{name}.txt"
+    old = path.read_text() if path.exists() else None
+    path.write_text(text)
+    lines = ["new file"] if old is None else _drift(old, text)
+    print(f"{path.name}: {lines[0]}")
+    for line in lines[1:]:
+        print(line)
+
+
 def _regenerate(workdir):
     GOLDEN.mkdir(exist_ok=True)
     for name, argv in CASES.items():
-        (GOLDEN / f"{name}.txt").write_text(_stdout(argv))
+        _write_golden(name, _stdout(argv))
     data = _stdout(EMIT)
-    print("EMIT_SHA256 =", hashlib.sha256(data.encode()).hexdigest())
+    digest = hashlib.sha256(data.encode()).hexdigest()
+    print("EMIT_SHA256:", "unchanged" if digest == EMIT_SHA256
+          else f"changed, now {digest}")
     os.chdir(workdir)
     Path("data.csv").write_text(data)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         for method in ESTIMATE_METHODS:
-            (GOLDEN / f"estimate_{method}.txt").write_text(
-                _stdout(_estimate_argv(method)))
+            _write_golden(f"estimate_{method}", _stdout(_estimate_argv(method)))
 
 
 if __name__ == "__main__":

@@ -10,11 +10,14 @@ definition.
 import numpy as np
 import pytest
 
-from cumica.cumulants import (compound_matrices, cum3_matrix, cum3_stack,
-                              cum4_matrix, cum4_stack, fobi_matrix,
-                              projection_cumulants, sample_cov, standardize)
+from cumica.cumulants import (_SourceMoments, compound_matrices, cum3_matrix,
+                              cum3_stack, cum4_matrix, cum4_stack,
+                              fobi_matrix, projection_cumulants, sample_cov,
+                              standardize)
 from cumica.distributions import sample_source
-from cumica.errors import IndexOutOfRange, NotUnit, SingularCustomWhitener
+from cumica.errors import (IndexOutOfRange, NotPositiveDefinite, NotUnit,
+                           SingularCustomWhitener)
+from cumica.linalg import random_orthogonal
 
 
 def small_sample(seed=0, n=300, p=3):
@@ -72,6 +75,29 @@ class TestStandardize:
         with pytest.raises(SingularCustomWhitener):
             standardize(X, whitener=W0)
 
+    @pytest.mark.parametrize("n", [1, 3, 4])
+    def test_too_few_observations_named(self, n):
+        X = np.random.default_rng(6).normal(size=(n, 4))
+        for whitener in ("symmetric", np.eye(4)):
+            with pytest.raises(NotPositiveDefinite,
+                               match=f"singular: {n} observations of 4 "
+                                     f"variables"):
+                standardize(X, whitener=whitener)
+
+    def test_constant_column_named(self):
+        X = np.random.default_rng(7).normal(size=(300, 3))
+        X[:, 2] = 0.1  # its mean rounds, so centering leaves tiny noise
+        for whitener in ("symmetric", np.eye(3), np.ones((3, 3)) + np.eye(3)):
+            with pytest.raises(NotPositiveDefinite,
+                               match="singular: column 2 is constant"):
+                standardize(X, whitener=whitener)
+
+    def test_other_rank_deficiency_keeps_eigenvalue_message(self):
+        X = np.random.default_rng(8).normal(size=(300, 3))
+        X[:, 2] = X[:, 0] - 2.0 * X[:, 1]
+        with pytest.raises(NotPositiveDefinite, match="eigenvalue range"):
+            standardize(X)
+
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
             standardize(np.zeros(10))
@@ -98,6 +124,64 @@ class TestProjectionCumulants:
         X = small_sample()
         with pytest.raises(NotUnit):
             projection_cumulants(X, np.array([1.0, 1.0, 0.0]))
+
+
+class TestSourceMoments:
+    """The moment kernel against moments written out here."""
+
+    @staticmethod
+    def rotations():
+        rng = np.random.default_rng(15)
+        yield np.eye(3)
+        for _ in range(3):
+            yield random_orthogonal(3, rng)
+        yield random_orthogonal(3, rng)[1:2]  # one deflation-stage row
+
+    def test_matches_written_out_moments(self):
+        X = small_sample(seed=13)
+        n = X.shape[0]
+        for U in self.rotations():
+            mom = _SourceMoments(X, U)
+            Y = X @ U.T
+            h3 = np.mean(Y**3, axis=0)
+            m4 = np.mean(Y**4, axis=0)
+            np.testing.assert_allclose(mom.h3, h3, rtol=1e-12)
+            np.testing.assert_allclose(mom.m4, m4, rtol=1e-12)
+            np.testing.assert_allclose(mom.h4, m4 - 3.0, rtol=1e-12)
+            for alpha in (0.0, 0.3, 0.8, 1.0):
+                obj = (alpha * np.sum(h3**2)
+                       + (1.0 - alpha) * np.sum((m4 - 3.0)**2))
+                np.testing.assert_allclose(mom.objective(alpha), obj,
+                                           rtol=1e-12)
+                T = np.array([
+                    3.0 * alpha * h3[k] * (Y[:, k]**2 @ X) / n
+                    + 4.0 * (1.0 - alpha) * (m4[k] - 3.0)
+                    * (Y[:, k]**3 @ X) / n
+                    for k in range(U.shape[0])])
+                np.testing.assert_allclose(mom.gradient(alpha, X), T,
+                                           rtol=1e-12)
+
+    def test_gradient_is_half_the_euclidean_gradient(self):
+        X = small_sample(seed=14)
+        U = random_orthogonal(3, np.random.default_rng(16))
+        G = 2.0 * _SourceMoments(X, U).gradient(0.6, X)
+        eps = 1e-6
+        for i in range(3):
+            for j in range(3):
+                E = np.zeros((3, 3))
+                E[i, j] = eps
+                fd = (_SourceMoments(X, U + E).objective(0.6)
+                      - _SourceMoments(X, U - E).objective(0.6)) / (2 * eps)
+                assert fd == pytest.approx(G[i, j], rel=1e-6, abs=1e-8)
+
+    def test_projection_cumulants_read_the_kernel(self):
+        X = small_sample(seed=17)
+        for U in self.rotations():
+            mom = _SourceMoments(X, U)
+            for k, u in enumerate(U):
+                h3, h4 = projection_cumulants(X, u)
+                np.testing.assert_allclose(h3, mom.h3[k], rtol=1e-12)
+                np.testing.assert_allclose(h4, mom.h4[k], rtol=1e-12)
 
 
 class TestCumulantMatrices:

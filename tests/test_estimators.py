@@ -9,9 +9,11 @@ monotonicity, affine equivariance, and bitwise determinism.
 import numpy as np
 import pytest
 
-from cumica.cumulants import sample_cov
+from cumica import estimators
+from cumica.cumulants import _SourceMoments, sample_cov
 from cumica.errors import (DegenerateObjective, InvalidParams,
-                           NearDegenerateSpectrum, NonFiniteInput)
+                           NearDegenerateSpectrum, NonFiniteInput,
+                           NotPositiveDefinite)
 from cumica.estimators import (SolverOptions, all_cumulant, compound_cumulant,
                                deflation_pp, symmetric_pp)
 from cumica.simulation import IcModelSpec, generate_ic_sample, mdi
@@ -196,6 +198,17 @@ class TestDiagnostics:
         with pytest.raises(NonFiniteInput, match="row 7, column 1"):
             fit(X, 0.5, SolverOptions(restarts=2, seed=0))
 
+    @pytest.mark.parametrize("fit", [deflation_pp, symmetric_pp,
+                                     compound_cumulant, all_cumulant])
+    def test_degenerate_data_named(self, fit):
+        X, _ = make_sample(n=500)
+        X[:, 0] = 2.5
+        with pytest.raises(NotPositiveDefinite, match="column 0 is constant"):
+            fit(X, 0.5, SolverOptions(restarts=2, seed=0))
+        with pytest.raises(NotPositiveDefinite,
+                           match="3 observations of 3 variables"):
+            fit(X[:3], 0.5, SolverOptions(restarts=2, seed=0))
+
     def test_solver_options_validation(self):
         with pytest.raises(ValueError):
             SolverOptions(tol=0.0)
@@ -203,3 +216,42 @@ class TestDiagnostics:
             SolverOptions(max_iter=0)
         with pytest.raises(ValueError):
             SolverOptions(restarts=0)
+
+
+class TestMomentKernel:
+    """Every fit forms each rotation's candidate sources once: the
+    accepted iterate's moments carry into the next step and the winner's
+    into the canonical form."""
+
+    @pytest.fixture
+    def seen(self, monkeypatch):
+        seen = []
+
+        class Recording(_SourceMoments):
+            __slots__ = ()
+
+            def __init__(self, xst, U):
+                seen.append((hash(xst.tobytes()), U.shape, U.tobytes()))
+                super().__init__(xst, U)
+
+        monkeypatch.setattr(estimators, "_SourceMoments", Recording)
+        return seen
+
+    @pytest.mark.filterwarnings(
+        "ignore::cumica.errors.NearDegenerateSpectrum")
+    @pytest.mark.parametrize("fit,alpha,restarts", [
+        (symmetric_pp, 0.8, 1), (symmetric_pp, 0.8, 3),
+        (compound_cumulant, 0.5, 3), (deflation_pp, 0.8, 1)])
+    def test_no_rotation_seen_twice(self, seen, fit, alpha, restarts):
+        # deflation with several restarts may legitimately revisit a row:
+        # restarts converge to the same direction, and the last stage has
+        # only one
+        X, _ = make_sample()
+        fit(X, alpha, SolverOptions(tol=1e-10, restarts=restarts, seed=0))
+        assert len(seen) > 1
+        assert len(set(seen)) == len(seen)
+
+    def test_all_cumulant_evaluates_once(self, seen):
+        X, _ = make_sample()
+        all_cumulant(X, 0.8, OPTS)
+        assert len(seen) == 1
