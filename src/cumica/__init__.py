@@ -12,9 +12,9 @@ from .asymptotics import (AsvTable, ZetaTriple, asv_allcumulant,
                           offdiag_criterion, optimal_alpha,
                           stat_covariance_table, zeta_compound,
                           zeta_deflation, zeta_pairwise)
-from .cumulants import (StandardizedSample, compound_matrices, cum3_matrix,
-                        cum3_stack, cum4_matrix, cum4_stack, fobi_matrix,
-                        projection_cumulants, sample_cov, standardize)
+from .cumulants import (StandardizedSample, compound_matrices, cum3_stack,
+                        cum4_stack, fobi_matrix, projection_cumulants,
+                        sample_cov, standardize)
 from .distributions import (MomentProfile, SourceSpec, moment_profile,
                             sample_source)
 from .errors import (AssumptionViolated, CumicaError, CumicaWarning,
@@ -47,8 +47,8 @@ __all__ = [
     "align_signed_permutation", "all_cumulant", "asv_allcumulant",
     "asv_compound", "asv_deflation", "asv_symmetric", "canonical_method",
     "check_assumptions", "cluster_objective", "compound_cumulant",
-    "compound_matrices", "contour_grid", "cum3_matrix", "cum3_stack",
-    "cum4_matrix", "cum4_stack", "deflation_pp", "fobi_matrix",
+    "compound_matrices", "contour_grid", "cum3_stack", "cum4_stack",
+    "deflation_pp", "fobi_matrix",
     "generate_ic_sample", "inv_sqrt_sym", "is_orthogonal",
     "jade_weight_map", "joint_diagonalize", "mdi", "moment_profile",
     "monte_carlo_experiment", "offdiag_criterion", "optimal_alpha",

@@ -17,6 +17,7 @@ all numeric CSV cells round-trip exactly through ``float()``.
 """
 
 import argparse
+import contextlib
 import sys
 
 import numpy as np
@@ -101,11 +102,11 @@ def _load_matrix(path):
 
 
 def _write_output(text, out):
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w") as fh:
-            fh.write(text)
+    """Write a string, or each string of an iterable in turn."""
+    parts = (text,) if isinstance(text, str) else text
+    with open(out, "w") if out else contextlib.nullcontext(sys.stdout) as fh:
+        for part in parts:
+            fh.write(part)
 
 
 def _cmd_estimate(args):
@@ -183,6 +184,14 @@ def _build_model(sources, mixing, seed):
     return IcModelSpec(sources=sources)
 
 
+def _emit_rows(header, X):
+    """Yield the header, then X as %.17g CSV, 4096 rows at a time."""
+    yield header
+    row_fmt = ",".join(["%.17g"] * X.shape[1]) + "\n"
+    for block in np.split(X, range(4096, len(X), 4096)):
+        yield (row_fmt * len(block)) % tuple(block.ravel().tolist())
+
+
 def _cmd_simulate(args):
     _merge_config(args)
     _require(args, "sources")
@@ -195,13 +204,11 @@ def _cmd_simulate(args):
         data_ss = np.random.SeedSequence(args.seed).spawn(1)[0].spawn(2)[0]
         X, omega, _ = generate_ic_sample(model, args.n,
                                          np.random.default_rng(data_ss))
-        lines = [_echo("simulate", sources=",".join(specs), n=args.n,
-                       seed=args.seed, mixing=args.mixing, emit_data=True)]
         flat = ",".join(repr(float(v)) for v in omega.ravel())
-        lines.append(f"# omega: {flat}\n")
-        for row in X:
-            lines.append(",".join(format(v, ".17g") for v in row) + "\n")
-        return "".join(lines)
+        return _emit_rows(
+            _echo("simulate", sources=",".join(specs), n=args.n,
+                  seed=args.seed, mixing=args.mixing, emit_data=True)
+            + f"# omega: {flat}\n", X)
     _require(args, "method", "n", "reps")
     _resolve_flags(args)
     model = _build_model(specs, args.mixing, args.seed)

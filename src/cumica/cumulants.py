@@ -10,15 +10,18 @@ moment estimators that the asymptotic theory describes.
 One moment kernel, ``_SourceMoments``, serves every estimator: it forms
 the candidate sources ``Y = xst @ U.T`` of a rotation once and yields
 their skewness, excess kurtosis, projection index and estimating
-equations (the fixed-point form of Hyvarinen 1999).
+equations (the fixed-point form of Hyvarinen 1999).  One accumulator,
+``_pair_moments``, serves the cumulant stacks: it sums the moments of the
+pair products ``x_i x_j`` over row blocks of a fixed number of entries, so
+their memory is one block plus the output whatever n is.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (IndexOutOfRange, NonFiniteInput, NotPositiveDefinite,
-                     NotUnit, SingularCustomWhitener)
+from .errors import (NonFiniteInput, NotPositiveDefinite, NotUnit,
+                     SingularCustomWhitener)
 from .linalg import inv_sqrt_sym
 
 
@@ -128,11 +131,6 @@ def _as_xst(xst):
     return X
 
 
-def _check_index(i, p, name="i"):
-    if not (0 <= i < p):
-        raise IndexOutOfRange(f"index {name}={i} out of range for p={p}")
-
-
 def projection_cumulants(xst, u, tol=1e-10):
     """Skewness and excess kurtosis of the projection ``xst @ u``.
 
@@ -188,43 +186,11 @@ class _SourceMoments:
         return T.T
 
 
-def cum3_matrix(xst, i):
-    """Third-cumulant matrix ``E[x_i * x x^T]``, symmetrized.
-
-    For data with zero mean the third moment array is already the third
-    cumulant; the slice along coordinate ``i`` is returned.
-    """
-    X = _as_xst(xst)
-    n, p = X.shape
-    _check_index(i, p)
-    M = (X * X[:, [i]]).T @ X / n
-    return (M + M.T) / 2.0
-
-
-def cum4_matrix(xst, i, j):
-    """Fourth-cumulant matrix ``E[x_i x_j x x^T] - corrections``, symmetrized.
-
-    The corrections subtract the Gaussian part using the *sample*
-    covariance of ``xst`` (not the identity), which keeps finite-sample
-    identities exact when the input is standardized:
-
-        C[i,j] = E[x_i x_j x x^T] - S[i,j] S - S[:,i] S[:,j]^T
-                 - S[:,j] S[:,i]^T
-    """
-    X = _as_xst(xst)
-    n, p = X.shape
-    _check_index(i, p, "i")
-    _check_index(j, p, "j")
-    S = (X.T @ X) / n
-    M = (X * (X[:, [i]] * X[:, [j]])).T @ X / n
-    M = M - S[i, j] * S - np.outer(S[:, i], S[:, j]) - np.outer(S[:, j], S[:, i])
-    return (M + M.T) / 2.0
-
-
 def compound_matrices(xst):
     """The compound cumulant matrices ``(C3, C4)``: the sums over ``i``
-    of ``cum3_matrix(xst, i)`` and ``cum4_matrix(xst, i, i)``, in closed
-    form ``C3 = E[(1^T x) x x^T]`` and ``C4 = fobi_matrix(x) - tr(S) S -
+    of the third-cumulant matrices ``cum3_stack(xst)[i]`` and of the
+    fourth-cumulant matrices of the pairs ``(i, i)`` in ``cum4_stack``, in
+    closed form ``C3 = E[(1^T x) x x^T]`` and ``C4 = fobi_matrix(x) - tr(S) S -
     2 S^2`` (the FOBI scatter minus its Gaussian part; Miettinen,
     Taskinen, Nordhausen & Oja 2015), each symmetrized once."""
     X = _as_xst(xst)
@@ -235,40 +201,71 @@ def compound_matrices(xst):
     return (C3 + C3.T) / 2.0, (C4 + C4.T) / 2.0
 
 
-def cum3_stack(xst):
-    """All ``p`` third-cumulant matrices as a ``(p, p, p)`` stack.
+# A row block of pair products holds this many entries, so its row count
+# depends only on p (never on threads, machine or environment) and the
+# stacks are summed in the same order everywhere.
+_BLOCK_ENTRIES = 1 << 18
 
-    ``stack[i]`` equals ``cum3_matrix(xst, i)``.
-    """
-    X = _as_xst(xst)
+
+def _pair_moments(X, fourth):
+    """Third moments ``Z^T X / n``, or fourth moments ``Z^T Z / n`` when
+    ``fourth``, of the pair products ``Z[r, m] = X[r, i_m] X[r, j_m]``
+    over the pairs ``i <= j`` in row-major order.  Z is never held whole:
+    each block of rows is written into one buffer and its products summed.
+    Returns the moments gathered to ``E[x_i x_a x_b]`` (``(p, p, p)``) or
+    ``E[x_i x_j x_a x_b]`` (one ``(p, p)`` matrix per pair), exactly
+    symmetric in ``(a, b)``, and the pairs as index arrays."""
     n, p = X.shape
-    T = np.einsum("ri,ra,rb->iab", X, X, X, optimize=True) / n
-    return (T + np.swapaxes(T, 1, 2)) / 2.0
+    iu, ju = np.triu_indices(p)
+    m = len(iu)
+    rows = max(1, _BLOCK_ENTRIES // m)
+    buf = np.empty((min(rows, n), m))
+    acc = np.zeros((m, m if fourth else p))
+    for r0 in range(0, n, rows):
+        Xb = X[r0:r0 + rows]
+        Zb = buf[:len(Xb)]
+        for i in range(p):
+            c = i * p - i * (i - 1) // 2
+            np.multiply(Xb[:, i:i + 1], Xb[:, i:], out=Zb[:, c:c + p - i])
+        acc += Zb.T @ (Zb if fourth else Xb)
+    acc /= n
+    idx = np.empty((p, p), dtype=np.intp)
+    idx[iu, ju] = idx[ju, iu] = np.arange(m)
+    return (acc if fourth else acc.T)[:, idx], iu, ju
+
+
+def cum3_stack(xst):
+    """All ``p`` third-cumulant matrices ``E[x_i x x^T]`` as a ``(p, p, p)``
+    stack, gathered from the block-summed third moments of the pair
+    products (see ``cum4_stack``).  Memory is one block plus the output.
+    """
+    return _pair_moments(_as_xst(xst), False)[0]
 
 
 def cum4_stack(xst):
     """All distinct fourth-cumulant matrices as a ``(p*(p+1)//2, p, p)`` stack.
 
     Index pairs ``(i, j)`` with ``i <= j`` are enumerated in row-major
-    order; ``stack[m]`` equals ``cum4_matrix(xst, i, j)`` for the m-th
-    pair.  The pair list is returned alongside the stack.
+    order and returned alongside the stack.  The m-th matrix is
+
+        C = E[x_i x_j x x^T] - S[i,j] S - S[:,i] S[:,j]^T - S[:,j] S[:,i]^T
+
+    with the Gaussian part from the *sample* covariance S of ``xst`` (not
+    the identity), which keeps finite-sample identities exact when the
+    input is standardized.  The fourth moments come from the Gram matrix
+    ``Z^T Z / n`` of the pair products ``Z[r, (i, j)] = x_ri x_rj``,
+    summed over row blocks of a fixed number of entries, and the
+    corrections are broadcast over all pairs, so memory is one block plus
+    a few arrays of the output's size, whatever n is.
     """
     X = _as_xst(xst)
-    n, p = X.shape
-    S = (X.T @ X) / n
-    # Gram trick: the full fourth moment tensor is Z^T Z / n for the
-    # row-wise Khatri-Rao product Z[r, (i, j)] = X[r, i] * X[r, j].
-    Z = (X[:, :, None] * X[:, None, :]).reshape(n, p * p)
-    T = (Z.T @ Z / n).reshape(p, p, p, p)
-    pairs = [(i, j) for i in range(p) for j in range(i, p)]
-    out = np.empty((len(pairs), p, p))
-    for m, (i, j) in enumerate(pairs):
-        M = (T[i, j]
-             - S[i, j] * S
-             - np.outer(S[:, i], S[:, j])
-             - np.outer(S[:, j], S[:, i]))
-        out[m] = (M + M.T) / 2.0
-    return out, pairs
+    S = (X.T @ X) / X.shape[0]
+    out, iu, ju = _pair_moments(X, True)
+    G = S[iu][:, :, None] * S[ju][:, None, :]
+    G = G + G.transpose(0, 2, 1)
+    G += S[iu, ju][:, None, None] * S
+    out -= G
+    return out, list(zip(iu.tolist(), ju.tolist()))
 
 
 def fobi_matrix(xst):

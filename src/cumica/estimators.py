@@ -346,21 +346,16 @@ def _spectrum_warning(alpha, mom):
     n, p = mom.Y.shape
     g, k4, m4 = mom.h3, mom.h4, mom.m4
     Y2 = mom.Y * mom.Y
-    Y3 = Y2 * mom.Y
-    Y4 = Y2 * Y2
-    var3 = (Y3 * Y3).mean(axis=0) - g * g
-    var4 = (Y4 * Y4).mean(axis=0) - m4 * m4
+    var3 = np.einsum("ij,ij,ij->j", Y2, Y2, Y2) / n - g * g
+    var4 = np.einsum("ij,ij,ij,ij->j", Y2, Y2, Y2, Y2) / n - m4 * m4
     se3 = np.sqrt(np.maximum(var3, 0.0) / n)
     se4 = np.sqrt(np.maximum(var4, 0.0) / n)
-    bad = []
-    for a in range(p - 1):
-        for b in range(a + 1, p):
-            gap2 = (alpha * (g[a] - g[b]) ** 2
-                    + (1.0 - alpha) * (k4[a] - k4[b]) ** 2)
-            se2 = (alpha * (se3[a] ** 2 + se3[b] ** 2)
-                   + (1.0 - alpha) * (se4[a] ** 2 + se4[b] ** 2))
-            if gap2 < 9.0 * se2:
-                bad.append((a, b))
+    a, b = np.triu_indices(p, 1)
+    gap2 = alpha * (g[a] - g[b]) ** 2 + (1.0 - alpha) * (k4[a] - k4[b]) ** 2
+    se2 = (alpha * (se3[a] ** 2 + se3[b] ** 2)
+           + (1.0 - alpha) * (se4[a] ** 2 + se4[b] ** 2))
+    near = gap2 < 9.0 * se2
+    bad = list(zip(a[near].tolist(), b[near].tolist()))
     if bad:
         warnings.warn(
             f"cumulant spectrum gaps for component pair(s) {bad} are within "

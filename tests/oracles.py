@@ -186,6 +186,33 @@ def mdi_bruteforce(W, Omega):
 
 
 # ---------------------------------------------------------------------------
+# per-slice cumulant matrices (the reference for the stacked builds)
+# ---------------------------------------------------------------------------
+
+def cum3_matrix(X, i):
+    """Third-cumulant matrix ``E[x_i * x x^T]`` of zero-mean data,
+    symmetrized."""
+    X = np.asarray(X, dtype=float)
+    M = (X * X[:, [i]]).T @ X / X.shape[0]
+    return (M + M.T) / 2.0
+
+
+def cum4_matrix(X, i, j):
+    """Fourth-cumulant matrix of zero-mean data, symmetrized, with the
+    Gaussian part taken from the *sample* covariance S:
+
+        C[i,j] = E[x_i x_j x x^T] - S[i,j] S - S[:,i] S[:,j]^T
+                 - S[:,j] S[:,i]^T
+    """
+    X = np.asarray(X, dtype=float)
+    n = X.shape[0]
+    S = (X.T @ X) / n
+    M = (X * (X[:, [i]] * X[:, [j]])).T @ X / n
+    M = M - S[i, j] * S - np.outer(S[:, i], S[:, j]) - np.outer(S[:, j], S[:, i])
+    return (M + M.T) / 2.0
+
+
+# ---------------------------------------------------------------------------
 # classical FOBI and JADE, coded the textbook way with numpy.linalg
 # ---------------------------------------------------------------------------
 

@@ -7,8 +7,10 @@ covers the installed entry point.
 
 import contextlib
 import io
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -331,8 +333,12 @@ class TestOutputFile:
 
 
 def test_module_entry_point():
+    # the child gets src/ on its path, so an uninstalled checkout works
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "cumica.cli", "optimal-alpha", "--pi", "0.5",
-         "--mu", "5"], capture_output=True, text=True)
+         "--mu", "5"], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     assert "# alpha_star = 0.0" in proc.stdout

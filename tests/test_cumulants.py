@@ -7,17 +7,20 @@ agreement).  The fourth-cumulant slices are checked against a full
 definition.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from cumica.cumulants import (_SourceMoments, compound_matrices, cum3_matrix,
-                              cum3_stack, cum4_matrix, cum4_stack,
+from cumica.cumulants import (_BLOCK_ENTRIES, _SourceMoments,
+                              compound_matrices, cum3_stack, cum4_stack,
                               fobi_matrix, projection_cumulants, sample_cov,
                               standardize)
 from cumica.distributions import sample_source
-from cumica.errors import (IndexOutOfRange, NotPositiveDefinite, NotUnit,
+from cumica.errors import (NotPositiveDefinite, NotUnit,
                            SingularCustomWhitener)
 from cumica.linalg import random_orthogonal
+from oracles import cum3_matrix, cum4_matrix
 
 
 def small_sample(seed=0, n=300, p=3):
@@ -229,26 +232,77 @@ class TestCumulantMatrices:
                                    atol=1e-10)
 
     def test_population_values_on_independent_sources(self):
-        # independent standardized gamma sources: cum3_matrix(i) is close
-        # to gamma_i e_i e_i^T, cum4_matrix(i,i) to kappa_i e_i e_i^T
+        # independent standardized gamma sources: the third-cumulant
+        # matrix i is close to gamma_i e_i e_i^T, the fourth-cumulant
+        # matrix of the pair (i, i) to kappa_i e_i e_i^T
         rng = np.random.default_rng(12)
         n = 60_000
         shapes = [1.0, 4.0]
         Z = np.column_stack([sample_source(f"gamma:{a}", n, rng)
                              for a in shapes])
         X = standardize(Z).xst
+        S3 = cum3_stack(X)
+        S4, pairs = cum4_stack(X)
         for i, a in enumerate(shapes):
             gamma, kappa = 2 / np.sqrt(a), 6 / a
-            C3 = cum3_matrix(X, i)
-            C4 = cum4_matrix(X, i, i)
+            C3 = S3[i]
+            C4 = S4[pairs.index((i, i))]
             assert abs(C3[i, i] - gamma) < 0.15
             assert abs(C4[i, i] - kappa) < 0.5
             off = C3 - np.diag(np.diag(C3))
             assert np.abs(off).max() < 0.1
 
-    def test_index_errors(self):
-        X = small_sample()
-        with pytest.raises(IndexOutOfRange):
-            cum3_matrix(X, 3)
-        with pytest.raises(IndexOutOfRange):
-            cum4_matrix(X, 0, -1)
+
+def _rows_per_block(p):
+    return _BLOCK_ENTRIES // (p * (p + 1) // 2)
+
+
+class TestPairAccumulator:
+    """The stacks are summed over row blocks of a fixed number of entries;
+    they must not depend on where the block boundaries fall."""
+
+    @pytest.mark.parametrize("p", [1, 2, 30])
+    @pytest.mark.parametrize("blocks", ["below_one", "exactly_two",
+                                        "two_plus_one"])
+    def test_stacks_match_bruteforce_einsum(self, p, blocks):
+        rows = _rows_per_block(p)
+        n = {"below_one": max(p + 2, rows // 3), "exactly_two": 2 * rows,
+             "two_plus_one": 2 * rows + 1}[blocks]
+        rng = np.random.default_rng(p * 10 + len(blocks))
+        X = standardize(rng.normal(size=(n, p)) ** 3
+                        + 0.3 * rng.normal(size=(n, p))).xst
+        T3 = np.einsum("ri,ra,rb->iab", X, X, X, optimize=True) / n
+        S3 = cum3_stack(X)
+        np.testing.assert_allclose(S3, T3, rtol=1e-12,
+                                   atol=1e-12 * np.abs(T3).max())
+        XX = np.einsum("ri,rj->rij", X, X)
+        m4 = np.einsum("rij,rab->ijab", XX, XX, optimize=True) / n
+        S = X.T @ X / n
+        K = (m4 - np.einsum("ij,ab->ijab", S, S)
+             - np.einsum("ai,bj->ijab", S, S)
+             - np.einsum("aj,bi->ijab", S, S))
+        S4, pairs = cum4_stack(X)
+        assert pairs == [(i, j) for i in range(p) for j in range(i, p)]
+        ref = np.stack([K[i, j] for i, j in pairs])
+        np.testing.assert_allclose(S4, ref, rtol=1e-12,
+                                   atol=1e-12 * np.abs(ref).max())
+
+    @pytest.mark.parametrize("p", [2, 5])
+    def test_slices_exactly_symmetric(self, p):
+        X = small_sample(seed=13, n=2 * _rows_per_block(p) + 7, p=p)
+        S3 = cum3_stack(X)
+        S4, _ = cum4_stack(X)
+        assert np.array_equal(S3, S3.transpose(0, 2, 1))
+        assert np.array_equal(S4, S4.transpose(0, 2, 1))
+
+    def test_cum4_stack_memory_is_bounded(self):
+        # the n x p^2 pair-product matrix alone would be 144 MB here
+        rng = np.random.default_rng(14)
+        X = rng.normal(size=(20_000, 30))
+        tracemalloc.start()
+        try:
+            cum4_stack(X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32e6, f"cum4_stack peak {peak / 1e6:.1f} MB"

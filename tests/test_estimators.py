@@ -178,6 +178,28 @@ class TestDiagnostics:
         with pytest.warns(NearDegenerateSpectrum):
             compound_cumulant(X, 0.5, opts=SolverOptions(restarts=2, seed=0))
 
+    def test_spectrum_warning_names_the_loop_reference_pairs(self):
+        # the per-pair test written out as a loop over moments of Y
+        model = IcModelSpec(sources=("gamma:2", "gamma:2", "gamma:8",
+                                     "gamma:8", "ep:4"))
+        X, _, _ = generate_ic_sample(model, 3000, np.random.default_rng(9))
+        mom = _SourceMoments(X, np.eye(5))
+        Y, alpha = X, 0.4
+        n, p = Y.shape
+        se3 = [np.sqrt(max(np.mean(y ** 6) - np.mean(y ** 3) ** 2, 0) / n)
+               for y in Y.T]
+        se4 = [np.sqrt(max(np.mean(y ** 8) - np.mean(y ** 4) ** 2, 0) / n)
+               for y in Y.T]
+        g, k = mom.h3, mom.h4
+        ref = [(a, b) for a in range(p) for b in range(a + 1, p)
+               if alpha * (g[a] - g[b]) ** 2 + (1 - alpha) * (k[a] - k[b]) ** 2
+               < 9 * (alpha * (se3[a] ** 2 + se3[b] ** 2)
+                      + (1 - alpha) * (se4[a] ** 2 + se4[b] ** 2))]
+        assert ref and len(ref) < p * (p - 1) // 2
+        with pytest.warns(NearDegenerateSpectrum) as rec:
+            estimators._spectrum_warning(alpha, mom)
+        assert f"pair(s) {ref} are" in str(rec[0].message)
+
     @pytest.mark.parametrize("fit", [deflation_pp, symmetric_pp,
                                      compound_cumulant, all_cumulant])
     def test_weight_outside_unit_interval(self, fit):
