@@ -51,7 +51,12 @@ CASES = {
                     "--alpha", "0.8", "--n", "1200", "--reps", "8",
                     "--seed", "4", "--threads", "1"],
 }
-ESTIMATE_METHODS = ("deflation", "symmetric", "compound", "jade", "fobi")
+# golden name suffix -> (method, alpha); the weight endpoints pin the
+# single-stack branches of the diagonalization methods
+ESTIMATES = {method: (method, "0.8") for method in
+             ("deflation", "symmetric", "compound", "jade", "fobi")}
+ESTIMATES.update(compound_alpha1=("compound", "1"), jade_alpha0=("jade", "0"),
+                 jade_alpha1=("jade", "1"))
 
 
 def _stdout(argv):
@@ -63,10 +68,11 @@ def _stdout(argv):
     return out.getvalue()
 
 
-def _estimate_argv(method):
+def _estimate_argv(name):
+    method, alpha = ESTIMATES[name]
     # a relative --in path keeps the echoed banner independent of the cwd
     return ["estimate", "--in", "data.csv", "--method", method,
-            "--alpha", "0.8", "--seed", "3"]
+            "--alpha", alpha, "--seed", "3"]
 
 
 def _golden(name):
@@ -84,11 +90,11 @@ def test_emit_data_digest():
 
 
 @pytest.mark.filterwarnings("ignore::cumica.errors.CumicaWarning")
-@pytest.mark.parametrize("method", ESTIMATE_METHODS)
-def test_estimate_stdout(method, tmp_path, monkeypatch):
+@pytest.mark.parametrize("name", ESTIMATES)
+def test_estimate_stdout(name, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "data.csv").write_text(_stdout(EMIT))
-    assert _stdout(_estimate_argv(method)) == _golden(f"estimate_{method}")
+    assert _stdout(_estimate_argv(name)) == _golden(f"estimate_{name}")
 
 
 # a number with a fraction or an exponent, or a nan/inf cell
@@ -144,8 +150,8 @@ def _regenerate(workdir):
     Path("data.csv").write_text(data)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        for method in ESTIMATE_METHODS:
-            _write_golden(f"estimate_{method}", _stdout(_estimate_argv(method)))
+        for name in ESTIMATES:
+            _write_golden(f"estimate_{name}", _stdout(_estimate_argv(name)))
 
 
 if __name__ == "__main__":
