@@ -1,11 +1,14 @@
 """The four unmixing-matrix estimators.
 
-All estimators share the same preprocessing (center, whiten to identity
-sample covariance) and the same weight convention: ``alpha`` in [0, 1]
-is the proportion of weight on squared third cumulants, ``1 - alpha`` on
-squared fourth cumulants.  The returned matrix W unmixes the raw data:
-rows of ``(X - mean(X)) @ W.T`` estimate the independent sources, and
-``W Cov(X) W^T = I``.
+Every estimator runs one fit pipeline, ``_fit``: check ``alpha``, center
+the data and whiten it to identity sample covariance (by the symmetric
+inverse square root, or by the compound estimator's pilot unmixing
+matrix), find the rotation of the whitened data with the method's
+solver, warn if the objective is degenerate, and put the rows in
+canonical form.  ``alpha`` in [0, 1] is the proportion of weight on
+squared third cumulants, ``1 - alpha`` on squared fourth cumulants.  The
+returned matrix W unmixes the raw data: rows of ``(X - mean(X)) @ W.T``
+estimate the independent sources, and ``W Cov(X) W^T = I``.
 
 Methods
 -------
@@ -14,9 +17,8 @@ deflation_pp
 symmetric_pp
     All rows iterated simultaneously with a polar-decomposition step.
 compound_cumulant
-    Eigendecomposition / joint diagonalization of the two compound
-    cumulant matrices after standardizing by a root-n-consistent pilot
-    estimator.
+    Joint diagonalization of the two compound cumulant matrices after
+    standardizing by a root-n-consistent pilot estimator.
 all_cumulant
     Joint diagonalization of every third- and fourth-cumulant matrix
     (the JADE family; ``alpha = 0`` is classical JADE).
@@ -24,7 +26,8 @@ all_cumulant
 Fixed-point iterations accept an update only if it does not decrease
 the sample objective; when the raw update would, a backtracked ascent
 step along the Riemannian gradient is used instead, so the logged
-objective history is non-decreasing by construction.
+objective history is non-decreasing by construction.  The two
+diagonalization methods share one joint-diagonalization step.
 """
 
 import warnings
@@ -103,12 +106,27 @@ class UnmixingEstimate:
     objective_history: object = None
 
 
-def _warn_if_degenerate(objective, p):
-    if objective < _DEGENERATE_FLOOR * p:
+def _fit(method, X, alpha, opts, solve, pilot=None):
+    """The fit pipeline of every estimator.  ``solve(xst, alpha, opts)``
+    returns the winning (kernel, objective, iterations, converged,
+    restarts used, objective history); ``pilot(X, alpha, opts)``, if
+    given, supplies a candidate whitener in place of the symmetric one."""
+    alpha = _check_alpha(alpha)
+    opts = opts or SolverOptions()
+    st = standardize(X, whitener="symmetric" if pilot is None
+                     else pilot(X, alpha, opts))
+    mom, objective, iterations, converged, restarts_used, history = solve(
+        st.xst, alpha, opts)
+    if objective < _DEGENERATE_FLOOR * st.xst.shape[1]:
         warnings.warn(
             f"best objective {objective:.3e} is below {_DEGENERATE_FLOOR}*p; "
             f"the chosen cumulant weighting carries almost no signal for "
             f"these sources", DegenerateObjective, stacklevel=3)
+    return UnmixingEstimate(
+        W=_canonical_form(mom, st.whitener, alpha), method=method,
+        alpha=alpha, iterations=iterations, converged=converged,
+        objective=objective, restarts_used=restarts_used,
+        objective_history=history)
 
 
 def _canonical_form(mom, whitener, alpha):
@@ -182,9 +200,12 @@ def _backtrack(alpha, xst, mom, obj, path):
     return mom, obj  # numerically stationary
 
 
-def _stage_starts(p, restarts, rng):
-    """Identity plus restarts-1 random orthogonal matrices."""
-    return [np.eye(p)] + [random_orthogonal(p, rng) for _ in range(restarts - 1)]
+def _stage_starts(p, opts):
+    """Identity plus ``opts.restarts - 1`` random orthogonal matrices
+    drawn from ``opts.seed``."""
+    rng = np.random.default_rng(opts.seed)
+    return [np.eye(p)] + [random_orthogonal(p, rng)
+                          for _ in range(opts.restarts - 1)]
 
 
 def _orthocomplement_vector(prev):
@@ -211,17 +232,13 @@ def deflation_pp(X, alpha, opts=None):
     starts and keeps the largest final criterion (ties favor the
     earliest start).
     """
-    alpha = _check_alpha(alpha)
-    opts = opts or SolverOptions()
-    st = standardize(X)
-    xst = st.xst
-    n, p = xst.shape
-    rng = np.random.default_rng(opts.seed)
-    starts = _stage_starts(p, opts.restarts, rng)
+    return _fit("deflation", X, alpha, opts, _deflation_solve)
 
-    rows = []
-    iterations = []
-    histories = []
+
+def _deflation_solve(xst, alpha, opts):
+    p = xst.shape[1]
+    starts = _stage_starts(p, opts)
+    rows, iterations, histories = [], [], []
     all_converged = True
     for k in range(p):
         prev = np.array(rows) if rows else np.zeros((0, p))
@@ -246,13 +263,8 @@ def deflation_pp(X, alpha, opts=None):
         all_converged = all_converged and conv
 
     mom = _SourceMoments(xst, np.array(rows))
-    objective = mom.objective(alpha)
-    _warn_if_degenerate(objective, p)
-    W = _canonical_form(mom, st.whitener, alpha)
-    return UnmixingEstimate(
-        W=W, method="deflation", alpha=alpha, iterations=iterations,
-        converged=all_converged, objective=objective,
-        restarts_used=opts.restarts, objective_history=histories)
+    return (mom, mom.objective(alpha), iterations, all_converged,
+            opts.restarts, histories)
 
 
 def _unit_row(v):
@@ -278,17 +290,13 @@ def symmetric_pp(X, alpha, opts=None):
     ``opts.restarts - 1`` random orthogonal starts; the largest final
     objective wins, ties resolved toward the earlier start.
     """
-    alpha = _check_alpha(alpha)
-    opts = opts or SolverOptions()
-    st = standardize(X)
-    xst = st.xst
-    n, p = xst.shape
-    rng = np.random.default_rng(opts.seed)
-    starts = _stage_starts(p, opts.restarts, rng)
+    return _fit("symmetric", X, alpha, opts, _symmetric_solve)
 
+
+def _symmetric_solve(xst, alpha, opts):
     best = None  # (objective, kernel, iters, converged, history)
     failures = 0
-    for U0 in starts:
+    for U0 in _stage_starts(xst.shape[1], opts):
         try:
             cand = _ascend(alpha, xst, U0, opts, _polar_step, _cayley_path)
         except RankDeficient:
@@ -300,12 +308,7 @@ def symmetric_pp(X, alpha, opts=None):
         raise RankDeficient(
             "estimating equations lost rank in every restart")
     obj, mom, iters, converged, hist = best
-    _warn_if_degenerate(obj, p)
-    W = _canonical_form(mom, st.whitener, alpha)
-    return UnmixingEstimate(
-        W=W, method="symmetric", alpha=alpha, iterations=[iters],
-        converged=converged, objective=obj,
-        restarts_used=opts.restarts - failures, objective_history=hist)
+    return mom, obj, [iters], converged, opts.restarts - failures, hist
 
 
 def _polar_step(T):
@@ -331,14 +334,6 @@ def _cayley_path(U, T):
     return point
 
 
-def _fobi_unmixing(X):
-    """Classical kurtosis-scatter estimator used as a pilot standardizer."""
-    st = standardize(X)
-    B = fobi_matrix(st.xst)
-    _, vecs = sym_eig(B)
-    return vecs.T @ st.whitener
-
-
 def _spectrum_warning(alpha, mom):
     """Warn when the eigenvalue gaps identifying the rotation behind the
     moment kernel ``mom`` are within sampling noise (three standard
@@ -357,10 +352,22 @@ def _spectrum_warning(alpha, mom):
     near = gap2 < 9.0 * se2
     bad = list(zip(a[near].tolist(), b[near].tolist()))
     if bad:
+        # reported at the caller of compound_cumulant, which reaches here
+        # through _fit and _compound_solve
         warnings.warn(
             f"cumulant spectrum gaps for component pair(s) {bad} are within "
             f"three standard errors of zero; the corresponding rows are not "
-            f"reliably identified", NearDegenerateSpectrum, stacklevel=3)
+            f"reliably identified", NearDegenerateSpectrum, stacklevel=5)
+
+
+def _joint_diagonalization(xst, stack, weights, opts):
+    """The solve of both diagonalization methods: jointly diagonalize
+    the positive-weight matrices of ``stack``."""
+    mats, w = zip(*((A, w) for A, w in zip(stack, weights) if w > 0.0))
+    res = joint_diagonalize(mats, weights=w, tol=min(opts.tol, 1e-10),
+                            max_sweeps=max(opts.max_iter, 100))
+    return (_SourceMoments(xst, res.U), res.objective, [res.sweeps],
+            res.converged, 1, res.objective_history)
 
 
 def compound_cumulant(X, alpha, opts=None, *, standardizer=None):
@@ -368,8 +375,9 @@ def compound_cumulant(X, alpha, opts=None, *, standardizer=None):
 
     The data are first unmixed by a pilot root-n-consistent estimator
     (the ``standardizer``), then the two compound matrices C3 and C4 are
-    formed and the remaining rotation is found by eigendecomposition
-    (``alpha`` 0 or 1) or weighted joint diagonalization.
+    formed and the remaining rotation is found by jointly diagonalizing
+    them with weights ``alpha`` and ``1 - alpha`` (a single
+    eigendecomposition when ``alpha`` is 0 or 1).
 
     Parameters
     ----------
@@ -378,41 +386,30 @@ def compound_cumulant(X, alpha, opts=None, *, standardizer=None):
         classical kurtosis-scatter estimator) and "symmetric" (the
         symmetric PP estimator with the same alpha) otherwise.
     """
-    alpha = _check_alpha(alpha)
-    opts = opts or SolverOptions()
+    return _fit("compound", X, alpha, opts, _compound_solve,
+                partial(_pilot_unmixing, standardizer))
+
+
+def _pilot_unmixing(standardizer, X, alpha, opts):
+    """The compound estimator's candidate whitener; "fobi" is the
+    classical kurtosis-scatter estimator."""
     if standardizer is None:
         standardizer = "fobi" if alpha == 0.0 else "symmetric"
-    if isinstance(standardizer, str):
-        if standardizer == "fobi":
-            W0 = _fobi_unmixing(X)
-        elif standardizer == "symmetric":
-            W0 = symmetric_pp(X, alpha, opts).W
-        else:
-            raise ValueError(f"unknown standardizer: {standardizer!r}")
-    else:
-        W0 = np.asarray(standardizer, dtype=float)
-    st = standardize(X, whitener=W0)
-    xst = st.xst
-    n, p = xst.shape
-    C3, C4 = compound_matrices(xst)
-    if alpha == 1.0:
-        stack, weights = [C3], [1.0]
-    elif alpha == 0.0:
-        stack, weights = [C4], [1.0]
-    else:
-        stack, weights = [C3, C4], [alpha, 1.0 - alpha]
-    res = joint_diagonalize(stack, weights=weights,
-                            tol=min(opts.tol, 1e-10),
-                            max_sweeps=max(opts.max_iter, 100))
-    mom = _SourceMoments(xst, res.U)
-    _spectrum_warning(alpha, mom)
-    objective = res.objective
-    _warn_if_degenerate(objective, p)
-    W = _canonical_form(mom, st.whitener, alpha)
-    return UnmixingEstimate(
-        W=W, method="compound", alpha=alpha, iterations=[res.sweeps],
-        converged=res.converged, objective=objective, restarts_used=1,
-        objective_history=res.objective_history)
+    if not isinstance(standardizer, str):
+        return np.asarray(standardizer, dtype=float)
+    if standardizer == "fobi":
+        st = standardize(X)
+        return sym_eig(fobi_matrix(st.xst))[1].T @ st.whitener
+    if standardizer == "symmetric":
+        return symmetric_pp(X, alpha, opts).W
+    raise ValueError(f"unknown standardizer: {standardizer!r}")
+
+
+def _compound_solve(xst, alpha, opts):
+    fit = _joint_diagonalization(xst, compound_matrices(xst),
+                                 (alpha, 1.0 - alpha), opts)
+    _spectrum_warning(alpha, fit[0])
+    return fit
 
 
 def all_cumulant(X, alpha, opts=None):
@@ -422,29 +419,19 @@ def all_cumulant(X, alpha, opts=None):
     and every fourth-cumulant matrix (weight ``1 - alpha``) of the
     standardized data.  ``alpha = 0`` reproduces classical JADE.
     """
-    alpha = _check_alpha(alpha)
-    opts = opts or SolverOptions()
-    st = standardize(X)
-    xst = st.xst
-    n, p = xst.shape
-    stack = []
-    weights = []
+    return _fit("all_cumulant", X, alpha, opts, _all_cumulant_solve)
+
+
+def _all_cumulant_solve(xst, alpha, opts):
+    # a stack whose weight is zero is not built
+    stack, weights = [], []
     if alpha > 0.0:
         stack.extend(cum3_stack(xst))
-        weights.extend([alpha] * p)
+        weights.extend([alpha] * xst.shape[1])
     if alpha < 1.0:
         c4, pairs = cum4_stack(xst)
         stack.extend(c4)
         # pairs (i, j) with i < j stand in for both (i, j) and (j, i).
         weights.extend((1.0 - alpha) * (1.0 if i == j else 2.0)
                        for i, j in pairs)
-    res = joint_diagonalize(stack, weights=weights,
-                            tol=min(opts.tol, 1e-10),
-                            max_sweeps=max(opts.max_iter, 100))
-    objective = res.objective
-    _warn_if_degenerate(objective, p)
-    W = _canonical_form(_SourceMoments(xst, res.U), st.whitener, alpha)
-    return UnmixingEstimate(
-        W=W, method="all_cumulant", alpha=alpha, iterations=[res.sweeps],
-        converged=res.converged, objective=objective, restarts_used=1,
-        objective_history=res.objective_history)
+    return _joint_diagonalization(xst, stack, weights, opts)

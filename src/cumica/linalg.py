@@ -95,13 +95,14 @@ def _rotate_stack(stack, k, l, c, s):
 class JointDiagResult:
     """Outcome of a joint (approximate) diagonalization.
 
-    ``U`` holds the orthogonal diagonalizer whose rows U @ A_s @ U.T make the
-    rotated stack as diagonal as possible.  Convergence problems are reported
-    through ``converged`` rather than raised: the best rotation found is
-    always returned.  History arrays carry one entry per completed sweep
-    (objective and mass also record the initial state at index 0) so callers
-    can assert the objective never decreases and that the total weighted
-    Frobenius mass is conserved by the rotations.
+    ``U`` is the orthogonal diagonalizer: U @ A_s @ U.T is as diagonal as
+    possible, with ``diagonals[s]`` its diagonal.  After ``sweeps`` sweeps
+    the best rotation found is always returned; convergence problems are
+    reported through ``converged`` rather than raised.  ``objective``, the
+    weighted squared diagonal mass, and the weighted squared Frobenius mass
+    are recorded before the first sweep and after each one in
+    ``objective_history`` and ``mass_history``, so callers can assert the
+    objective never decreases and the rotations conserve the mass.
     """
 
     U: np.ndarray
@@ -110,9 +111,7 @@ class JointDiagResult:
     objective: float
     objective_history: np.ndarray
     mass_history: np.ndarray
-    max_angle_history: np.ndarray
     diagonals: np.ndarray
-    rotated: np.ndarray
 
 
 def joint_diagonalize(matrices, weights=None, tol=1e-10, max_sweeps=100):
@@ -140,12 +139,12 @@ def joint_diagonalize(matrices, weights=None, tol=1e-10, max_sweeps=100):
     -------
     JointDiagResult
     """
-    arr = np.asarray(matrices, dtype=float)
-    if arr.ndim != 3 or arr.shape[0] == 0:
+    stack = np.array(matrices, dtype=float)  # the one copy, rotated in place
+    if stack.ndim != 3 or stack.shape[0] == 0:
         raise ValueError(f"expected a nonempty stack of square matrices, "
-                         f"got shape {arr.shape}")
-    stack = np.stack([require_symmetric(A, name=f"matrices[{i}]")
-                      for i, A in enumerate(arr)])
+                         f"got shape {stack.shape}")
+    for i, A in enumerate(stack):
+        require_symmetric(A, name=f"matrices[{i}]")
     m, p, _ = stack.shape
     if weights is None:
         w = np.ones(m)
@@ -161,12 +160,11 @@ def joint_diagonalize(matrices, weights=None, tol=1e-10, max_sweeps=100):
         return float(w @ (d * d).sum(axis=1))
 
     def mass():
-        return float(w @ (stack * stack).sum(axis=(1, 2)))
+        return float(w @ np.einsum("sij,sij->s", stack, stack))
 
     U = np.eye(p)
     obj_hist = [objective()]
     mass_hist = [mass()]
-    angle_hist = []
     converged = p < 2
     sweeps = 0
     while not converged and sweeps < max_sweeps:
@@ -188,7 +186,6 @@ def joint_diagonalize(matrices, weights=None, tol=1e-10, max_sweeps=100):
                 U[l, :] = new_ul
         obj_hist.append(objective())
         mass_hist.append(mass())
-        angle_hist.append(biggest)
         if biggest < tol:
             converged = True
 
@@ -199,9 +196,7 @@ def joint_diagonalize(matrices, weights=None, tol=1e-10, max_sweeps=100):
         objective=obj_hist[-1],
         objective_history=np.array(obj_hist),
         mass_history=np.array(mass_hist),
-        max_angle_history=np.array(angle_hist),
         diagonals=stack.diagonal(axis1=1, axis2=2).copy(),
-        rotated=stack,
     )
 
 

@@ -6,6 +6,8 @@ kurtosis-only estimators, and exact invariants — whitening, objective
 monotonicity, affine equivariance, and bitwise determinism.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -172,6 +174,21 @@ class TestDiagnostics:
         with pytest.warns(DegenerateObjective):
             symmetric_pp(X, 1.0, SolverOptions(restarts=2, seed=0))
 
+    @pytest.mark.parametrize("fit", [deflation_pp, symmetric_pp,
+                                     compound_cumulant, all_cumulant])
+    def test_warnings_point_at_the_caller(self, fit):
+        rng = np.random.default_rng(5)
+        X = rng.normal(size=(50_000, 2))  # no skewness anywhere
+        with warnings.catch_warnings(record=True) as rec:
+            warnings.simplefilter("always")
+            fit(X, 1.0, SolverOptions(restarts=2, seed=0))
+        degenerate = [w for w in rec if w.category is DegenerateObjective]
+        # compound's symmetric pilot warns first, from inside the package
+        assert degenerate and degenerate[-1].filename == __file__
+        spectrum = [w for w in rec if w.category is NearDegenerateSpectrum]
+        assert bool(spectrum) == (fit is compound_cumulant)
+        assert all(w.filename == __file__ for w in spectrum)
+
     def test_near_degenerate_spectrum_warns(self):
         model = IcModelSpec(sources=("gamma:2", "gamma:2"))
         X, _, _ = generate_ic_sample(model, 4000, np.random.default_rng(8))
@@ -277,3 +294,44 @@ class TestMomentKernel:
         X, _ = make_sample()
         all_cumulant(X, 0.8, OPTS)
         assert len(seen) == 1
+
+
+def _recorder(calls, name, fn):
+    def record(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+    return record
+
+
+class TestLayerLookup:
+    """perfbench traces a layer by replacing its name in the estimators
+    namespace, so every estimator must look its layers up there at call
+    time.  Counts per fit, in ``LAYERS`` order."""
+
+    LAYERS = ("standardize", "joint_diagonalize", "cum3_stack", "cum4_stack",
+              "compound_matrices")
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = dict.fromkeys(self.LAYERS, 0)
+        for name in self.LAYERS:
+            monkeypatch.setattr(estimators, name,
+                                _recorder(calls, name, getattr(estimators, name)))
+        return calls
+
+    @pytest.mark.filterwarnings("ignore::cumica.errors.NearDegenerateSpectrum")
+    @pytest.mark.parametrize("fit,alpha,kw,expected", [
+        (deflation_pp, 0.8, {}, (1, 0, 0, 0, 0)),
+        (symmetric_pp, 0.8, {}, (1, 0, 0, 0, 0)),
+        (compound_cumulant, 0.5, {}, (2, 1, 0, 0, 1)),
+        (compound_cumulant, 0.0, {"standardizer": "fobi"}, (2, 1, 0, 0, 1)),
+        (compound_cumulant, 1.0, {"standardizer": np.eye(3)}, (1, 1, 0, 0, 1)),
+        (all_cumulant, 0.0, {}, (1, 1, 0, 1, 0)),
+        (all_cumulant, 0.8, {}, (1, 1, 1, 1, 0)),
+        (all_cumulant, 1.0, {}, (1, 1, 1, 0, 0)),
+    ], ids=["deflation", "symmetric", "compound-symmetric", "compound-fobi",
+            "compound-matrix", "jade-0", "jade-0.8", "jade-1"])
+    def test_layer_calls(self, calls, fit, alpha, kw, expected):
+        X, _ = make_sample(n=2000)
+        fit(X, alpha, SolverOptions(restarts=2, seed=0), **kw)
+        assert tuple(calls[name] for name in self.LAYERS) == expected

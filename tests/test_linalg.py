@@ -7,10 +7,13 @@ factor is the nearest orthogonal matrix, and a planted commuting family
 is jointly diagonalizable to machine precision.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import cumica.linalg
+from cumica.cumulants import cum3_stack, cum4_stack, standardize
 from cumica.errors import NonFiniteInput, NotPositiveDefinite, RankDeficient
 from cumica.linalg import (EIG_FLOOR, inv_sqrt_sym, is_orthogonal,
                            joint_diagonalize, polar_orthogonal,
@@ -247,3 +250,34 @@ class TestJointDiagonalize:
         mats = np.array([np.eye(3), np.eye(3)])
         with pytest.raises(ValueError):
             joint_diagonalize(mats, weights=[1.0])
+
+    def test_rejects_non_symmetric_member(self):
+        mats = np.array([np.eye(3)] * 3)
+        mats[1, 0, 2] = 1.0
+        with pytest.raises(ValueError, match=r"matrices\[1\] is not symmetric"):
+            joint_diagonalize(mats)
+        with pytest.raises(ValueError):
+            joint_diagonalize(np.zeros((2, 3, 4)))
+
+    def test_input_not_modified(self):
+        rng = np.random.default_rng(17)
+        mats, _ = planted_stack(rng, 4, 5, noise=0.05)
+        before = mats.copy()
+        res = joint_diagonalize(mats)
+        assert res.sweeps > 0
+        assert np.array_equal(mats, before)
+
+    def test_one_copy_of_the_stack(self):
+        # the p = 30 cumulant stack (495 matrices), passed as a list of
+        # views the way all_cumulant passes it
+        rng = np.random.default_rng(18)
+        xst = standardize(rng.gamma(2.0, size=(20_000, 30))).xst
+        mats = list(cum3_stack(xst)) + list(cum4_stack(xst)[0])
+        stack_bytes = len(mats) * mats[0].nbytes
+        tracemalloc.start()
+        try:
+            joint_diagonalize(mats, max_sweeps=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * stack_bytes, (peak, stack_bytes)
