@@ -76,8 +76,9 @@ def standardize(X, whitener="symmetric"):
     StandardizedSample
     """
     X = np.asarray(X, dtype=float)
-    if X.ndim != 2:
-        raise ValueError(f"expected a 2-d data matrix, got shape {X.shape}")
+    if X.ndim != 2 or X.shape[1] == 0:
+        raise ValueError(f"expected a 2-d data matrix with at least one "
+                         f"column, got shape {X.shape}")
     n, p = X.shape
     custom = not isinstance(whitener, str)
     if custom:
@@ -99,7 +100,10 @@ def standardize(X, whitener="symmetric"):
             raise NonFiniteInput(
                 f"data matrix has non-finite entries ({len(bad)} in all, "
                 f"first at row {bad[0][0]}, column {bad[0][1]})")
-    const = np.flatnonzero((X == X[0]).all(axis=0))
+    # row 1 exists since n > p >= 1; only columns equal there can be
+    # constant, so only those are scanned in full
+    cand = np.flatnonzero(X[1] == X[0])
+    const = cand[(X[:, cand] == X[0, cand]).all(axis=0)]
     if len(const):
         raise NotPositiveDefinite(
             f"sample covariance is singular: column {const[0]} is constant")
@@ -156,16 +160,31 @@ def projection_cumulants(xst, u, tol=1e-10):
 class _SourceMoments:
     """Per-row skewness ``h3``, fourth moment ``m4`` and excess kurtosis
     ``h4`` of the candidate sources ``Y = xst @ U.T``, where the rows of
-    ``U`` are unit directions.  Only ``Y`` is kept, not its powers."""
+    ``U`` are unit directions.  Only ``Y`` is kept, not its powers.
+
+    ``h3`` and ``m4`` are bitwise equal to ``(Y2 * Y).mean(axis=0)`` and
+    ``(Y2 * Y2).mean(axis=0)``.  The order is pinned because ``_ascend``'s
+    termination depends on the objective's rounding, and a reordered sum
+    changes iteration counts."""
 
     __slots__ = ("U", "Y", "h3", "m4", "h4")
 
     def __init__(self, xst, U):
         self.U = U
-        self.Y = Y = xst @ U.T
+        # a contiguous right operand gives the same product by a faster path
+        self.Y = Y = xst @ np.ascontiguousarray(U.T)
+        n, k = Y.shape
         Y2 = Y * Y
-        self.h3 = (Y2 * Y).mean(axis=0)
-        self.m4 = (Y2 * Y2).mean(axis=0)
+        if k > 1:
+            # einsum adds the rows in mean's order, without an (n, k)
+            # temporary and without mean's slow strided column reduction
+            self.h3 = np.einsum("ij,ij->j", Y2, Y) / n
+            self.m4 = np.einsum("ij,ij->j", Y2, Y2) / n
+        else:
+            # mean sums one contiguous column pairwise and einsum in row
+            # order, so only mean keeps the sum; it is cheap here
+            self.h3 = (Y2 * Y).mean(axis=0)
+            self.m4 = (Y2 * Y2).mean(axis=0)
         self.h4 = self.m4 - 3.0
 
     def objective(self, alpha):

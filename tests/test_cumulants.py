@@ -90,10 +90,21 @@ class TestStandardize:
     def test_constant_column_named(self):
         X = np.random.default_rng(7).normal(size=(300, 3))
         X[:, 2] = 0.1  # its mean rounds, so centering leaves tiny noise
+        two = X.copy()
+        two[:, 0] = -2.5  # the first constant column is the one named
+        # equal in the two rows that screen for constant columns only
+        tie = np.random.default_rng(9).normal(size=(300, 3))
+        tie[1, 1] = tie[0, 1]
         for whitener in ("symmetric", np.eye(3), np.ones((3, 3)) + np.eye(3)):
             with pytest.raises(NotPositiveDefinite,
                                match="singular: column 2 is constant"):
                 standardize(X, whitener=whitener)
+            with pytest.raises(NotPositiveDefinite,
+                               match="singular: column 0 is constant"):
+                standardize(two, whitener=whitener)
+            st = standardize(tie, whitener=whitener)
+            np.testing.assert_allclose(sample_cov(st.xst), np.eye(3),
+                                       atol=1e-12)
 
     def test_other_rank_deficiency_keeps_eigenvalue_message(self):
         X = np.random.default_rng(8).normal(size=(300, 3))
@@ -104,6 +115,8 @@ class TestStandardize:
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
             standardize(np.zeros(10))
+        with pytest.raises(ValueError, match="at least one column"):
+            standardize(np.zeros((1, 0)))
         with pytest.raises(ValueError):
             standardize(np.zeros((10, 2)), whitener="qr")
         with pytest.raises(ValueError):
@@ -163,6 +176,33 @@ class TestSourceMoments:
                     for k in range(U.shape[0])])
                 np.testing.assert_allclose(mom.gradient(alpha, X), T,
                                            rtol=1e-12)
+
+    def test_summation_order_is_the_column_mean(self):
+        # _ascend's stopping depends on the objective's rounding, so the
+        # kernel must round exactly as the plain column mean does
+        rng = np.random.default_rng(17)
+        X3, X5 = small_sample(seed=18), small_sample(seed=19, n=999, p=5)
+        for X, U in ((X3, random_orthogonal(3, rng)),
+                     (X3, random_orthogonal(3, rng)[2:]),
+                     (X5, random_orthogonal(5, rng)[:2])):
+            mom = _SourceMoments(X, U)
+            Y = X @ U.T
+            Y2 = Y * Y
+            assert np.array_equal(mom.Y, Y)
+            assert np.array_equal(mom.h3, (Y2 * Y).mean(axis=0))
+            assert np.array_equal(mom.m4, (Y2 * Y2).mean(axis=0))
+
+    def test_memory_is_y_and_its_square(self):
+        X = np.random.default_rng(20).normal(size=(100_000, 10))
+        U = random_orthogonal(10, np.random.default_rng(21))
+        tracemalloc.start()
+        try:
+            mom = _SourceMoments(X, U)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.2 * mom.Y.nbytes, (
+            f"kernel peak is {peak / mom.Y.nbytes:.2f} x Y")
 
     def test_gradient_is_half_the_euclidean_gradient(self):
         X = small_sample(seed=14)
