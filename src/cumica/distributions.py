@@ -180,10 +180,18 @@ def moment_profile(spec):
             f"{spec} has standardized moments too large to represent")
 
     gamma, beta = m[3], m[4]
+    kappa = beta - 3.0
+    if spec.family == "mix":
+        # beta - 3 cancels to rounding noise for a small shift.  The
+        # source is mu B + N(0, 1) with B ~ Bernoulli(q), standardized;
+        # its fourth cumulant is mu^4 v (1 - 6v) with v = q (1 - q).
+        pi, mu = spec.params
+        v = (1.0 - pi) * pi
+        kappa = mu**4 * v * (1.0 - 6.0 * v) / (1.0 + mu * mu * v) ** 2
     return MomentProfile(
         gamma=gamma,
         beta=beta,
-        kappa=beta - 3.0,
+        kappa=kappa,
         nu=beta - 1.0,
         omega=m[6] - gamma * gamma,
         eta=m[5] - gamma,

@@ -20,7 +20,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from . import asymptotics
 from .distributions import SourceSpec, moment_profile, sample_source
@@ -154,6 +153,83 @@ def generate_ic_sample(model, n, stream):
     return X, Omega, Z
 
 
+def _max_assignment(S):
+    """Maximum-weight perfect matching of the square score matrix S.
+
+    Returns ``(rows, cols)`` with ``rows = arange(p)``: row i is matched
+    to column ``cols[i]``, and ``S[rows, cols].sum()`` is maximal.  The
+    cost -S is solved by shortest augmenting paths (Jonker-Volgenant,
+    O(p^3)) as in Crouse, "On implementing 2D rectangular assignment
+    algorithms" (IEEE TAES 52(4), 2016): rows in order, dual potentials,
+    columns scanned from the last, ties broken toward a free column, so
+    tied scores give the same matching as that reference code.  Scalar
+    Python over lists: at the p of this package a NumPy version costs
+    more in per-call overhead than it saves.
+    """
+    S = np.asarray(S, dtype=float)
+    p = S.shape[0]
+    if S.shape != (p, p):
+        raise ValueError(f"assignment needs a square matrix, got {S.shape}")
+    score = S.tolist()
+    if not all(math.isfinite(x) for row in score for x in row):
+        # a NaN or infinite score would leave no column ever reachable
+        bad = [tuple(map(int, ij)) for ij in np.argwhere(~np.isfinite(S))]
+        raise ValueError(f"assignment scores have {len(bad)} non-finite "
+                         f"entries, first at {bad[:3]}")
+    inf = math.inf
+    u = [0.0] * p  # row potentials
+    v = [0.0] * p  # column potentials
+    col4row = [-1] * p
+    row4col = [-1] * p
+    path = [-1] * p
+    for cur in range(p):
+        # Dijkstra from row `cur` over reduced costs to the nearest free
+        # column; `remaining` lists the columns not yet scanned.
+        short = [inf] * p
+        scanned_rows = []
+        scanned_cols = []
+        remaining = list(range(p - 1, -1, -1))
+        min_val = 0.0
+        i = cur
+        sink = -1
+        while sink < 0:
+            scanned_rows.append(i)
+            si, ui = score[i], u[i]
+            lowest, index = inf, -1
+            for it, j in enumerate(remaining):
+                # cost -S[i, j]: x - s rounds as x + (-s) does
+                r = min_val - si[j] - ui - v[j]
+                if r < short[j]:
+                    path[j] = i
+                    short[j] = r
+                # among equal costs prefer a free column: it ends the path
+                if short[j] < lowest or (short[j] == lowest
+                                         and row4col[j] < 0):
+                    lowest, index = short[j], it
+            min_val = lowest
+            j = remaining[index]
+            scanned_cols.append(j)
+            remaining[index] = remaining[-1]
+            remaining.pop()
+            if row4col[j] < 0:
+                sink = j
+            else:
+                i = row4col[j]
+        u[cur] += min_val
+        for i in scanned_rows[1:]:
+            u[i] += min_val - short[col4row[i]]
+        for j in scanned_cols:
+            v[j] -= min_val - short[j]
+        j = sink
+        while True:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur:
+                break
+    return np.arange(p), np.array(col4row)
+
+
 def mdi(W, Omega):
     """Minimum distance index between an unmixing estimate and the truth.
 
@@ -181,7 +257,7 @@ def mdi(W, Omega):
     # H[j, i]: fraction of row j's energy in column i; the best one-
     # nonzero-per-row-and-column C keeps, for each matched pair, exactly
     # that fraction.
-    rows, cols = linear_sum_assignment(-H)
+    rows, cols = _max_assignment(H)
     matched = H[rows, cols].sum()
     return math.sqrt(max(0.0, p - matched) / (p - 1))
 
@@ -199,7 +275,7 @@ def align_signed_permutation(W, target=None):
     # Minimizing ||s_i W[j] - target[i]||^2 over the assignment j -> i
     # and signs reduces to maximizing sum |<W[j], target[i]>|.
     M = W @ np.asarray(target, dtype=float).T  # M[j, i]
-    rows, cols = linear_sum_assignment(-np.abs(M))
+    rows, cols = _max_assignment(np.abs(M))
     aligned = np.empty_like(W)
     for j, i in zip(rows, cols):
         s = 1.0 if M[j, i] >= 0 else -1.0
@@ -357,7 +433,11 @@ def resolve_threads(threads=None):
     if threads is None:
         env = os.environ.get("CUMICA_THREADS", "").strip()
         if env:
-            threads = int(env)
+            try:
+                threads = int(env)
+            except ValueError:
+                raise InvalidSpec(f"CUMICA_THREADS must be an integer, "
+                                  f"got {env!r}") from None
         else:
             threads = os.cpu_count() or 1
     threads = int(threads)

@@ -266,6 +266,15 @@ class TestSimulateAndEstimate:
         code, _, err = run(["simulate", "--config", "/nonexistent.cfg"])
         assert code == 1
 
+    def test_bad_thread_variable_exit_2(self, monkeypatch):
+        monkeypatch.setenv("CUMICA_THREADS", "abc")
+        code, out, err = run(["simulate", "--sources", "gamma:1,gamma:2",
+                              "--method", "jade", "--alpha", "0.8",
+                              "--n", "500", "--reps", "4", "--seed", "1"])
+        assert code == 2 and out == ""
+        assert err == ("InvalidSpec: CUMICA_THREADS must be an integer, "
+                       "got 'abc'\n")
+
     def test_unknown_config_key(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("bogus = 1\n")

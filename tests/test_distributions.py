@@ -96,6 +96,21 @@ class TestMixtureGeometry:
             want = mu**3 * pi * (1 - pi) * (2 * pi - 1) / s2**1.5
             np.testing.assert_allclose(pr.gamma, want, rtol=1e-12)
 
+    def test_kurtosis_closed_form(self):
+        # the fourth cumulant of the standardized mixture agrees with
+        # beta - 3 where that difference does not cancel
+        for pi, mu in [(0.3, 5.0), (0.1, 2.0), (0.5, 1.0)]:
+            pr = moment_profile(f"mix:{pi}:{mu}")
+            v = pi * (1 - pi)
+            want = mu**4 * v * (1 - 6 * v) / (1 + mu * mu * v) ** 2
+            assert pr.kappa == pytest.approx(want, rel=1e-15)
+            assert abs(pr.kappa - (pr.beta - 3.0)) <= 1e-15
+
+    def test_kurtosis_of_tiny_shift_is_not_rounding_noise(self):
+        # beta - 3 would give -4.4e-16 here, the rounding of beta
+        pr = moment_profile("mix:0.3:1e-70")
+        assert pr.kappa == pytest.approx(-5.46e-282, rel=1e-12)
+
     def test_kurtosis_vanishes_at_pole_weight(self):
         for mu in (2.0, 5.0, 10.0):
             assert abs(moment_profile(f"mix:{PI0!r}:{mu}").kappa) < 1e-12

@@ -6,7 +6,12 @@ and bitwise agreement between serial and parallel experiment runs.
 """
 
 import io
+import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +21,7 @@ from cumica.distributions import moment_profile
 from cumica.errors import (AssumptionViolated, InvalidParams, InvalidSpec,
                            SingularInput, TooManyFailures)
 from cumica.estimators import SolverOptions
-from cumica.simulation import (ContourGrid, IcModelSpec,
+from cumica.simulation import (ContourGrid, IcModelSpec, _max_assignment,
                                align_signed_permutation, canonical_method,
                                check_assumptions, contour_grid,
                                generate_ic_sample, mdi,
@@ -72,6 +77,66 @@ class TestAlignment:
         W = np.array([[0.0, -1.0], [1.0, 0.0]])
         np.testing.assert_allclose(align_signed_permutation(W), np.eye(2),
                                    atol=1e-12)
+
+    def test_rejects_non_finite_scores(self):
+        with pytest.raises(ValueError):
+            align_signed_permutation(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
+
+class TestMaxAssignment:
+    @staticmethod
+    def best_by_enumeration(S):
+        p = len(S)
+        return max(S[np.arange(p), list(c)].sum()
+                   for c in itertools.permutations(range(p)))
+
+    @pytest.mark.parametrize("p", range(1, 7))
+    def test_bruteforce_optimum(self, p):
+        rng = np.random.default_rng(p)
+        for trial in range(40):
+            if trial % 2:  # tied scores: several optimal matchings
+                S = rng.integers(0, 3, size=(p, p)).astype(float)
+            else:
+                S = rng.normal(size=(p, p))
+            rows, cols = _max_assignment(S)
+            assert np.array_equal(rows, np.arange(p))
+            assert sorted(cols) == list(range(p))
+            got = S[rows, cols].sum()
+            assert got == pytest.approx(self.best_by_enumeration(S),
+                                        rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("p", (3, 10, 30, 50))
+    def test_same_columns_as_scipy(self, p):
+        from scipy.optimize import linear_sum_assignment
+        rng = np.random.default_rng(100 + p)
+        for trial in range(10):
+            if trial % 2:  # ties are broken as scipy breaks them
+                S = rng.integers(0, 3, size=(p, p)).astype(float)
+            else:
+                S = rng.random((p, p))
+            rows, cols = _max_assignment(S)
+            want_rows, want_cols = linear_sum_assignment(-S)
+            assert np.array_equal(rows, want_rows)
+            assert np.array_equal(cols, want_cols)
+
+    def test_non_finite_scores_are_named(self):
+        S = np.eye(3)
+        S[1, 2] = np.nan
+        S[2, 0] = np.inf
+        with pytest.raises(ValueError, match=r"2 non-finite .*\(1, 2\)"):
+            _max_assignment(S)
+
+    def test_package_import_leaves_scipy_unloaded(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src,
+                                             os.environ.get("PYTHONPATH")]))
+        code = ("import sys, cumica, cumica.cli; print(sorted(m for m in "
+                "sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": path})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
 
 
 class TestIcModelSpec:
@@ -326,3 +391,8 @@ class TestConfigAndThreads:
         assert resolve_threads(None) == 2
         monkeypatch.delenv("CUMICA_THREADS")
         assert resolve_threads(None) >= 1
+
+    def test_resolve_threads_rejects_non_integer_variable(self, monkeypatch):
+        monkeypatch.setenv("CUMICA_THREADS", "abc")
+        with pytest.raises(InvalidSpec, match="CUMICA_THREADS.*'abc'"):
+            resolve_threads(None)
