@@ -155,6 +155,21 @@ class TestDegeneracies:
         with pytest.raises(ZeroDenominator):
             asv_allcumulant(["normal", "normal"], 0.3)
 
+    @pytest.mark.parametrize("table, sources, alpha, pair, message", [
+        (asv_symmetric, ["gamma:1", "normal", "normal"], 1.0, (1, 2),
+         "symmetric criterion vanishes for pair (1, 2) at alpha=1.0"),
+        (asv_compound, ["gamma:1", "gamma:2", "gamma:2"], 0.5, (1, 2),
+         "compound eigenvalue gap vanishes for pair (1, 2) at alpha=0.5"),
+        (asv_allcumulant, ["normal", "gamma:1", "normal"], 0.3, (0, 2),
+         "all-cumulant criterion vanishes for pair (0, 2) at alpha=0.3"),
+    ])
+    def test_zero_denominator_messages(self, table, sources, alpha, pair,
+                                       message):
+        with pytest.raises(ZeroDenominator) as info:
+            table(sources, alpha)
+        assert info.value.components == pair
+        assert str(info.value) == message
+
     def test_alpha_domain(self):
         for bad in (-0.1, 1.0001, float("nan")):
             with pytest.raises(InvalidParams):

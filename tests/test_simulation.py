@@ -206,6 +206,27 @@ class TestCheckAssumptions:
             check_assumptions(gauss2, "jade", 0.5)
         assert info.value.number == 7
 
+    @pytest.mark.parametrize("sources, method, alpha, number, message", [
+        (("ep:1", "ep:4"), "symmetric", 1.0, 3,
+         "more than one source has zero skewness"),
+        (("gamma:1", "normal", "ep:2"), "deflation", 0.0, 4,
+         "more than one source has zero excess kurtosis"),
+        (("normal", "gamma:1", "normal"), "jade", 0.5, 7,
+         "more than one source has zero skewness and zero excess kurtosis"),
+        (("ep:1", "ep:4"), "compound", 1.0, 5,
+         "sources 0 and 1 have equal skewness"),
+        (("gamma:1", "normal", "ep:2"), "compound", 0.0, 6,
+         "sources 1 and 2 have equal excess kurtosis"),
+        (("gamma:1", "gamma:2", "gamma:2"), "compound", 0.5, 8,
+         "sources 1 and 2 have equal skewness and equal excess kurtosis"),
+    ])
+    def test_violation_messages(self, sources, method, alpha, number,
+                                message):
+        with pytest.raises(AssumptionViolated) as info:
+            check_assumptions(IcModelSpec(sources=sources), method, alpha)
+        assert info.value.number == number
+        assert str(info.value) == f"assumption {number} violated: {message}"
+
     def test_canonical_method(self):
         assert canonical_method("JADE") == "all_cumulant"
         assert canonical_method("fobi") == "compound"
