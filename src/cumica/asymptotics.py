@@ -165,8 +165,10 @@ def asv_deflation(profiles, alpha):
     return AsvTable("deflation", alpha, _diag_law(prs), off)
 
 
-def asv_symmetric(profiles, alpha):
-    """ASV table of the symmetric projection pursuit estimator."""
+def _pair_table(method, profiles, alpha, what, law):
+    """The AsvTable whose entry (k, l), k != l, is num / den2 for
+    ``num, den2 = law(prs, k, l, alpha)``; ``what`` names the quantity
+    whose vanishing den2 raises ZeroDenominator."""
     prs = _as_profiles(profiles)
     alpha = _check_alpha(alpha)
     p = len(prs)
@@ -175,54 +177,59 @@ def asv_symmetric(profiles, alpha):
         for l in range(p):
             if l == k:
                 continue
-            pk, pl = prs[k], prs[l]
-            den2 = (3.0 * alpha * (pk.gamma**2 + pl.gamma**2)
-                    + 4.0 * (1.0 - alpha) * (pk.kappa**2 + pl.kappa**2))**2
+            num, den2 = law(prs, k, l, alpha)
             if den2 == 0.0:
                 raise ZeroDenominator(
-                    f"symmetric criterion vanishes for pair ({k}, {l}) at "
-                    f"alpha={alpha}", components=(k, l))
-            off[k, l] = _quad_num(zeta_pairwise(pk, pl), alpha, 3.0, 4.0) / den2
-    return AsvTable("symmetric", alpha, _diag_law(prs), off)
+                    f"{what} vanishes for pair ({k}, {l}) at alpha={alpha}",
+                    components=(k, l))
+            off[k, l] = num / den2
+    return AsvTable(method, alpha, _diag_law(prs), off)
 
 
-def asv_compound(profiles, alpha, p=None):
+def _rotation_law(w1, w2):
+    """Pair law of the symmetric (w1, w2) = (3, 4) and all-cumulant
+    (1, 1) estimators: skewness weight w1 alpha, kurtosis weight
+    w2 (1 - alpha)."""
+    def law(prs, k, l, alpha):
+        pk, pl = prs[k], prs[l]
+        den2 = (w1 * alpha * (pk.gamma**2 + pl.gamma**2)
+                + w2 * (1.0 - alpha) * (pk.kappa**2 + pl.kappa**2))**2
+        return _quad_num(zeta_pairwise(pk, pl), alpha, w1, w2), den2
+    return law
+
+
+def _compound_law(prs, k, l, alpha):
+    """Pair law of the compound estimator, driven by the skewness and
+    kurtosis gaps between the two components."""
+    pk, pl = prs[k], prs[l]
+    d1 = pk.gamma - pl.gamma
+    d2 = pk.kappa - pl.kappa
+    others = [prs[m] for m in range(len(prs)) if m != k and m != l]
+    z = zeta_compound(pk, pl, others)
+    a, b = alpha, 1.0 - alpha
+    num = (a * a * d1 * d1 * z.zeta11
+           + b * b * d2 * d2 * z.zeta22
+           + 2.0 * a * b * d1 * d2 * z.zeta12)
+    return num, (a * d1 * d1 + b * d2 * d2)**2
+
+
+def asv_symmetric(profiles, alpha):
+    """ASV table of the symmetric projection pursuit estimator."""
+    return _pair_table("symmetric", profiles, alpha, "symmetric criterion",
+                       _rotation_law(3.0, 4.0))
+
+
+def asv_compound(profiles, alpha):
     """ASV table of the compound cumulant-matrix estimator.
 
-    ``p`` is the model dimension; it defaults to ``len(profiles)`` and,
-    if given, must agree with it, since the remaining components' moments
-    enter the formulas.
+    The remaining components' moments enter each pair's formula, so the
+    model dimension is ``len(profiles)``, at least two.
     """
-    prs = _as_profiles(profiles)
-    alpha = _check_alpha(alpha)
-    if p is None:
-        p = len(prs)
-    if p != len(prs):
-        raise InvalidParams(
-            f"p={p} disagrees with the {len(prs)} supplied profiles")
-    if p < 2:
+    table = _pair_table("compound", profiles, alpha, "compound eigenvalue gap",
+                        _compound_law)
+    if len(table.diag) < 2:
         raise InvalidParams("compound ASV needs at least two components")
-    off = np.zeros((p, p))
-    for k in range(p):
-        for l in range(p):
-            if l == k:
-                continue
-            pk, pl = prs[k], prs[l]
-            d1 = pk.gamma - pl.gamma
-            d2 = pk.kappa - pl.kappa
-            den2 = (alpha * d1 * d1 + (1.0 - alpha) * d2 * d2)**2
-            if den2 == 0.0:
-                raise ZeroDenominator(
-                    f"compound eigenvalue gap vanishes for pair ({k}, {l}) "
-                    f"at alpha={alpha}", components=(k, l))
-            others = [prs[m] for m in range(p) if m != k and m != l]
-            z = zeta_compound(pk, pl, others)
-            a, b = alpha, 1.0 - alpha
-            num = (a * a * d1 * d1 * z.zeta11
-                   + b * b * d2 * d2 * z.zeta22
-                   + 2.0 * a * b * d1 * d2 * z.zeta12)
-            off[k, l] = num / den2
-    return AsvTable("compound", alpha, _diag_law(prs), off)
+    return table
 
 
 def asv_allcumulant(profiles, alpha):
@@ -231,23 +238,8 @@ def asv_allcumulant(profiles, alpha):
     Shares the pairwise zetas with ``asv_symmetric``; the two tables
     coincide exactly under the weight map ``jade_weight_map``.
     """
-    prs = _as_profiles(profiles)
-    alpha = _check_alpha(alpha)
-    p = len(prs)
-    off = np.zeros((p, p))
-    for k in range(p):
-        for l in range(p):
-            if l == k:
-                continue
-            pk, pl = prs[k], prs[l]
-            den2 = (alpha * (pk.gamma**2 + pl.gamma**2)
-                    + (1.0 - alpha) * (pk.kappa**2 + pl.kappa**2))**2
-            if den2 == 0.0:
-                raise ZeroDenominator(
-                    f"all-cumulant criterion vanishes for pair ({k}, {l}) at "
-                    f"alpha={alpha}", components=(k, l))
-            off[k, l] = _quad_num(zeta_pairwise(pk, pl), alpha, 1.0, 1.0) / den2
-    return AsvTable("all_cumulant", alpha, _diag_law(prs), off)
+    return _pair_table("all_cumulant", profiles, alpha,
+                       "all-cumulant criterion", _rotation_law(1.0, 1.0))
 
 
 def jade_weight_map(alpha_j):

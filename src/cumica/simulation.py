@@ -12,6 +12,7 @@ before any work is dispatched, so results are bitwise identical
 whatever the worker parallelism.
 """
 
+import itertools
 import math
 import os
 import time
@@ -283,18 +284,17 @@ def align_signed_permutation(W, target=None):
     return aligned
 
 
-def _zero(x, tol):
-    return abs(x) <= tol
-
-
 def check_assumptions(model, method, alpha, tol=1e-12):
     """Verify the identifiability assumption the method needs at this alpha.
 
     Raises AssumptionViolated (carrying the assumption number) when the
     model's population moments break it; returns the checked assumption
-    number otherwise.  The projection pursuit and all-cumulant methods
-    need zero-cumulant conditions (at most one source without signal);
-    the compound method needs distinctness conditions.
+    number otherwise.  The cumulants in use are the skewness where
+    alpha > 0 and the excess kurtosis where alpha < 1.  The projection
+    pursuit and all-cumulant methods need at most one source that is
+    zero in all of them (assumptions 3, 4, 7 at alpha = 1, 0, interior);
+    the compound method needs every pair of sources to differ in one
+    (assumptions 5, 6, 8).
     """
     if isinstance(model, IcModelSpec):
         profs = model.profiles()
@@ -302,56 +302,27 @@ def check_assumptions(model, method, alpha, tol=1e-12):
         profs = [moment_profile(s) if isinstance(s, (str, SourceSpec)) else s
                  for s in model]
     method, alpha, _ = resolve_method(method, alpha)
-    gammas = [pr.gamma for pr in profs]
-    kappas = [pr.kappa for pr in profs]
-    p = len(profs)
+    case = {1.0: 0, 0.0: 1}.get(alpha, 2)
+    cumulants = [("skewness", [pr.gamma for pr in profs]),
+                 ("excess kurtosis", [pr.kappa for pr in profs])]
+    if case < 2:
+        cumulants = [cumulants[case]]
 
-    if method in ("deflation", "symmetric", "all_cumulant"):
-        if alpha == 1.0:
-            number = 3
-            if sum(_zero(g, tol) for g in gammas) > 1:
+    if method == "compound":
+        number = (5, 6, 8)[case]
+        for a, b in itertools.combinations(range(len(profs)), 2):
+            if all(abs(v[a] - v[b]) <= tol for _, v in cumulants):
                 raise AssumptionViolated(
-                    number, "more than one source has zero skewness")
-        elif alpha == 0.0:
-            number = 4
-            if sum(_zero(k, tol) for k in kappas) > 1:
-                raise AssumptionViolated(
-                    number, "more than one source has zero excess kurtosis")
-        else:
-            number = 7
-            both = sum(_zero(g, tol) and _zero(k, tol)
-                       for g, k in zip(gammas, kappas))
-            if both > 1:
-                raise AssumptionViolated(
-                    number, "more than one source has zero skewness and "
-                    "zero excess kurtosis")
-    elif method == "compound":
-        if alpha == 1.0:
-            number = 5
-            for a in range(p - 1):
-                for b in range(a + 1, p):
-                    if _zero(gammas[a] - gammas[b], tol):
-                        raise AssumptionViolated(
-                            number, f"sources {a} and {b} have equal skewness")
-        elif alpha == 0.0:
-            number = 6
-            for a in range(p - 1):
-                for b in range(a + 1, p):
-                    if _zero(kappas[a] - kappas[b], tol):
-                        raise AssumptionViolated(
-                            number,
-                            f"sources {a} and {b} have equal excess kurtosis")
-        else:
-            number = 8
-            for a in range(p - 1):
-                for b in range(a + 1, p):
-                    if (_zero(gammas[a] - gammas[b], tol)
-                            and _zero(kappas[a] - kappas[b], tol)):
-                        raise AssumptionViolated(
-                            number, f"sources {a} and {b} have equal skewness "
-                            f"and equal excess kurtosis")
-    else:  # pragma: no cover - canonical_method rejects unknown names
-        raise InvalidSpec(f"unknown method: {method!r}")
+                    number, f"sources {a} and {b} have "
+                    + " and ".join(f"equal {name}" for name, _ in cumulants))
+    else:
+        number = (3, 4, 7)[case]
+        silent = sum(all(abs(v[i]) <= tol for _, v in cumulants)
+                     for i in range(len(profs)))
+        if silent > 1:
+            raise AssumptionViolated(
+                number, "more than one source has "
+                + " and ".join(f"zero {name}" for name, _ in cumulants))
     return number
 
 

@@ -177,8 +177,6 @@ class TestDegeneracies:
 
     def test_compound_p_mismatch(self):
         with pytest.raises(InvalidParams):
-            asv_compound(["gamma:1", "gamma:2"], 0.5, p=3)
-        with pytest.raises(InvalidParams):
             asv_compound(["gamma:1"], 0.5)
 
     def test_criterion_index_errors(self):
