@@ -104,21 +104,22 @@ _NORMAL_MOMENTS = (1.0, 0.0, 1.0, 0.0, 3.0, 0.0, 15.0)  # E N(0,1)^r, r=0..6
 _MOMENT_SCALE = 1e18
 
 
-def _gamma_raw_moments(shape):
-    """Central moments m_1..m_6 of gamma(shape) about its mean.
+def _standardized_from_cumulants(kcum):
+    """``[E z^0, ..., E z^6]`` of a source with cumulants ``kcum`` =
+    ``[k_1, ..., k_6]``, ``k_1 = 0``, standardized to unit variance.
 
-    Uses the cumulant-to-central-moment recursion; the cumulants of the
-    gamma distribution are ``k_r = shape * (r-1)!`` and centering zeroes
-    the first one.
+    Uses the cumulant-to-central-moment recursion, which has no
+    cancelling terms, so a cumulant of order mu^r stays exact to
+    rounding however small mu is.
     """
-    kcum = [0.0] + [shape * math.factorial(r - 1) for r in range(2, 7)]
-    m = [1.0]  # m_0
+    m = [1.0]  # central moments m_0, m_1, ...
     for r in range(1, 7):
         total = 0.0
         for j in range(1, r + 1):
             total += math.comb(r - 1, j - 1) * kcum[j - 1] * m[r - j]
         m.append(total)
-    return m[1:]
+    sd = math.sqrt(m[2])
+    return [1.0] + [m[r] / sd**r for r in range(1, 7)]
 
 
 def _standardized_moments(spec):
@@ -127,9 +128,9 @@ def _standardized_moments(spec):
         m = list(_NORMAL_MOMENTS)
     elif spec.family == "gamma":
         (shape,) = spec.params
-        c = _gamma_raw_moments(shape)
-        sd = math.sqrt(c[1])
-        m = [1.0] + [c[r - 1] / sd**r for r in range(1, 7)]
+        # the cumulants of gamma(shape) are k_r = shape * (r-1)!
+        m = _standardized_from_cumulants(
+            [0.0] + [shape * math.factorial(r - 1) for r in range(2, 7)])
     elif spec.family == "ep":
         (alpha,) = spec.params
         # Standardize by the distribution's own standard deviation; odd
@@ -145,18 +146,15 @@ def _standardized_moments(spec):
                       - (r / 2.0) * math.lgamma(3.0 / alpha))
             m.append(math.exp(log_mr))
     elif spec.family == "mix":
+        # mu B + N(0, 1) with B ~ Bernoulli(1 - pi): the cumulants of
+        # mu B plus the unit variance of the normal part
         pi, mu = spec.params
-        mean = (1.0 - pi) * mu
-        sd = math.sqrt(1.0 + pi * (1.0 - pi) * mu * mu)
-        m = [1.0]
-        for r in range(1, 7):
-            # E (x - mean)^r for x ~ pi N(0,1) + (1-pi) N(mu,1), expanding
-            # each component about the mixture mean with binomial terms.
-            t0 = sum(math.comb(r, j) * (-mean) ** (r - j) * _NORMAL_MOMENTS[j]
-                     for j in range(r + 1))
-            t1 = sum(math.comb(r, j) * (mu - mean) ** (r - j) * _NORMAL_MOMENTS[j]
-                     for j in range(r + 1))
-            m.append((pi * t0 + (1.0 - pi) * t1) / sd**r)
+        v = (1.0 - pi) * pi
+        s = 2.0 * pi - 1.0
+        m = _standardized_from_cumulants([
+            0.0, 1.0 + mu * mu * v, mu**3 * v * s, mu**4 * v * (1.0 - 6.0 * v),
+            mu**5 * v * s * (1.0 - 12.0 * v),
+            mu**6 * v * (1.0 - 30.0 * v + 120.0 * v * v)])
     else:  # pragma: no cover - parse() already rejects unknown families
         raise InvalidSpec(f"unknown source family {spec.family!r}")
     return m

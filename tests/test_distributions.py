@@ -96,6 +96,15 @@ class TestMixtureGeometry:
             want = mu**3 * pi * (1 - pi) * (2 * pi - 1) / s2**1.5
             np.testing.assert_allclose(pr.gamma, want, rtol=1e-12)
 
+    def test_third_moment_of_tiny_shift(self):
+        # moments built from the cumulants do not cancel as mu -> 0
+        pi = 0.3
+        v = pi * (1 - pi)
+        for mu in (1e-3, 1e-5, 1e-7, 1e-70):
+            want = mu**3 * v * (2 * pi - 1) / (1 + mu * mu * v) ** 1.5
+            assert moment_profile(f"mix:{pi}:{mu}").gamma == pytest.approx(
+                want, rel=1e-12, abs=0.0)
+
     def test_kurtosis_closed_form(self):
         # the fourth cumulant of the standardized mixture agrees with
         # beta - 3 where that difference does not cancel
@@ -109,7 +118,7 @@ class TestMixtureGeometry:
     def test_kurtosis_of_tiny_shift_is_not_rounding_noise(self):
         # beta - 3 would give -4.4e-16 here, the rounding of beta
         pr = moment_profile("mix:0.3:1e-70")
-        assert pr.kappa == pytest.approx(-5.46e-282, rel=1e-12)
+        assert pr.kappa == pytest.approx(-5.46e-282, rel=1e-12, abs=0.0)
 
     def test_kurtosis_vanishes_at_pole_weight(self):
         for mu in (2.0, 5.0, 10.0):
