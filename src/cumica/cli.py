@@ -26,8 +26,8 @@ from .asymptotics import optimal_alpha
 from .errors import CumicaError
 from .estimators import SolverOptions
 from .simulation import (_ALIASES, _ASV_TABLES, _ESTIMATORS, IcModelSpec,
-                         _csv_table, _estimate_once, _fmt, check_assumptions,
-                         contour_grid, generate_ic_sample,
+                         _csv_table, _estimate_once, _fmt, _seed_sequence,
+                         check_assumptions, contour_grid, generate_ic_sample,
                          monte_carlo_experiment, read_config, resolve_method)
 
 _METHODS = (*_ESTIMATORS, *_ALIASES)
@@ -201,7 +201,7 @@ def _cmd_simulate(args):
         model = _build_model(specs, args.mixing, args.seed)
         # replication 0 of a Monte Carlo run with the same seed sees
         # exactly this dataset
-        data_ss = np.random.SeedSequence(args.seed).spawn(1)[0].spawn(2)[0]
+        data_ss = _seed_sequence(args.seed).spawn(1)[0].spawn(2)[0]
         X, omega, _ = generate_ic_sample(model, args.n,
                                          np.random.default_rng(data_ss))
         flat = ",".join(repr(float(v)) for v in omega.ravel())

@@ -38,8 +38,8 @@ import numpy as np
 
 from .cumulants import (_SourceMoments, compound_matrices, cum3_stack,
                         cum4_stack, fobi_matrix, standardize)
-from .errors import (DegenerateObjective, NearDegenerateSpectrum,
-                     RankDeficient, _check_alpha)
+from .errors import (DegenerateObjective, InvalidParams,
+                     NearDegenerateSpectrum, RankDeficient, _check_alpha)
 from .linalg import joint_diagonalize, polar_orthogonal, random_orthogonal, sym_eig
 
 #: Objective floor (times p) below which the estimate cannot be trusted
@@ -58,11 +58,14 @@ class SolverOptions:
 
     def __post_init__(self):
         if not self.tol > 0:
-            raise ValueError(f"tol must be positive, got {self.tol!r}")
+            raise InvalidParams(f"tol must be positive, got {self.tol!r}")
         if self.max_iter < 1:
-            raise ValueError(f"max_iter must be >= 1, got {self.max_iter!r}")
+            raise InvalidParams(f"max_iter must be >= 1, got {self.max_iter!r}")
         if self.restarts < 1:
-            raise ValueError(f"restarts must be >= 1, got {self.restarts!r}")
+            raise InvalidParams(f"restarts must be >= 1, got {self.restarts!r}")
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise InvalidParams(
+                f"seed must be a non-negative integer, got {self.seed!r}")
 
 
 @dataclass

@@ -68,6 +68,16 @@ def resolve_method(method, alpha):
     return name, None if alpha is None else _check_alpha(alpha), None
 
 
+def _seed_sequence(seed):
+    """``seed`` as a SeedSequence: one passes through, a non-negative
+    integer seeds a new one, and anything else raises InvalidSpec."""
+    if isinstance(seed, np.random.SeedSequence):
+        return seed
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise InvalidSpec(f"seed must be a non-negative integer, got {seed!r}")
+    return np.random.SeedSequence(seed)
+
+
 @dataclass
 class IcModelSpec:
     """An independent component model x = shift + Omega z.
@@ -98,7 +108,7 @@ class IcModelSpec:
                 raise InvalidSpec(f"unknown mixing: {self.mixing!r}")
         elif (isinstance(self.mixing, tuple) and len(self.mixing) == 2
               and self.mixing[0] == "random"):
-            pass
+            _seed_sequence(self.mixing[1])
         else:
             M = np.asarray(self.mixing, dtype=float)
             if M.shape != (p, p):
@@ -487,11 +497,7 @@ def monte_carlo_experiment(model, method, alpha, n, replications,
     asv = table.offdiag + np.diag(table.diag)
 
     opts = opts or SolverOptions()
-    if isinstance(master_seed, np.random.SeedSequence):
-        root = master_seed
-    else:
-        root = np.random.SeedSequence(master_seed)
-    children = root.spawn(replications)
+    children = _seed_sequence(master_seed).spawn(replications)
     jobs = [(tuple(str(s) for s in model.sources), method, alpha,
              standardizer, n,
              (child.entropy, list(child.spawn_key)), opts)

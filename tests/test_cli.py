@@ -150,6 +150,34 @@ class TestUsageErrors:
                                         "1.5"])
         assert (code, out) == (2, "") and err.startswith("InvalidParams")
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--seed", "-2"], "InvalidParams: seed must be a non-negative "
+                           "integer, got -2"),
+        (["--tol", "-1"], "InvalidParams: tol must be positive, got -1.0"),
+        (["--restarts", "0"], "InvalidParams: restarts must be >= 1, got 0"),
+    ])
+    def test_bad_solver_values_exit_2(self, tmp_path, flags, message):
+        path = tmp_path / "x.csv"
+        np.savetxt(path, np.random.default_rng(0).gamma(2.0, size=(200, 2)),
+                   delimiter=",")
+        code, out, err = run(["estimate", "--in", str(path), "--method",
+                              "symmetric", "--alpha", "0.5", *flags])
+        assert (code, out, err) == (2, "", message + "\n")
+
+    @pytest.mark.parametrize("flags", [
+        ["--emit-data"], ["--emit-data", "--mixing", "random"],
+        ["--method", "jade", "--alpha", "0.5", "--reps", "4"],
+        ["--method", "jade", "--alpha", "0.5", "--reps", "4",
+         "--mixing", "random"],
+    ])
+    def test_negative_seed_exit_2(self, flags):
+        code, out, err = run(["simulate", "--sources", "gamma:1,gamma:2",
+                              "--n", "300", "--seed", "-1", "--threads", "1",
+                              *flags])
+        assert (code, out) == (2, "")
+        assert err == ("InvalidSpec: seed must be a non-negative integer, "
+                       "got -1\n")
+
     def test_contour_family_must_be_one_parameter(self):
         argv = CONTOUR + ["--method", "compound", "--alpha", "0.5"]
         argv[argv.index("--family-x") + 1] = "foo"

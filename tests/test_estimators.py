@@ -250,12 +250,12 @@ class TestDiagnostics:
             fit(X[:3], 0.5, SolverOptions(restarts=2, seed=0))
 
     def test_solver_options_validation(self):
-        with pytest.raises(ValueError):
-            SolverOptions(tol=0.0)
-        with pytest.raises(ValueError):
-            SolverOptions(max_iter=0)
-        with pytest.raises(ValueError):
-            SolverOptions(restarts=0)
+        # InvalidParams is a ValueError, so callers catching that still work
+        for field, value in [("tol", 0.0), ("tol", -1.0), ("tol", float("nan")),
+                             ("max_iter", 0), ("restarts", 0), ("seed", -2),
+                             ("seed", 0.5), ("seed", None)]:
+            with pytest.raises(InvalidParams, match=field):
+                SolverOptions(**{field: value})
 
 
 class TestMomentKernel:

@@ -154,6 +154,12 @@ class TestIcModelSpec:
         assert np.array_equal(A, mr.mixing_matrix())
         assert np.linalg.cond(A) < 1e8
 
+    @pytest.mark.parametrize("seed", [-1, "x", 1.5, None])
+    def test_random_mixing_seed_validation(self, seed):
+        with pytest.raises(InvalidSpec, match="non-negative integer"):
+            IcModelSpec(sources=("gamma:1", "gamma:2"),
+                        mixing=("random", seed))
+
     def test_given_matrix_validation(self):
         good = np.array([[2.0, 1.0], [0.0, 1.0]])
         m = IcModelSpec(sources=("gamma:1", "gamma:2"), mixing=good)
@@ -288,6 +294,11 @@ class TestMonteCarlo:
     def test_replication_floor(self):
         with pytest.raises(InvalidSpec):
             monte_carlo_experiment(GAMMA3, "symmetric", 0.8, 1000, 1)
+
+    def test_negative_master_seed(self):
+        with pytest.raises(InvalidSpec, match="non-negative integer, got -1"):
+            monte_carlo_experiment(GAMMA3, "symmetric", 0.8, 1000, 8,
+                                   master_seed=-1, threads=1)
 
     def test_csv_round_trip(self):
         res = monte_carlo_experiment(GAMMA3, "symmetric", 0.8, 1200, 8,
