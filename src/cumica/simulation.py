@@ -435,13 +435,9 @@ def _estimate_once(method, X, alpha, opts, standardizer=None):
 def _run_replication(args):
     """One Monte Carlo replication; must stay a top-level function so the
     process pool can pickle it."""
-    sources, method, alpha, standardizer, n, child_seed, opts = args
-    child = np.random.SeedSequence(entropy=child_seed[0],
-                                   spawn_key=tuple(child_seed[1]))
+    model, method, alpha, standardizer, n, child, opts = args
     data_ss, solver_ss = child.spawn(2)
-    rng = np.random.default_rng(data_ss)
-    model = IcModelSpec(sources=sources, mixing="identity")
-    X, Omega, _ = generate_ic_sample(model, n, rng)
+    X, Omega, _ = generate_ic_sample(model, n, np.random.default_rng(data_ss))
     opts = replace(opts, seed=int(solver_ss.generate_state(1)[0]))
     try:
         with warnings.catch_warnings():
@@ -497,11 +493,9 @@ def monte_carlo_experiment(model, method, alpha, n, replications,
     asv = table.offdiag + np.diag(table.diag)
 
     opts = opts or SolverOptions()
-    children = _seed_sequence(master_seed).spawn(replications)
-    jobs = [(tuple(str(s) for s in model.sources), method, alpha,
-             standardizer, n,
-             (child.entropy, list(child.spawn_key)), opts)
-            for child in children]
+    replica = IcModelSpec(sources=model.sources)  # identity mixing, no shift
+    jobs = [(replica, method, alpha, standardizer, n, child, opts)
+            for child in _seed_sequence(master_seed).spawn(replications)]
 
     threads = min(resolve_threads(threads), replications)
     if threads > 1:
