@@ -108,7 +108,7 @@ class IcModelSpec:
                 raise InvalidSpec(f"unknown mixing: {self.mixing!r}")
         elif (isinstance(self.mixing, tuple) and len(self.mixing) == 2
               and self.mixing[0] == "random"):
-            _seed_sequence(self.mixing[1])
+            _seed_sequence(self.mixing[1])  # fail here, not at the first draw
         else:
             M = np.asarray(self.mixing, dtype=float)
             if M.shape != (p, p):
@@ -312,6 +312,7 @@ def check_assumptions(model, method, alpha, tol=1e-12):
         profs = [moment_profile(s) if isinstance(s, (str, SourceSpec)) else s
                  for s in model]
     method, alpha, _ = resolve_method(method, alpha)
+    # alpha = 1, 0 or interior: skewness, excess kurtosis or both in use
     case = {1.0: 0, 0.0: 1}.get(alpha, 2)
     cumulants = [("skewness", [pr.gamma for pr in profs]),
                  ("excess kurtosis", [pr.kappa for pr in profs])]
