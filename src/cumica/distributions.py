@@ -122,6 +122,20 @@ def _standardized_from_cumulants(kcum):
     return [1.0] + [m[r] / sd**r for r in range(1, 7)]
 
 
+def _mix_cumulants(pi, mu):
+    """Cumulants k_1..k_6 of ``mix:pi:mu`` about its mean.
+
+    The mixture is mu B + N(0, 1) with B ~ Bernoulli(1 - pi): the
+    cumulants of mu B, with v = pi (1 - pi), plus the unit variance of
+    the normal part.
+    """
+    v = (1.0 - pi) * pi
+    s = 2.0 * pi - 1.0
+    return [0.0, 1.0 + mu * mu * v, mu**3 * v * s, mu**4 * v * (1.0 - 6.0 * v),
+            mu**5 * v * s * (1.0 - 12.0 * v),
+            mu**6 * v * (1.0 - 30.0 * v + 120.0 * v * v)]
+
+
 def _standardized_moments(spec):
     """``[E z^0, ..., E z^6]`` of the standardized source ``z``."""
     if spec.family == "normal":
@@ -146,15 +160,7 @@ def _standardized_moments(spec):
                       - (r / 2.0) * math.lgamma(3.0 / alpha))
             m.append(math.exp(log_mr))
     elif spec.family == "mix":
-        # mu B + N(0, 1) with B ~ Bernoulli(1 - pi): the cumulants of
-        # mu B plus the unit variance of the normal part
-        pi, mu = spec.params
-        v = (1.0 - pi) * pi
-        s = 2.0 * pi - 1.0
-        m = _standardized_from_cumulants([
-            0.0, 1.0 + mu * mu * v, mu**3 * v * s, mu**4 * v * (1.0 - 6.0 * v),
-            mu**5 * v * s * (1.0 - 12.0 * v),
-            mu**6 * v * (1.0 - 30.0 * v + 120.0 * v * v)])
+        m = _standardized_from_cumulants(_mix_cumulants(*spec.params))
     else:  # pragma: no cover - parse() already rejects unknown families
         raise InvalidSpec(f"unknown source family {spec.family!r}")
     return m
@@ -180,12 +186,9 @@ def moment_profile(spec):
     gamma, beta = m[3], m[4]
     kappa = beta - 3.0
     if spec.family == "mix":
-        # beta - 3 cancels to rounding noise for a small shift.  The
-        # source is mu B + N(0, 1) with B ~ Bernoulli(q), standardized;
-        # its fourth cumulant is mu^4 v (1 - 6v) with v = q (1 - q).
-        pi, mu = spec.params
-        v = (1.0 - pi) * pi
-        kappa = mu**4 * v * (1.0 - 6.0 * v) / (1.0 + mu * mu * v) ** 2
+        # beta - 3 cancels to rounding noise for a small shift
+        kcum = _mix_cumulants(*spec.params)
+        kappa = kcum[3] / kcum[1] ** 2
     return MomentProfile(
         gamma=gamma,
         beta=beta,
