@@ -24,8 +24,9 @@ import numpy as np
 
 from . import asymptotics
 from .distributions import SourceSpec, moment_profile, sample_source
-from .errors import (AssumptionViolated, CumicaError, InvalidSpec,
-                     SingularInput, TooManyFailures, _check_alpha)
+from .errors import (AssumptionViolated, CumicaError, InvalidParams,
+                     InvalidSpec, SingularInput, TooManyFailures,
+                     _check_alpha)
 from .estimators import (SolverOptions, all_cumulant, compound_cumulant,
                          deflation_pp, symmetric_pp)
 
@@ -298,8 +299,9 @@ def check_assumptions(model, method, alpha, tol=1e-12):
     """Verify the identifiability assumption the method needs at this alpha.
 
     Raises AssumptionViolated (carrying the assumption number) when the
-    model's population moments break it; returns the checked assumption
-    number otherwise.  The cumulants in use are the skewness where
+    model's population moments break it, and InvalidParams when
+    ``alpha`` is None for a method other than fobi; returns the checked
+    assumption number otherwise.  The cumulants in use are the skewness where
     alpha > 0 and the excess kurtosis where alpha < 1.  The projection
     pursuit and all-cumulant methods need at most one source that is
     zero in all of them (assumptions 3, 4, 7 at alpha = 1, 0, interior);
@@ -312,6 +314,8 @@ def check_assumptions(model, method, alpha, tol=1e-12):
         profs = [moment_profile(s) if isinstance(s, (str, SourceSpec)) else s
                  for s in model]
     method, alpha, _ = resolve_method(method, alpha)
+    if alpha is None:
+        raise InvalidParams(f"method {method!r} needs a weight alpha")
     # alpha = 1, 0 or interior: skewness, excess kurtosis or both in use
     case = {1.0: 0, 0.0: 1}.get(alpha, 2)
     cumulants = [("skewness", [pr.gamma for pr in profs]),

@@ -191,6 +191,15 @@ class TestCheckAssumptions:
         # fobi fixes alpha = 0 whatever weight is passed
         assert check_assumptions(GAMMA3, "fobi", 1.0) == 6
 
+    @pytest.mark.parametrize("method", ["deflation", "symmetric", "jade",
+                                        "all_cumulant", "compound"])
+    def test_missing_weight_rejected(self, method):
+        with pytest.raises(InvalidParams, match="needs a weight alpha"):
+            check_assumptions(GAMMA3, method, None)
+
+    def test_fobi_needs_no_weight(self):
+        assert check_assumptions(GAMMA3, "fobi", None) == 6
+
     def test_violations(self):
         two_sym = IcModelSpec(sources=("ep:1", "ep:4"))
         with pytest.raises(AssumptionViolated) as info:
