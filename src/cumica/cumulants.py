@@ -7,13 +7,20 @@ the standardized rows.  Sample moments divide by ``n`` throughout (no
 small-sample bias corrections), so the statistics are exactly the plug-in
 moment estimators that the asymptotic theory describes.
 
-One moment kernel, ``_SourceMoments``, serves every estimator: it forms
-the candidate sources ``Y = xst @ U.T`` of a rotation once and yields
-their skewness, excess kurtosis, projection index and estimating
-equations (the fixed-point form of Hyvarinen 1999).  One accumulator,
-``_pair_moments``, serves the cumulant stacks: it sums the moments of the
-pair products ``x_i x_j`` over row blocks of a fixed number of entries, so
-their memory is one block plus the output whatever n is.
+The fixed-point estimators read the candidate sources ``Y = xst @ U.T``
+of a rotation U through a moment kernel: their skewness, excess
+kurtosis, projection index and estimating equations ``E[y^2 x]`` and
+``E[y^3 x]`` (the fixed-point form of Hyvarinen 1999; Miettinen,
+Taskinen, Nordhausen & Oja 2015).  ``_SourceMoments`` reads them from
+the rows, at O(n p k) per rotation of k rows.  They are multilinear in U,
+so ``_TensorMoments`` reads them instead from the sample moment tensors
+``E[x x x]`` and ``E[x x x x]``, formed once per sample, at O(k p^4)
+per rotation whatever n is; JADE works the same way (Cardoso &
+Souloumiac 1993).  One accumulator, ``_pair_moments``, serves the
+tensors and the cumulant stacks: it sums the third and fourth moments of
+the pair products ``x_i x_j`` over row blocks of a fixed number of
+entries, filling each block once, so their memory is one block plus the
+output whatever n is.
 """
 
 from dataclasses import dataclass
@@ -157,52 +164,94 @@ def projection_cumulants(xst, u, tol=1e-10):
     return float(mom.h3[0]), float(mom.h4[0])
 
 
-class _SourceMoments:
+class _Kernel:
     """Per-row skewness ``h3``, fourth moment ``m4`` and excess kurtosis
     ``h4`` of the candidate sources ``Y = xst @ U.T``, where the rows of
-    ``U`` are unit directions.  Only ``Y`` is kept, not its powers.
+    ``U`` are unit directions, with the index and estimating equations
+    they define.  Subclasses compute the moments and ``_equations``."""
 
-    ``h3`` and ``m4`` are bitwise equal to ``(Y2 * Y).mean(axis=0)`` and
-    ``(Y2 * Y2).mean(axis=0)``.  The order is pinned because ``_ascend``'s
-    termination depends on the objective's rounding, and a reordered sum
-    changes iteration counts."""
-
-    __slots__ = ("U", "Y", "h3", "m4", "h4")
-
-    def __init__(self, xst, U):
-        self.U = U
-        # a contiguous right operand gives the same product by a faster path
-        self.Y = Y = xst @ np.ascontiguousarray(U.T)
-        n, k = Y.shape
-        Y2 = Y * Y
-        if k > 1:
-            # einsum adds the rows in mean's order, without an (n, k)
-            # temporary and without mean's slow strided column reduction
-            self.h3 = np.einsum("ij,ij->j", Y2, Y) / n
-            self.m4 = np.einsum("ij,ij->j", Y2, Y2) / n
-        else:
-            # mean sums one contiguous column pairwise and einsum in row
-            # order, so only mean keeps the sum; it is cheap here
-            self.h3 = (Y2 * Y).mean(axis=0)
-            self.m4 = (Y2 * Y2).mean(axis=0)
-        self.h4 = self.m4 - 3.0
+    __slots__ = ("U", "h3", "m4", "h4")
 
     def objective(self, alpha):
         """The index ``alpha * sum h3^2 + (1 - alpha) * sum h4^2``."""
         h3, h4 = self.h3, self.h4
         return float(alpha * (h3 @ h3) + (1.0 - alpha) * (h4 @ h4))
 
-    def gradient(self, alpha, xst):
+    def gradient(self, alpha):
         """The stacked estimating equations, one row per source:
         ``T = 3 alpha h3 E[y^2 x] + 4 (1 - alpha) h4 E[y^3 x]``, half the
         Euclidean gradient of the objective at ``U``."""
-        n = xst.shape[0]
+        T3, T4 = self._equations()
+        return ((3.0 * alpha) * (T3 * self.h3[:, None])
+                + (4.0 * (1.0 - alpha)) * (T4 * self.h4[:, None]))
+
+
+class _SourceMoments(_Kernel):
+    """The moment kernel read from the data: forms ``Y`` once and keeps
+    it (not its powers); ``E[y^2 x]`` and ``E[y^3 x]`` cost one more
+    pass over the rows when the gradient is asked for."""
+
+    __slots__ = ("xst", "Y")
+
+    def __init__(self, xst, U):
+        self.U, self.xst = U, xst
+        # a contiguous right operand gives the same product by a faster path
+        self.Y = Y = xst @ np.ascontiguousarray(U.T)
+        n = Y.shape[0]
+        Y2 = Y * Y
+        # einsum adds the rows without an (n, k) temporary
+        self.h3 = np.einsum("ij,ij->j", Y2, Y) / n
+        self.m4 = np.einsum("ij,ij->j", Y2, Y2) / n
+        self.h4 = self.m4 - 3.0
+
+    def _equations(self):
+        n = self.Y.shape[0]
         Y2 = self.Y * self.Y
-        T3 = xst.T @ Y2 / n
-        T4 = xst.T @ (Y2 * self.Y) / n
-        T = ((3.0 * alpha) * (T3 * self.h3)
-             + (4.0 * (1.0 - alpha)) * (T4 * self.h4))
-        return T.T
+        return Y2.T @ self.xst / n, (Y2 * self.Y).T @ self.xst / n
+
+
+class _MomentTensors:
+    """The third and fourth sample moments of standardized rows in pair
+    storage, from one ``_pair_moments`` pass: ``M3[q, a] = E[x_i x_j
+    x_a]`` and ``M4[q, r] = E[x_i x_j x_k x_l]`` for the pairs ``q = (i,
+    j)``, ``r = (k, l)`` with ``i <= j``, ``k <= l``.  They take
+    ``m^2 + m p`` floats, ``m = p(p + 1)/2``, whatever n is."""
+
+    __slots__ = ("M3", "M4", "iu", "ju", "twice", "idx")
+
+    def __init__(self, xst):
+        p = xst.shape[1]
+        self.M3, self.M4 = _pair_moments(xst, True, True)
+        self.iu, self.ju = np.triu_indices(p)
+        # a pair i < j stands for both (i, j) and (j, i)
+        self.twice = np.where(self.iu == self.ju, 1.0, 2.0)
+        self.idx = _pair_index(p)
+
+
+class _TensorMoments(_Kernel):
+    """The moment kernel read from ``_MomentTensors``: the moments are
+    multilinear in the rows ``u`` of ``U``, so with ``v_q = u_i u_j`` (or
+    ``2 u_i u_j`` for ``i < j``) over the pairs, ``E[y^2 x] = v M3``,
+    ``E[y^2 x_a x_b]`` is ``v M4`` at the pair ``(a, b)``, and
+    ``E[y^3 x] = E[y^2 x x^T] u``.  ``h3`` and ``m4`` are these dotted
+    with ``u``, so the estimating equations come with the moments.  A
+    build costs O(k p^4) for k rows, whatever n is."""
+
+    __slots__ = ("T3", "T4")
+
+    def __init__(self, tensors, U):
+        self.U = U
+        t = tensors
+        V = U[:, t.iu] * U[:, t.ju] * t.twice
+        self.T3 = V @ t.M3
+        Q = (V @ t.M4)[:, t.idx]
+        self.T4 = np.matmul(Q, U[:, :, None])[:, :, 0]
+        self.h3 = np.einsum("ka,ka->k", self.T3, U)
+        self.m4 = np.einsum("ka,ka->k", self.T4, U)
+        self.h4 = self.m4 - 3.0
+
+    def _equations(self):
+        return self.T3, self.T4
 
 
 def compound_matrices(xst):
@@ -226,31 +275,59 @@ def compound_matrices(xst):
 _BLOCK_ENTRIES = 1 << 18
 
 
-def _pair_moments(X, fourth):
-    """Third moments ``Z^T X / n``, or fourth moments ``Z^T Z / n`` when
-    ``fourth``, of the pair products ``Z[r, m] = X[r, i_m] X[r, j_m]``
-    over the pairs ``i <= j`` in row-major order.  Z is never held whole:
-    each block of rows is written into one buffer and its products summed.
-    Returns the moments gathered to ``E[x_i x_a x_b]`` (``(p, p, p)``) or
-    ``E[x_i x_j x_a x_b]`` (one ``(p, p)`` matrix per pair), exactly
-    symmetric in ``(a, b)``, and the pairs as index arrays."""
-    n, p = X.shape
+def _pair_index(p):
+    """``(p, p)`` index of the pair ``(min(a, b), max(a, b))`` among the
+    pairs ``i <= j`` in row-major order."""
     iu, ju = np.triu_indices(p)
-    m = len(iu)
+    idx = np.empty((p, p), dtype=np.intp)
+    idx[iu, ju] = idx[ju, iu] = np.arange(len(iu))
+    return idx
+
+
+def _pair_moments(X, third, fourth):
+    """Third moments ``Z^T X / n`` (``(m, p)``) if ``third`` and fourth
+    moments ``Z^T Z / n`` (``(m, m)``) if ``fourth``, else None, of the
+    pair products ``Z[r, q] = X[r, i_q] X[r, j_q]`` over the ``m`` pairs
+    ``i <= j`` in row-major order.  Z is never held whole: each block of
+    rows is written into one buffer once and its products summed."""
+    n, p = X.shape
+    m = p * (p + 1) // 2
     rows = max(1, _BLOCK_ENTRIES // m)
     buf = np.empty((min(rows, n), m))
-    acc = np.zeros((m, m if fourth else p))
+    acc3 = np.zeros((m, p)) if third else None
+    acc4 = np.zeros((m, m)) if fourth else None
     for r0 in range(0, n, rows):
         Xb = X[r0:r0 + rows]
         Zb = buf[:len(Xb)]
         for i in range(p):
             c = i * p - i * (i - 1) // 2
             np.multiply(Xb[:, i:i + 1], Xb[:, i:], out=Zb[:, c:c + p - i])
-        acc += Zb.T @ (Zb if fourth else Xb)
-    acc /= n
-    idx = np.empty((p, p), dtype=np.intp)
-    idx[iu, ju] = idx[ju, iu] = np.arange(m)
-    return (acc if fourth else acc.T)[:, idx], iu, ju
+        if third:
+            acc3 += Zb.T @ Xb
+        if fourth:
+            acc4 += Zb.T @ Zb
+    for acc in (acc3, acc4):
+        if acc is not None:
+            acc /= n
+    return acc3, acc4
+
+
+def _cumulant_stacks(xst, third, fourth):
+    """``cum3_stack(xst)`` if ``third`` and ``cum4_stack(xst)[0]`` if
+    ``fourth``, else None, from one pass over the pair products."""
+    X = _as_xst(xst)
+    p = X.shape[1]
+    M3, M4 = _pair_moments(X, third, fourth)
+    idx = _pair_index(p)
+    if fourth:
+        S = (X.T @ X) / X.shape[0]
+        iu, ju = np.triu_indices(p)
+        G = S[iu][:, :, None] * S[ju][:, None, :]
+        G = G + G.transpose(0, 2, 1)
+        G += S[iu, ju][:, None, None] * S
+        M4 = M4[:, idx]
+        M4 -= G
+    return (M3.T[:, idx] if third else None), M4
 
 
 def cum3_stack(xst):
@@ -258,7 +335,7 @@ def cum3_stack(xst):
     stack, gathered from the block-summed third moments of the pair
     products (see ``cum4_stack``).  Memory is one block plus the output.
     """
-    return _pair_moments(_as_xst(xst), False)[0]
+    return _cumulant_stacks(xst, True, False)[0]
 
 
 def cum4_stack(xst):
@@ -277,14 +354,9 @@ def cum4_stack(xst):
     corrections are broadcast over all pairs, so memory is one block plus
     a few arrays of the output's size, whatever n is.
     """
-    X = _as_xst(xst)
-    S = (X.T @ X) / X.shape[0]
-    out, iu, ju = _pair_moments(X, True)
-    G = S[iu][:, :, None] * S[ju][:, None, :]
-    G = G + G.transpose(0, 2, 1)
-    G += S[iu, ju][:, None, None] * S
-    out -= G
-    return out, list(zip(iu.tolist(), ju.tolist()))
+    stack = _cumulant_stacks(xst, False, True)[1]
+    iu, ju = np.triu_indices(stack.shape[1])
+    return stack, list(zip(iu.tolist(), ju.tolist()))
 
 
 def fobi_matrix(xst):

@@ -7,12 +7,15 @@ agreement).  The fourth-cumulant slices are checked against a full
 definition.
 """
 
+import itertools
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
 
-from cumica.cumulants import (_BLOCK_ENTRIES, _SourceMoments,
+from cumica.cumulants import (_BLOCK_ENTRIES, _cumulant_stacks,
+                              _MomentTensors, _SourceMoments, _TensorMoments,
                               compound_matrices, cum3_stack, cum4_stack,
                               fobi_matrix, projection_cumulants, sample_cov,
                               standardize)
@@ -143,7 +146,7 @@ class TestProjectionCumulants:
 
 
 class TestSourceMoments:
-    """The moment kernel against moments written out here."""
+    """The moment kernels against moments written out here."""
 
     @staticmethod
     def rotations():
@@ -153,11 +156,17 @@ class TestSourceMoments:
             yield random_orthogonal(3, rng)
         yield random_orthogonal(3, rng)[1:2]  # one deflation-stage row
 
+    @staticmethod
+    def kernels(X):
+        """Both kernels of the sample X, as ``U -> kernel``."""
+        return (partial(_SourceMoments, X),
+                partial(_TensorMoments, _MomentTensors(X)))
+
     def test_matches_written_out_moments(self):
         X = small_sample(seed=13)
         n = X.shape[0]
-        for U in self.rotations():
-            mom = _SourceMoments(X, U)
+        for kernel, U in itertools.product(self.kernels(X), self.rotations()):
+            mom = kernel(U)
             Y = X @ U.T
             h3 = np.mean(Y**3, axis=0)
             m4 = np.mean(Y**4, axis=0)
@@ -174,23 +183,58 @@ class TestSourceMoments:
                     + 4.0 * (1.0 - alpha) * (m4[k] - 3.0)
                     * (Y[:, k]**3 @ X) / n
                     for k in range(U.shape[0])])
-                np.testing.assert_allclose(mom.gradient(alpha, X), T,
+                np.testing.assert_allclose(mom.gradient(alpha), T,
                                            rtol=1e-12)
 
-    def test_summation_order_is_the_column_mean(self):
-        # _ascend's stopping depends on the objective's rounding, so the
-        # kernel must round exactly as the plain column mean does
+    @pytest.mark.parametrize("rows", [5, 1])
+    def test_tensor_kernel_matches_data_kernel(self, rows):
+        # p = 5 exercises more than one off-diagonal pair per row of M4
+        X = small_sample(seed=19, n=999, p=5)
+        tensors = _MomentTensors(X)
         rng = np.random.default_rng(17)
-        X3, X5 = small_sample(seed=18), small_sample(seed=19, n=999, p=5)
-        for X, U in ((X3, random_orthogonal(3, rng)),
-                     (X3, random_orthogonal(3, rng)[2:]),
-                     (X5, random_orthogonal(5, rng)[:2])):
-            mom = _SourceMoments(X, U)
-            Y = X @ U.T
-            Y2 = Y * Y
-            assert np.array_equal(mom.Y, Y)
-            assert np.array_equal(mom.h3, (Y2 * Y).mean(axis=0))
-            assert np.array_equal(mom.m4, (Y2 * Y2).mean(axis=0))
+        for _ in range(3):
+            U = random_orthogonal(5, rng)[:rows]
+            ref, mom = _SourceMoments(X, U), _TensorMoments(tensors, U)
+            for name in ("h3", "m4", "h4"):
+                np.testing.assert_allclose(getattr(mom, name),
+                                           getattr(ref, name), rtol=1e-12)
+            for alpha in (0.0, 0.8, 1.0):
+                np.testing.assert_allclose(mom.objective(alpha),
+                                           ref.objective(alpha), rtol=1e-12)
+                np.testing.assert_allclose(mom.gradient(alpha),
+                                           ref.gradient(alpha), rtol=1e-12,
+                                           atol=1e-12)
+
+    def test_tensors_are_the_pair_moments(self):
+        X = small_sample(seed=21, n=500, p=4)
+        t = _MomentTensors(X)
+        n, p = X.shape
+        pairs = [(i, j) for i in range(p) for j in range(i, p)]
+        Z = np.column_stack([X[:, i] * X[:, j] for i, j in pairs])
+        np.testing.assert_allclose(t.M3, Z.T @ X / n, rtol=1e-13,
+                                   atol=1e-13)
+        np.testing.assert_allclose(t.M4, Z.T @ Z / n, rtol=1e-13)
+        assert [(int(i), int(j)) for i, j in zip(t.iu, t.ju)] == pairs
+        for a in range(p):
+            for b in range(p):
+                assert pairs[t.idx[a, b]] == (min(a, b), max(a, b))
+
+    @pytest.mark.parametrize("p", [30, 50])
+    def test_tensor_setup_memory_is_bounded(self, p):
+        # the two accumulators, one product of each the size of its
+        # accumulator, and one block of pair products; nothing of size n
+        X = np.random.default_rng(p).normal(size=(3000, p))
+        m = p * (p + 1) // 2
+        bound = 8 * (2 * (m * m + m * p) + _BLOCK_ENTRIES) * 1.1
+        tracemalloc.start()
+        try:
+            t = _MomentTensors(X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert t.M4.nbytes == 8 * m * m
+        assert peak <= bound, (f"tensor setup peak {peak / 1e6:.1f} MB, "
+                               f"bound {bound / 1e6:.1f} MB")
 
     def test_memory_is_y_and_its_square(self):
         X = np.random.default_rng(20).normal(size=(100_000, 10))
@@ -207,7 +251,7 @@ class TestSourceMoments:
     def test_gradient_is_half_the_euclidean_gradient(self):
         X = small_sample(seed=14)
         U = random_orthogonal(3, np.random.default_rng(16))
-        G = 2.0 * _SourceMoments(X, U).gradient(0.6, X)
+        G = 2.0 * _SourceMoments(X, U).gradient(0.6)
         eps = 1e-6
         for i in range(3):
             for j in range(3):
@@ -334,6 +378,18 @@ class TestPairAccumulator:
         S4, _ = cum4_stack(X)
         assert np.array_equal(S3, S3.transpose(0, 2, 1))
         assert np.array_equal(S4, S4.transpose(0, 2, 1))
+
+    @pytest.mark.parametrize("third,fourth", [(True, True), (True, False),
+                                              (False, True)])
+    def test_one_pass_gives_the_stacks(self, third, fourth):
+        # the stacks of one pass are bitwise those of the public calls
+        X = small_sample(seed=15, n=2 * _rows_per_block(4) + 3, p=4)
+        c3, c4 = _cumulant_stacks(X, third, fourth)
+        assert (c3 is None) == (not third) and (c4 is None) == (not fourth)
+        if third:
+            assert np.array_equal(c3, cum3_stack(X))
+        if fourth:
+            assert np.array_equal(c4, cum4_stack(X)[0])
 
     def test_cum4_stack_memory_is_bounded(self):
         # the n x p^2 pair-product matrix alone would be 144 MB here

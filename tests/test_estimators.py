@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 from cumica import estimators
-from cumica.cumulants import _SourceMoments, sample_cov
+from cumica.cumulants import (_MomentTensors, _SourceMoments,
+                              _TensorMoments, sample_cov, standardize)
 from cumica.errors import (DegenerateObjective, InvalidParams,
                            NearDegenerateSpectrum, NonFiniteInput,
                            NotPositiveDefinite)
@@ -258,23 +259,32 @@ class TestDiagnostics:
                 SolverOptions(**{field: value})
 
 
+def _digest(data):
+    """A key of the sample behind a kernel: its rows or its tensors."""
+    if isinstance(data, _MomentTensors):
+        return hash(data.M3.tobytes() + data.M4.tobytes())
+    return hash(data.tobytes())
+
+
 class TestMomentKernel:
-    """Every fit forms each rotation's candidate sources once: the
-    accepted iterate's moments carry into the next step and the winner's
-    into the canonical form."""
+    """Every fit builds each rotation's moment kernel once: the accepted
+    iterate's moments carry into the next step and the winner's into the
+    canonical form."""
 
     @pytest.fixture
     def seen(self, monkeypatch):
         seen = []
+        for name in ("_SourceMoments", "_TensorMoments"):
+            base = getattr(estimators, name)
 
-        class Recording(_SourceMoments):
-            __slots__ = ()
+            class Recording(base):
+                __slots__ = ()
 
-            def __init__(self, xst, U):
-                seen.append((hash(xst.tobytes()), U.shape, U.tobytes()))
-                super().__init__(xst, U)
+                def __init__(self, data, U, base=base):
+                    seen.append((_digest(data), U.shape, U.tobytes()))
+                    base.__init__(self, data, U)
 
-        monkeypatch.setattr(estimators, "_SourceMoments", Recording)
+            monkeypatch.setattr(estimators, name, Recording)
         return seen
 
     @pytest.mark.filterwarnings(
@@ -296,6 +306,97 @@ class TestMomentKernel:
         all_cumulant(X, 0.8, OPTS)
         assert len(seen) == 1
 
+    # Kernel builds of one symmetric fit (restarts 1 and 10) at alpha 0,
+    # 0.8 and 1, and its minimum distance index.  Builds measured: 33,
+    # 444; 23, 305; 8, 100 at p = 3 and 139, 1354; 41, 380; 12, 125 at
+    # p = 10, against 69, 766; 55, 618; 40, 342 and 171, 1605; 46, 648;
+    # 28, 318 when a step losing by rounding was backtracked; the mdi
+    # agree to 1e-7.  The bounds are those builds plus a quarter.
+    P10 = IcModelSpec(sources=tuple(
+        f"gamma:{k}" for k in ("1", "2", "4", "8", "0.5", "1.5", "3", "6",
+                               "12", "16")), mixing=("random", 7))
+    BUILDS = {
+        "p3": (GAMMA_MODEL, 6000, 321, {
+            (0.0, 1): (42, 0.0239053), (0.0, 10): (555, 0.0239053),
+            (0.8, 1): (29, 0.0202136), (0.8, 10): (382, 0.0202136),
+            (1.0, 1): (10, 0.0152283), (1.0, 10): (125, 0.0152283)}),
+        "p10": (P10, 10_000, 8, {
+            (0.0, 1): (174, 0.0638727), (0.0, 10): (1693, 0.0638728),
+            (0.8, 1): (52, 0.0509263), (0.8, 10): (475, 0.0509264),
+            (1.0, 1): (15, 0.0381570), (1.0, 10): (157, 0.0381570)})}
+
+    @pytest.mark.parametrize("case", ["p3", "p10"])
+    def test_symmetric_builds_are_bounded(self, seen, case):
+        model, n, seed, expected = self.BUILDS[case]
+        X, omega = make_sample(model, n, seed)
+        for (alpha, restarts), (bound, score) in expected.items():
+            seen.clear()
+            est = symmetric_pp(X, alpha,
+                               SolverOptions(restarts=restarts, seed=0))
+            assert est.converged
+            assert len(seen) <= bound, (alpha, restarts, len(seen))
+            assert mdi(est.W, omega) == pytest.approx(score, abs=1e-7)
+
+
+class TestStopping:
+    """The fixed-point solvers stop where rounding decides, and never call
+    a non-finite fit converged."""
+
+    def test_paths_report_their_slope(self):
+        # the slope bounds the backtracking halvings, so it must be the
+        # objective's derivative along the path at t = 0
+        rng = np.random.default_rng(30)
+        X = standardize(rng.gamma(2.0, size=(3000, 4))).xst
+        U = estimators.random_orthogonal(4, rng)
+        prev = U[2:3]
+
+        def project(v):
+            return v - prev.T @ (prev @ v)
+
+        u = project(U[0])
+        cases = [(U, estimators._cayley_path),
+                 ((u / np.linalg.norm(u))[None, :],
+                  lambda V, T: estimators._sphere_path(project, V, T))]
+        for V, path in cases:
+            mom = _SourceMoments(X, V)
+            point, slope = path(V, mom.gradient(0.7))
+            t = 1e-6
+            fd = (_SourceMoments(X, point(t)).objective(0.7)
+                  - _SourceMoments(X, point(-t)).objective(0.7)) / (2 * t)
+            assert fd == pytest.approx(slope, rel=1e-6)
+
+    @pytest.mark.parametrize("fit", [deflation_pp, symmetric_pp])
+    def test_non_finite_step_is_not_taken(self, monkeypatch, fit):
+        # a fixed-point step to a non-finite rotation loses; the fit
+        # backtracks along the gradient instead
+        X, omega = make_sample()
+        monkeypatch.setattr(estimators, "polar_orthogonal",
+                            lambda T: np.full_like(T, np.nan))
+        monkeypatch.setattr(estimators, "_unit_row",
+                            lambda v: np.full((1, len(v)), np.nan))
+        est = fit(X, 0.8, SolverOptions(restarts=2, seed=0))
+        assert np.isfinite(est.W).all() and np.isfinite(est.objective)
+        assert mdi(est.W, omega) < 0.1
+
+    @pytest.mark.parametrize("fit", [deflation_pp, symmetric_pp])
+    def test_non_finite_objective_is_not_converged(self, monkeypatch, fit):
+        X, _ = make_sample()
+        for name in ("_SourceMoments", "_TensorMoments"):
+            base = getattr(estimators, name)
+            monkeypatch.setattr(estimators, name, type(name, (base,), {
+                "__slots__": (), "objective": lambda self, alpha: np.nan}))
+        est = fit(X, 0.8, SolverOptions(restarts=2, seed=0))
+        assert not est.converged
+
+    @pytest.mark.parametrize("n,p,tensors", [(250, 10, True),
+                                             (249, 10, False),
+                                             (40, 3, True)])
+    def test_kernel_path_is_fixed_by_n_and_p(self, n, p, tensors):
+        X = np.random.default_rng(n).normal(size=(n, p))
+        kernel = estimators._moment_kernel(X)
+        assert (kernel.func is _TensorMoments) == tensors
+        assert isinstance(kernel(np.eye(p)), _TensorMoments) == tensors
+
 
 def _recorder(calls, name, fn):
     def record(*args, **kwargs):
@@ -309,8 +410,8 @@ class TestLayerLookup:
     namespace, so every estimator must look its layers up there at call
     time.  Counts per fit, in ``LAYERS`` order."""
 
-    LAYERS = ("standardize", "joint_diagonalize", "cum3_stack", "cum4_stack",
-              "compound_matrices")
+    LAYERS = ("standardize", "joint_diagonalize", "_cumulant_stacks",
+              "compound_matrices", "_MomentTensors")
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -322,13 +423,13 @@ class TestLayerLookup:
 
     @pytest.mark.filterwarnings("ignore::cumica.errors.NearDegenerateSpectrum")
     @pytest.mark.parametrize("fit,alpha,kw,expected", [
-        (deflation_pp, 0.8, {}, (1, 0, 0, 0, 0)),
-        (symmetric_pp, 0.8, {}, (1, 0, 0, 0, 0)),
-        (compound_cumulant, 0.5, {}, (2, 1, 0, 0, 1)),
-        (compound_cumulant, 0.0, {"standardizer": "fobi"}, (2, 1, 0, 0, 1)),
-        (compound_cumulant, 1.0, {"standardizer": np.eye(3)}, (1, 1, 0, 0, 1)),
-        (all_cumulant, 0.0, {}, (1, 1, 0, 1, 0)),
-        (all_cumulant, 0.8, {}, (1, 1, 1, 1, 0)),
+        (deflation_pp, 0.8, {}, (1, 0, 0, 0, 1)),
+        (symmetric_pp, 0.8, {}, (1, 0, 0, 0, 1)),
+        (compound_cumulant, 0.5, {}, (2, 1, 0, 1, 1)),
+        (compound_cumulant, 0.0, {"standardizer": "fobi"}, (2, 1, 0, 1, 0)),
+        (compound_cumulant, 1.0, {"standardizer": np.eye(3)}, (1, 1, 0, 1, 0)),
+        (all_cumulant, 0.0, {}, (1, 1, 1, 0, 0)),
+        (all_cumulant, 0.8, {}, (1, 1, 1, 0, 0)),
         (all_cumulant, 1.0, {}, (1, 1, 1, 0, 0)),
     ], ids=["deflation", "symmetric", "compound-symmetric", "compound-fobi",
             "compound-matrix", "jade-0", "jade-0.8", "jade-1"])
