@@ -307,11 +307,9 @@ class TestMomentKernel:
         assert len(seen) == 1
 
     # Kernel builds of one symmetric fit (restarts 1 and 10) at alpha 0,
-    # 0.8 and 1, and its minimum distance index.  Builds measured: 33,
-    # 444; 23, 305; 8, 100 at p = 3 and 139, 1354; 41, 380; 12, 125 at
-    # p = 10, against 69, 766; 55, 618; 40, 342 and 171, 1605; 46, 648;
-    # 28, 318 when a step losing by rounding was backtracked; the mdi
-    # agree to 1e-7.  The bounds are those builds plus a quarter.
+    # 0.8 and 1, bounded by the measured builds plus a quarter (33, 444;
+    # 23, 305; 8, 100 at p = 3 and 139, 1354; 41, 380; 12, 125 at
+    # p = 10), and its minimum distance index, to 1e-7.
     P10 = IcModelSpec(sources=tuple(
         f"gamma:{k}" for k in ("1", "2", "4", "8", "0.5", "1.5", "3", "6",
                                "12", "16")), mixing=("random", 7))
@@ -339,8 +337,8 @@ class TestMomentKernel:
 
 
 class TestStopping:
-    """The fixed-point solvers stop where rounding decides, and never call
-    a non-finite fit converged."""
+    """The fixed-point solvers stop where rounding would decide which
+    step to take, and never call a non-finite fit converged."""
 
     def test_paths_report_their_slope(self):
         # the slope bounds the backtracking halvings, so it must be the
