@@ -19,7 +19,8 @@ from .distributions import (MomentProfile, SourceSpec, moment_profile,
                             sample_source)
 from .errors import (AssumptionViolated, CumicaError, CumicaWarning,
                      DegenerateObjective, IndexOutOfRange, InvalidParams,
-                     InvalidSpec, NearDegenerateSpectrum, NonFiniteInput,
+                     InvalidSpec, MalformedInput, NearDegenerateSpectrum,
+                     NonFiniteInput,
                      NotPositiveDefinite, NotUnit, RankDeficient,
                      SingularCustomWhitener, SingularInput, TooManyFailures,
                      ZeroDenominator)
@@ -38,7 +39,8 @@ __version__ = "0.1.0"
 __all__ = [
     "AssumptionViolated", "AsvTable", "ContourGrid", "CumicaError",
     "CumicaWarning", "DegenerateObjective", "IcModelSpec", "IndexOutOfRange",
-    "InvalidParams", "InvalidSpec", "JointDiagResult", "McResult",
+    "InvalidParams", "InvalidSpec", "JointDiagResult", "MalformedInput",
+    "McResult",
     "MomentProfile", "NearDegenerateSpectrum", "NonFiniteInput",
     "NotPositiveDefinite", "NotUnit", "RankDeficient",
     "SingularCustomWhitener", "SingularInput",

@@ -23,7 +23,7 @@ import sys
 import numpy as np
 
 from .asymptotics import optimal_alpha
-from .errors import CumicaError
+from .errors import CumicaError, MalformedInput
 from .estimators import SolverOptions
 from .simulation import (_ALIASES, _ASV_TABLES, _ESTIMATORS, IcModelSpec,
                          _csv_table, _estimate_once, _fmt, _seed_sequence,
@@ -97,8 +97,40 @@ def _load_matrix(path):
     try:
         return np.loadtxt(path, delimiter=",", comments="#", ndmin=2)
     except ValueError:
+        pass
+    try:
         return np.loadtxt(path, delimiter=",", comments="#", skiprows=1,
                           ndmin=2)
+    except ValueError:
+        raise _malformed(path) from None
+
+
+def _malformed(path):
+    """The ``MalformedInput`` naming the first cell or row past the
+    header line of the data file ``path`` that does not parse; lines and
+    columns count from 1."""
+    width = None
+    with open(path, errors="replace") as fh:
+        next(fh, None)  # the header line, or a line loadtxt read above
+        for line_no, line in enumerate(fh, 2):
+            cells = line.split("#", 1)[0]
+            if not cells.strip():
+                continue
+            cells = cells.split(",")
+            if width is None:
+                width = len(cells)
+            elif len(cells) != width:
+                return MalformedInput(
+                    f"{path}: line {line_no}: expected {width} columns, "
+                    f"got {len(cells)}")
+            for col, cell in enumerate(cells, 1):
+                try:
+                    float(cell)
+                except ValueError:
+                    return MalformedInput(
+                        f"{path}: line {line_no}, column {col}: "
+                        f"{cell.strip()!r} is not a number")
+    return MalformedInput(f"{path}: not a comma-separated matrix of numbers")
 
 
 def _write_output(text, out):

@@ -36,6 +36,11 @@ class NonFiniteInput(CumicaError, ValueError):
     """A data matrix or matrix argument has NaN or infinite entries."""
 
 
+class MalformedInput(CumicaError, ValueError):
+    """A data file has a cell that is not a number, or a row of the wrong
+    length."""
+
+
 class InvalidSpec(CumicaError):
     """A source or model specification has out-of-range parameters."""
 

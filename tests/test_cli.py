@@ -195,6 +195,23 @@ class TestUsageErrors:
         assert err == ("NonFiniteInput: data matrix has non-finite entries "
                        "(1 in all, first at row 3, column 0)\n")
 
+    @pytest.mark.parametrize("text,where", [
+        ("s1,s2\n1.5,2.5\n3.5,abc\n4.5,5.5\n",
+         "line 3, column 2: 'abc' is not a number"),
+        ("1.5,2.5\n3.5,4.5 # note\n\n5.5,\n", "line 4, column 2: '' is not "
+         "a number"),
+        ("1.5,2.5\n3.5,4.5\n5.5\n6.5,7.5\n",
+         "line 3: expected 2 columns, got 1"),
+    ], ids=["non-numeric", "empty-cell", "ragged"])
+    def test_malformed_data_exit_2(self, tmp_path, text, where):
+        # one line naming the file, line and column, not a traceback
+        path = tmp_path / "x.csv"
+        path.write_text(text)
+        code, out, err = run(["estimate", "--in", str(path), "--method",
+                              "jade", "--alpha", "0.8"])
+        assert (code, out) == (2, "")
+        assert err == f"MalformedInput: {path}: {where}\n"
+
     @pytest.mark.parametrize("method", ["symmetric", "jade", "fobi"])
     def test_degenerate_data_exit_2(self, tmp_path, method):
         X = np.random.default_rng(0).gamma(2.0, size=(200, 3))
