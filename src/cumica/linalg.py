@@ -47,6 +47,36 @@ def require_symmetric(S, tol=1e-12, name="matrix"):
     return S
 
 
+# The stack check reads its matrices in blocks of at most this many
+# entries, so its temporaries stay small beside the stack itself.
+_CHECK_ENTRIES = 1 << 16
+
+
+def _require_symmetric_stack(stack, tol=1e-12):
+    """``require_symmetric`` on every matrix of the ``(m, p, q)`` stack,
+    each to its own relative scale, vectorized over blocks of matrices;
+    the error names the first matrix that fails as ``matrices[i]``."""
+    m, p, q = stack.shape
+    if p != q:
+        raise ValueError(f"matrices[0] must be square, got shape {(p, q)}")
+    rows = max(1, _CHECK_ENTRIES // max(1, p * p))
+    for s in range(0, m, rows):
+        B = stack[s:s + rows]
+        finite = np.isfinite(B).all(axis=(1, 2))
+        with np.errstate(invalid="ignore"):  # inf - inf in a non-finite one
+            scale = np.maximum(1.0, np.abs(B).max(axis=(1, 2), initial=0.0))
+            asym = np.abs(B - B.transpose(0, 2, 1)).max(axis=(1, 2),
+                                                         initial=0.0)
+        bad = ~finite | (asym > tol * scale)
+        if bad.any():
+            i = int(np.argmax(bad))
+            if not finite[i]:
+                raise NonFiniteInput(
+                    f"matrices[{s + i}] has non-finite entries")
+            raise ValueError(
+                f"matrices[{s + i}] is not symmetric (relative tol {tol})")
+
+
 def is_orthogonal(U, tol=1e-10):
     U = np.asarray(U, dtype=float)
     return (U.ndim == 2 and U.shape[0] == U.shape[1]
@@ -143,8 +173,7 @@ def joint_diagonalize(matrices, weights=None, tol=1e-10, max_sweeps=100):
     if stack.ndim != 3 or stack.shape[0] == 0:
         raise ValueError(f"expected a nonempty stack of square matrices, "
                          f"got shape {stack.shape}")
-    for i, A in enumerate(stack):
-        require_symmetric(A, name=f"matrices[{i}]")
+    _require_symmetric_stack(stack)
     m, p, _ = stack.shape
     if weights is None:
         w = np.ones(m)

@@ -259,6 +259,25 @@ class TestJointDiagonalize:
         with pytest.raises(ValueError):
             joint_diagonalize(np.zeros((2, 3, 4)))
 
+    def test_symmetry_checked_per_matrix(self):
+        # each matrix against its own scale, and the message names the
+        # first offender, also past the first block of the stack check
+        m = 2 * (cumica.linalg._CHECK_ENTRIES // 9) + 5
+        mats = np.array([np.eye(3)] * m)
+        mats[:, 0, 1], mats[:, 1, 0] = 1e6, 1e6 + 1e-7  # within 1e-12 * 1e6
+        joint_diagonalize(mats, max_sweeps=1)
+        bad = m - 3
+        mats[bad] = np.eye(3)
+        mats[bad, 0, 1] = 1e-7  # the same asymmetry at scale 1
+        mats[bad + 1, 2, 2] = np.inf
+        with pytest.raises(ValueError,
+                           match=rf"^matrices\[{bad}\] is not symmetric"):
+            joint_diagonalize(mats)
+        mats[bad] = np.eye(3)
+        with pytest.raises(NonFiniteInput,
+                           match=rf"^matrices\[{bad + 1}\] has non-finite"):
+            joint_diagonalize(mats)
+
     def test_input_not_modified(self):
         rng = np.random.default_rng(17)
         mats, _ = planted_stack(rng, 4, 5, noise=0.05)
