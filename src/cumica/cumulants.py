@@ -16,13 +16,15 @@ the rows, at O(n p k) per rotation of k rows.  They are multilinear in U,
 so ``_TensorMoments`` reads them instead from the sample moment tensors
 ``E[x x x]`` and ``E[x x x x]``, formed once per sample, at O(k p^4)
 per rotation whatever n is; JADE works the same way (Cardoso &
-Souloumiac 1993).  One accumulator, ``_pair_moments``, serves the
-tensors and the cumulant stacks: it sums the third and fourth moments of
-the pair products ``x_i x_j`` over row blocks of a fixed number of
-entries, filling each block once, so their memory is one block plus the
-output whatever n is.
+Souloumiac 1993).  Both kernels read a stack of rotations in one build,
+each rotation independently of the others.  One accumulator,
+``_pair_moments``, serves the tensors and the cumulant stacks: it sums
+the third and fourth moments of the pair products ``x_i x_j`` over row
+blocks of a fixed number of entries, filling each block once, so their
+memory is one block plus the output whatever n is.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -168,46 +170,106 @@ class _Kernel:
     """Per-row skewness ``h3``, fourth moment ``m4`` and excess kurtosis
     ``h4`` of the candidate sources ``Y = xst @ U.T``, where the rows of
     ``U`` are unit directions, with the index and estimating equations
-    they define.  Subclasses compute the moments and ``_equations``."""
+    they define.  ``U`` is one rotation of k rows, ``(k, p)``, or a stack
+    of them, ``(b, k, p)``: every attribute then carries the stack's
+    leading axis, and the rotations are read independently of one
+    another.  Subclasses compute the moments and ``_equations``."""
 
     __slots__ = ("U", "h3", "m4", "h4")
 
     def objective(self, alpha):
-        """The index ``alpha * sum h3^2 + (1 - alpha) * sum h4^2``."""
-        h3, h4 = self.h3, self.h4
-        return float(alpha * (h3 @ h3) + (1.0 - alpha) * (h4 @ h4))
+        """The index ``alpha * sum h3^2 + (1 - alpha) * sum h4^2`` of the
+        rotation, or the list of those of a stack's rotations."""
+        s3 = _rowdot(self.h3, self.h3).tolist()
+        s4 = _rowdot(self.h4, self.h4).tolist()
+        if self.U.ndim == 2:
+            return alpha * s3 + (1.0 - alpha) * s4
+        return [alpha * a + (1.0 - alpha) * b for a, b in zip(s3, s4)]
 
     def gradient(self, alpha):
         """The stacked estimating equations, one row per source:
         ``T = 3 alpha h3 E[y^2 x] + 4 (1 - alpha) h4 E[y^3 x]``, half the
         Euclidean gradient of the objective at ``U``."""
         T3, T4 = self._equations()
-        return ((3.0 * alpha) * (T3 * self.h3[:, None])
-                + (4.0 * (1.0 - alpha)) * (T4 * self.h4[:, None]))
+        return ((3.0 * alpha) * (T3 * self.h3[..., None])
+                + (4.0 * (1.0 - alpha)) * (T4 * self.h4[..., None]))
+
+    def take(self, i):
+        """The moments, not the equations, of rotation(s) ``i`` of a
+        stack."""
+        part = _Kernel()
+        part.U, part.h3, part.m4, part.h4 = (
+            self.U[i], self.h3[i], self.m4[i], self.h4[i])
+        return part
+
+    def put(self, i, other):
+        """Overwrite the moments, not the equations, of rotation ``i`` of a
+        stack with those of the one rotation ``other``."""
+        self.U[i], self.h3[i], self.m4[i], self.h4[i] = (
+            other.U, other.h3, other.m4, other.h4)
+
+
+def _rowdot(a, b):
+    """Dot products along the last axis, each summed as ``a @ b`` sums
+    it for one row, so a stack's rotations score as they would alone."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
 class _SourceMoments(_Kernel):
-    """The moment kernel read from the data: forms ``Y`` once and keeps
-    it (not its powers); ``E[y^2 x]`` and ``E[y^3 x]`` cost one more
-    pass over the rows when the gradient is asked for."""
+    """The moment kernel read from the data.  One rotation keeps ``Y``
+    (not its powers), and ``E[y^2 x]`` and ``E[y^3 x]`` cost one more
+    pass over the rows when the gradient is asked for.  A stack is read
+    one rotation at a time, with its equations, and keeps no ``Y``, so
+    its memory is that of one rotation whatever the stack's size."""
 
-    __slots__ = ("xst", "Y")
+    __slots__ = ("xst", "Y", "_T")
 
     def __init__(self, xst, U):
         self.U, self.xst = U, xst
-        # a contiguous right operand gives the same product by a faster path
-        self.Y = Y = xst @ np.ascontiguousarray(U.T)
-        n = Y.shape[0]
-        Y2 = Y * Y
-        # einsum adds the rows without an (n, k) temporary
-        self.h3 = np.einsum("ij,ij->j", Y2, Y) / n
-        self.m4 = np.einsum("ij,ij->j", Y2, Y2) / n
+        if U.ndim == 2:
+            # a contiguous right operand gives the same product by a
+            # faster path
+            self.Y = Y = xst @ np.ascontiguousarray(U.T)
+            _, self.h3, self.m4 = _column_moments(Y)
+            self._T = None
+        else:
+            self.Y = None
+            self.h3, self.m4, T3, T4 = (
+                np.array(a) for a in zip(*(_rotation_moments(xst, u)
+                                           for u in U)))
+            self._T = T3, T4
         self.h4 = self.m4 - 3.0
 
     def _equations(self):
-        n = self.Y.shape[0]
-        Y2 = self.Y * self.Y
-        return Y2.T @ self.xst / n, (Y2 * self.Y).T @ self.xst / n
+        if self._T is not None:
+            return self._T
+        return _row_equations(self.xst, self.Y, self.Y * self.Y)
+
+
+def _column_moments(Y):
+    """``Y^2`` and the third and fourth moments of the columns of Y."""
+    n = Y.shape[0]
+    Y2 = Y * Y
+    # einsum adds the rows without an (n, k) temporary
+    return (Y2, np.einsum("ij,ij->j", Y2, Y) / n,
+            np.einsum("ij,ij->j", Y2, Y2) / n)
+
+
+def _row_equations(xst, Y, Y2):
+    """``E[y^2 x]`` and ``E[y^3 x]`` from ``Y`` and ``Y^2``, which is
+    overwritten by ``Y^3``."""
+    n = xst.shape[0]
+    T3 = Y2.T @ xst / n
+    Y2 *= Y
+    return T3, Y2.T @ xst / n
+
+
+def _rotation_moments(xst, U):
+    """``h3``, ``m4``, ``E[y^2 x]`` and ``E[y^3 x]`` of one rotation U,
+    keeping nothing the size of the sample."""
+    Y = xst @ np.ascontiguousarray(U.T)
+    Y2, h3, m4 = _column_moments(Y)
+    return (h3, m4, *_row_equations(xst, Y, Y2))
 
 
 class _MomentTensors:
@@ -222,10 +284,9 @@ class _MomentTensors:
     def __init__(self, xst):
         p = xst.shape[1]
         self.M3, self.M4 = _pair_moments(xst, True, True)
-        self.iu, self.ju = np.triu_indices(p)
+        self.iu, self.ju, self.idx = _pairs(p)
         # a pair i < j stands for both (i, j) and (j, i)
         self.twice = np.where(self.iu == self.ju, 1.0, 2.0)
-        self.idx = _pair_index(p)
 
 
 class _TensorMoments(_Kernel):
@@ -235,19 +296,20 @@ class _TensorMoments(_Kernel):
     ``E[y^2 x_a x_b]`` is ``v M4`` at the pair ``(a, b)``, and
     ``E[y^3 x] = E[y^2 x x^T] u``.  ``h3`` and ``m4`` are these dotted
     with ``u``, so the estimating equations come with the moments.  A
-    build costs O(k p^4) for k rows, whatever n is."""
+    build costs O(k p^4) per rotation of k rows, whatever n is."""
 
     __slots__ = ("T3", "T4")
 
     def __init__(self, tensors, U):
         self.U = U
         t = tensors
-        V = U[:, t.iu] * U[:, t.ju] * t.twice
+        # take() gathers as indexing does, with a quarter of its overhead
+        V = U.take(t.iu, axis=-1) * U.take(t.ju, axis=-1) * t.twice
         self.T3 = V @ t.M3
-        Q = (V @ t.M4)[:, t.idx]
-        self.T4 = np.matmul(Q, U[:, :, None])[:, :, 0]
-        self.h3 = np.einsum("ka,ka->k", self.T3, U)
-        self.m4 = np.einsum("ka,ka->k", self.T4, U)
+        Q = (V @ t.M4).take(t.idx, axis=-1)
+        self.T4 = (Q @ U[..., None])[..., 0]
+        self.h3 = _rowdot(self.T3, U)
+        self.m4 = _rowdot(self.T4, U)
         self.h4 = self.m4 - 3.0
 
     def _equations(self):
@@ -275,13 +337,18 @@ def compound_matrices(xst):
 _BLOCK_ENTRIES = 1 << 18
 
 
-def _pair_index(p):
-    """``(p, p)`` index of the pair ``(min(a, b), max(a, b))`` among the
-    pairs ``i <= j`` in row-major order."""
+@functools.lru_cache(maxsize=None)
+def _pairs(p):
+    """The pairs ``i <= j`` of p indices in row-major order, as the index
+    arrays ``(iu, ju)``, and the ``(p, p)`` index of the pair ``(min(a,
+    b), max(a, b))`` among them; read-only, and built once per p, since
+    ``np.triu_indices`` costs more than a small fit's kernel build."""
     iu, ju = np.triu_indices(p)
     idx = np.empty((p, p), dtype=np.intp)
     idx[iu, ju] = idx[ju, iu] = np.arange(len(iu))
-    return idx
+    for a in (iu, ju, idx):
+        a.flags.writeable = False
+    return iu, ju, idx
 
 
 def _pair_moments(X, third, fourth):
@@ -318,10 +385,9 @@ def _cumulant_stacks(xst, third, fourth):
     X = _as_xst(xst)
     p = X.shape[1]
     M3, M4 = _pair_moments(X, third, fourth)
-    idx = _pair_index(p)
+    iu, ju, idx = _pairs(p)
     if fourth:
         S = (X.T @ X) / X.shape[0]
-        iu, ju = np.triu_indices(p)
         G = S[iu][:, :, None] * S[ju][:, None, :]
         G = G + G.transpose(0, 2, 1)
         G += S[iu, ju][:, None, None] * S
@@ -355,7 +421,7 @@ def cum4_stack(xst):
     a few arrays of the output's size, whatever n is.
     """
     stack = _cumulant_stacks(xst, False, True)[1]
-    iu, ju = np.triu_indices(stack.shape[1])
+    iu, ju, _ = _pairs(stack.shape[1])
     return stack, list(zip(iu.tolist(), ju.tolist()))
 
 

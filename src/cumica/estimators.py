@@ -30,19 +30,24 @@ instead, so the logged objective history is non-decreasing up to
 rounding.  They stop when the rotation moves less than ``tol``, or when
 no step along the gradient can gain more than rounding.  They read the
 sample through a moment kernel, on its moment tensors unless n is small
-against p^3.  The two diagonalization methods share one
-joint-diagonalization step.
+against p^3.  A fit's restarts (a deflation stage's, for that
+estimator) ascend in lockstep: each iteration builds one kernel for the
+rows of every restart still running, each restart keeps its own rules,
+and a restart that stops leaves the batch; the largest finite objective
+wins, ties going to the earlier start.  The two diagonalization methods
+share one joint-diagonalization step.
 """
 
+import math
 import warnings
 from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
-from .cumulants import (_cumulant_stacks, _MomentTensors, _SourceMoments,
-                        _TensorMoments, compound_matrices, fobi_matrix,
-                        standardize)
+from .cumulants import (_cumulant_stacks, _MomentTensors, _pairs, _rowdot,
+                        _SourceMoments, _TensorMoments, compound_matrices,
+                        fobi_matrix, standardize)
 from .errors import (DegenerateObjective, InvalidParams,
                      NearDegenerateSpectrum, RankDeficient, _check_alpha)
 from .linalg import joint_diagonalize, polar_orthogonal, random_orthogonal, sym_eig
@@ -152,10 +157,11 @@ def _canonical_form(mom, whitener, alpha):
 
 
 def _sign_blind_row_delta(U_new, U_old):
-    """max over rows of min(|row diff|, |row sum|) in the sup norm."""
-    diff = np.abs(U_new - U_old).max(axis=1)
-    summ = np.abs(U_new + U_old).max(axis=1)
-    return float(np.minimum(diff, summ).max())
+    """max over rows of min(|row diff|, |row sum|) in the sup norm, for
+    each rotation of a stack."""
+    diff = np.abs(U_new - U_old).max(axis=-1)
+    summ = np.abs(U_new + U_old).max(axis=-1)
+    return np.minimum(diff, summ).max(axis=-1)
 
 
 def _moment_kernel(xst):
@@ -173,46 +179,77 @@ def _moment_kernel(xst):
 
 
 def _ascend(alpha, kernel, U0, opts, step, path):
-    """Fixed-point ascent of the objective from the rotation ``U0``.
+    """Fixed-point ascents of the objective from each rotation of the
+    ``(b, k, p)`` stack ``U0``, in lockstep: an iteration builds one
+    moment kernel for the rows of every rotation still ascending, and
+    each rotation keeps the rules it would follow alone.
 
-    ``step(T)`` maps the estimating equations T at the current rotation
-    U to the next rotation, or to None where T vanishes.  An update that
-    loses more than the objective's rounding, or whose objective is not
-    finite, is replaced by the first point of ``path(U, T)`` that does
-    not lose (see ``_backtrack``); a loss within rounding is no loss, so
-    rounding never decides which step is taken.  The ascent has
-    converged when the sign-blind row delta falls below ``opts.tol``, or
-    when no point of the path can gain more than rounding.  The accepted
-    iterate's moment kernel carries into the next step.  Returns (obj,
-    kernel, iterations, converged, objective history).
+    ``step(T)`` maps the stacked estimating equations T at the current
+    rotations U to the next rotations, and to a mask of the rotations
+    whose equations lost rank (or None); those are dropped.  An update
+    that loses more than the objective's rounding, or whose objective is
+    not finite, is replaced by the first point of ``path(U[i], T[i])``
+    that does not lose (see ``_backtrack``); a loss within rounding is no
+    loss, so rounding never decides which step is taken.  A rotation has
+    converged when its sign-blind row delta falls below ``opts.tol``, or
+    when no point of its path can gain more than rounding; it then leaves
+    the batch, and its moments with it.  Returns one (obj, moments,
+    iterations, converged, objective history) per start, in order, or
+    None for a start that was dropped.
     """
+    runs = [None] * len(U0)
+    live = list(range(len(U0)))  # the start of each rotation in the batch
     mom = kernel(U0)
     obj = mom.objective(alpha)
-    hist = [obj]
-    converged = False
-    iters = 0
+    T = mom.gradient(alpha)
+    hists = [[o] for o in obj]
     for iters in range(1, opts.max_iter + 1):
-        T = mom.gradient(alpha)
-        U_new = step(T)
-        if U_new is None:
-            converged = True  # stationary: the criterion is flat here
-            break
+        U_new, lost = step(T)
         new = kernel(U_new)
         obj_new = new.objective(alpha)
-        floor = 16.0 * np.spacing(obj)  # changes within obj's rounding
-        if not obj_new >= obj - floor:
-            back = _backtrack(alpha, kernel, obj, floor, *path(mom.U, T))
-            if back is None:
-                converged = bool(np.isfinite(obj))  # numerically stationary
-                break
-            new, obj_new = back
-        delta = _sign_blind_row_delta(new.U, mom.U)
-        mom, obj = new, obj_new
-        hist.append(obj)
-        if delta < opts.tol:
-            converged = True
+        T_new = new.gradient(alpha)  # the next step's, taken once
+        moved = []
+        for i, (o, o_new) in enumerate(zip(obj, obj_new)):
+            # changes within o's rounding are no loss (o >= 0, so ulp is
+            # numpy's spacing)
+            floor = 16.0 * math.ulp(o)
+            ok = o_new >= o - floor
+            if not ok and (lost is None or not lost[i]):
+                back = _backtrack(alpha, kernel, o, floor,
+                                  *path(mom.U[i], T[i]))
+                if back is None:  # numerically stationary: it ends here
+                    runs[live[i]] = (o, mom.take(i), iters, math.isfinite(o),
+                                     np.array(hists[i]))
+                else:
+                    cand, obj_new[i] = back
+                    new.put(i, cand)
+                    T_new[i] = cand.gradient(alpha)
+                    ok = True
+            moved.append(ok)
+        done = (_sign_blind_row_delta(new.U, mom.U) < opts.tol).tolist()
+        for hist, o, ok in zip(hists, obj_new, moved):
+            if ok:
+                hist.append(o)
+        if all(moved) and not any(done):
+            mom, obj, T = new, obj_new, T_new
+            continue
+        keep = []
+        for i, (ok, stop) in enumerate(zip(moved, done)):
+            keep.append(ok and not stop)
+            if ok and stop:
+                runs[live[i]] = (obj_new[i], new.take(i), iters, True,
+                                 np.array(hists[i]))
+        live = [start for start, kept in zip(live, keep) if kept]
+        hists = [hist for hist, kept in zip(hists, keep) if kept]
+        obj = [o for o, kept in zip(obj_new, keep) if kept]
+        if not live:
             break
-    return obj, mom, iters, converged, np.array(hist)
+        mom, T = new.take(keep), T_new[keep]
+    else:
+        for i, start in enumerate(live):  # out of iterations
+            runs[start] = (obj[i], mom.take(i), opts.max_iter, False,
+                           np.array(hists[i]))
+    return runs
 
 
 def _backtrack(alpha, kernel, obj, floor, point, slope):
@@ -237,12 +274,24 @@ def _backtrack(alpha, kernel, obj, floor, point, slope):
     return None
 
 
+def _best(runs):
+    """The run with the largest objective among those that finished; a
+    non-finite objective never beats a finite one, and ties keep the
+    earlier start.  None if no run finished."""
+    best = None
+    for run in runs:
+        if run is not None and (best is None or math.isfinite(run[0]) and (
+                not math.isfinite(best[0]) or run[0] > best[0])):
+            best = run
+    return best
+
+
 def _stage_starts(p, opts):
     """Identity plus ``opts.restarts - 1`` random orthogonal matrices
-    drawn from ``opts.seed``."""
+    drawn from ``opts.seed``, as a ``(restarts, p, p)`` stack."""
     rng = np.random.default_rng(opts.seed)
-    return [np.eye(p)] + [random_orthogonal(p, rng)
-                          for _ in range(opts.restarts - 1)]
+    return np.array([np.eye(p)] + [random_orthogonal(p, rng)
+                                   for _ in range(opts.restarts - 1)])
 
 
 def _orthocomplement_vector(prev):
@@ -266,8 +315,8 @@ def deflation_pp(X, alpha, opts=None):
     orthogonal to the rows already found, by a projected fixed-point
     iteration on the cumulant estimating equation.  Each stage tries an
     identity-derived start plus ``opts.restarts - 1`` random orthogonal
-    starts and keeps the largest final criterion (ties favor the
-    earliest start).
+    starts, in lockstep, and keeps the largest final criterion (ties
+    favor the earliest start).
     """
     return _fit("deflation", X, alpha, opts, _deflation_solve)
 
@@ -279,22 +328,19 @@ def _deflation_solve(xst, alpha, opts):
     rows, iterations, histories = [], [], []
     all_converged = True
     for k in range(p):
-        prev = np.array(rows) if rows else np.zeros((0, p))
+        prev = np.array(rows).reshape(k, p)
 
-        def project(v):
-            return v - prev.T @ (prev @ v) if len(rows) else v
+        def project(V):
+            # rows of V (or one vector) less their part along prev
+            return V - (V @ prev.T) @ prev if k else V
 
-        best = None  # (objective, kernel, iters, converged, history)
-        for R in starts:
-            u = project(R[k])
+        U0 = np.array(project(starts[:, k:k + 1, :]))
+        for u in U0:
             nrm = np.linalg.norm(u)
-            u = _orthocomplement_vector(prev) if nrm < 1e-8 else u / nrm
-            cand = _ascend(alpha, kernel, u[None, :], opts,
-                           lambda T: _unit_row(project(T[0])),
-                           partial(_sphere_path, project))
-            if best is None or cand[0] > best[0]:
-                best = cand
-        obj, mom, iters, conv, hist = best
+            u[:] = _orthocomplement_vector(prev) if nrm < 1e-8 else u / nrm
+        obj, mom, iters, conv, hist = _best(_ascend(
+            alpha, kernel, U0, opts, partial(_sphere_step, project),
+            partial(_sphere_path, project)))
         rows.append(mom.U[0])
         iterations.append(iters)
         histories.append(hist)
@@ -303,6 +349,16 @@ def _deflation_solve(xst, alpha, opts):
     mom = kernel(np.array(rows))
     return (mom, mom.objective(alpha), iterations, all_converged,
             opts.restarts, histories)
+
+
+def _sphere_step(project, T):
+    """The fixed-point steps of a deflation stage: each row of T, kept
+    orthogonal to the rows already found, normalized.  A row that
+    vanishes has no step: its NaN loses, and the backtrack finds the
+    objective stationary."""
+    V = project(T)
+    nrm = np.sqrt(_rowdot(V, V))[..., None]
+    return V / np.where(nrm > 1e-300, nrm, np.nan), None
 
 
 def _unit_row(v):
@@ -325,34 +381,45 @@ def symmetric_pp(X, alpha, opts=None):
 
     All rows are iterated together: the stacked estimating equations T
     are mapped back to the orthogonal group by the polar decomposition
-    ``U = T (T^T T)^{-1/2}``.  The identity start runs first, followed by
-    ``opts.restarts - 1`` random orthogonal starts; the largest final
+    ``U = T (T^T T)^{-1/2}``.  The identity start and ``opts.restarts -
+    1`` random orthogonal starts ascend in lockstep; the largest final
     objective wins, ties resolved toward the earlier start.
     """
     return _fit("symmetric", X, alpha, opts, _symmetric_solve)
 
 
 def _symmetric_solve(xst, alpha, opts):
-    best = None  # (objective, kernel, iters, converged, history)
-    failures = 0
-    kernel = _moment_kernel(xst)
-    for U0 in _stage_starts(xst.shape[1], opts):
-        try:
-            cand = _ascend(alpha, kernel, U0, opts, _polar_step, _cayley_path)
-        except RankDeficient:
-            failures += 1
-            continue
-        if best is None or cand[0] > best[0]:  # ties keep the earlier start
-            best = cand
+    runs = _ascend(alpha, _moment_kernel(xst),
+                   _stage_starts(xst.shape[1], opts), opts, _polar_step,
+                   _cayley_path)
+    best = _best(runs)
     if best is None:
         raise RankDeficient(
             "estimating equations lost rank in every restart")
     obj, mom, iters, converged, hist = best
-    return mom, obj, [iters], converged, opts.restarts - failures, hist
+    return (mom, obj, [iters], converged,
+            sum(run is not None for run in runs), hist)
 
 
 def _polar_step(T):
-    return None if np.abs(T).max() < 1e-300 else polar_orthogonal(T)
+    """The symmetric fit's fixed-point steps: the polar factor of each T
+    of the stack, and the rotations whose T lost rank (or None).  A T
+    that vanishes has no step: its NaN loses, and the backtrack finds
+    the objective stationary."""
+    try:
+        return polar_orthogonal(T), None
+    except RankDeficient:
+        pass
+    # some T lost rank or vanished: step the rotations one at a time
+    U = np.full_like(T, np.nan)
+    lost = np.zeros(len(T), dtype=bool)
+    for i, T_i in enumerate(T):
+        if np.abs(T_i).max() >= 1e-300:
+            try:
+                U[i] = polar_orthogonal(T_i)
+            except RankDeficient:
+                lost[i] = True
+    return U, lost
 
 
 def _cayley_path(U, T):
@@ -478,6 +545,6 @@ def _all_cumulant_solve(xst, alpha, opts):
     if c4 is not None:
         stack.extend(c4)
         # pairs (i, j) with i < j stand in for both (i, j) and (j, i).
-        iu, ju = np.triu_indices(xst.shape[1])
+        iu, ju, _ = _pairs(xst.shape[1])
         weights.extend((1.0 - alpha) * np.where(iu == ju, 1.0, 2.0))
     return _joint_diagonalization(xst, stack, weights, opts)

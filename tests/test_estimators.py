@@ -6,7 +6,10 @@ kurtosis-only estimators, and exact invariants — whitening, objective
 monotonicity, affine equivariance, and bitwise determinism.
 """
 
+import tracemalloc
 import warnings
+from functools import partial
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -269,7 +272,8 @@ def _digest(data):
 class TestMomentKernel:
     """Every fit builds each rotation's moment kernel once: the accepted
     iterate's moments carry into the next step and the winner's into the
-    canonical form."""
+    canonical form.  A build of a stack of rotations counts once per
+    rotation."""
 
     @pytest.fixture
     def seen(self, monkeypatch):
@@ -281,7 +285,9 @@ class TestMomentKernel:
                 __slots__ = ()
 
                 def __init__(self, data, U, base=base):
-                    seen.append((_digest(data), U.shape, U.tobytes()))
+                    key = _digest(data)
+                    seen.extend((key, u.shape, u.tobytes())
+                                for u in U.reshape(-1, *U.shape[-2:]))
                     base.__init__(self, data, U)
 
             monkeypatch.setattr(estimators, name, Recording)
@@ -370,8 +376,8 @@ class TestStopping:
         X, omega = make_sample()
         monkeypatch.setattr(estimators, "polar_orthogonal",
                             lambda T: np.full_like(T, np.nan))
-        monkeypatch.setattr(estimators, "_unit_row",
-                            lambda v: np.full((1, len(v)), np.nan))
+        monkeypatch.setattr(estimators, "_sphere_step",
+                            lambda project, T: (np.full_like(T, np.nan), None))
         est = fit(X, 0.8, SolverOptions(restarts=2, seed=0))
         assert np.isfinite(est.W).all() and np.isfinite(est.objective)
         assert mdi(est.W, omega) < 0.1
@@ -382,7 +388,8 @@ class TestStopping:
         for name in ("_SourceMoments", "_TensorMoments"):
             base = getattr(estimators, name)
             monkeypatch.setattr(estimators, name, type(name, (base,), {
-                "__slots__": (), "objective": lambda self, alpha: np.nan}))
+                "__slots__": (), "objective": lambda self, alpha:
+                np.nan if self.U.ndim == 2 else [np.nan] * len(self.U)}))
         est = fit(X, 0.8, SolverOptions(restarts=2, seed=0))
         assert not est.converged
 
@@ -394,6 +401,106 @@ class TestStopping:
         kernel = estimators._moment_kernel(X)
         assert (kernel.func is _TensorMoments) == tensors
         assert isinstance(kernel(np.eye(p)), _TensorMoments) == tensors
+
+
+class TestLockstep:
+    """Each fit's restarts ascend together, one kernel build per
+    iteration; each ends where it would alone, and the best finite
+    objective wins, ties going to the earlier start."""
+
+    @staticmethod
+    def ascents(xst, rows):
+        """Both fixed-point ascents as (starts, step, path): the symmetric
+        one, and the first deflation stage (no rows found yet)."""
+        starts = estimators._stage_starts(xst.shape[1], SolverOptions(
+            restarts=5, seed=1))
+        if not rows:
+            return starts, estimators._polar_step, estimators._cayley_path
+
+        def same(V):
+            return V
+        return (starts[:, :1, :], partial(estimators._sphere_step, same),
+                partial(estimators._sphere_path, same))
+
+    @pytest.mark.parametrize("rows", [False, True], ids=["symmetric",
+                                                        "deflation"])
+    @pytest.mark.parametrize("tensors", [True, False])
+    def test_each_restart_ends_where_it_would_alone(self, rows, tensors):
+        xst = standardize(make_sample(n=3000)[0]).xst
+        kernel = (partial(_TensorMoments, _MomentTensors(xst)) if tensors
+                  else partial(_SourceMoments, xst))
+        starts, step, path = self.ascents(xst, rows)
+        runs = estimators._ascend(0.8, kernel, starts, OPTS, step, path)
+        for i, run in enumerate(runs):
+            alone = estimators._ascend(0.8, kernel, starts[i:i + 1], OPTS,
+                                       step, path)[0]
+            assert run[3] and alone[3]
+            assert run[0] == pytest.approx(alone[0], rel=1e-12)
+            assert estimators._sign_blind_row_delta(
+                run[1].U, alone[1].U) < 10 * OPTS.tol
+            np.testing.assert_allclose(run[1].h3, alone[1].h3, atol=1e-9)
+
+    def test_best_run(self):
+        nan, inf = float("nan"), float("inf")
+        best = estimators._best
+        assert best([(nan, "a"), (1.0, "b"), (2.0, "c")])[1] == "c"
+        assert best([(inf, "a"), None, (1.0, "b")])[1] == "b"
+        assert best([(1.0, "a"), (nan, "b")])[1] == "a"
+        assert best([(1.0, "a"), (1.0, "b"), (0.5, "c")])[1] == "a"
+        assert best([(nan, "a"), (nan, "b")])[1] == "a"
+        assert best([None, None]) is None
+
+    @pytest.fixture
+    def record(self, monkeypatch):
+        """The runs of each ``_ascend`` call, after ``poison`` (if set)
+        has changed them."""
+        record = SimpleNamespace(runs=[], poison=None)
+        ascend = estimators._ascend
+
+        def recording(*args):
+            runs = ascend(*args)
+            if record.poison:
+                record.poison(runs)
+            record.runs.append(runs)
+            return runs
+        monkeypatch.setattr(estimators, "_ascend", recording)
+        return record
+
+    def test_non_finite_restart_never_wins(self, record):
+        # a first restart whose objective is NaN would block every later
+        # one under "a later restart wins only if larger"
+        xst = standardize(make_sample()[0]).xst
+
+        def first_is_nan(runs):
+            runs[0] = (float("nan"),) + runs[0][1:]
+        record.poison = first_is_nan
+        mom, obj = estimators._symmetric_solve(xst, 0.8, OPTS)[:2]
+        rest = record.runs[0][1:]
+        assert obj == max(run[0] for run in rest)
+        assert mom is next(run[1] for run in rest if run[0] == obj)
+
+    def test_tie_keeps_the_earlier_start(self, record, monkeypatch):
+        xst = standardize(make_sample()[0]).xst
+        R = estimators.random_orthogonal(3, np.random.default_rng(4))
+        monkeypatch.setattr(estimators, "_stage_starts",
+                            lambda p, opts: np.array([R, R, R]))
+        mom = estimators._symmetric_solve(xst, 0.8, OPTS)[0]
+        runs = record.runs[0]
+        # restarts from one start run through the same rotations
+        assert runs[0][0] == runs[1][0] == runs[2][0]
+        assert mom is runs[0][1]
+
+    def test_row_kernel_memory_is_one_restart(self):
+        # the row path (p^3 > 4 n) reads a stack one rotation at a time:
+        # ten restarts peak no higher than one did
+        X = np.random.default_rng(30).gamma(2.0, size=(5000, 30))
+        tracemalloc.start()
+        try:
+            symmetric_pp(X, 0.8, SolverOptions(restarts=10, seed=0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12e6, f"peak {peak / 1e6:.1f} MB"
 
 
 def _recorder(calls, name, fn):
