@@ -20,10 +20,9 @@ from .distributions import (MomentProfile, SourceSpec, moment_profile,
 from .errors import (AssumptionViolated, CumicaError, CumicaWarning,
                      DegenerateObjective, IndexOutOfRange, InvalidParams,
                      InvalidSpec, MalformedInput, NearDegenerateSpectrum,
-                     NonFiniteInput,
-                     NotPositiveDefinite, NotUnit, RankDeficient,
-                     SingularCustomWhitener, SingularInput, TooManyFailures,
-                     ZeroDenominator)
+                     NonFiniteInput, NotPositiveDefinite, NotUnit,
+                     RankDeficient, SingularCustomWhitener, SingularInput,
+                     TooManyFailures, ZeroDenominator)
 from .estimators import (SolverOptions, UnmixingEstimate, all_cumulant,
                          compound_cumulant, deflation_pp, symmetric_pp)
 from .linalg import (JointDiagResult, inv_sqrt_sym, is_orthogonal,
@@ -40,8 +39,7 @@ __all__ = [
     "AssumptionViolated", "AsvTable", "ContourGrid", "CumicaError",
     "CumicaWarning", "DegenerateObjective", "IcModelSpec", "IndexOutOfRange",
     "InvalidParams", "InvalidSpec", "JointDiagResult", "MalformedInput",
-    "McResult",
-    "MomentProfile", "NearDegenerateSpectrum", "NonFiniteInput",
+    "McResult", "MomentProfile", "NearDegenerateSpectrum", "NonFiniteInput",
     "NotPositiveDefinite", "NotUnit", "RankDeficient",
     "SingularCustomWhitener", "SingularInput",
     "SolverOptions", "SourceSpec", "StandardizedSample", "TooManyFailures",

@@ -210,11 +210,14 @@ def _ascend(alpha, kernel, U0, opts, step, path):
         T_new = new.gradient(alpha)  # the next step's, taken once
         moved = []
         for i, (o, o_new) in enumerate(zip(obj, obj_new)):
+            if lost is not None and lost[i]:
+                moved.append(False)  # dropped: it neither moves nor ends
+                continue
             # changes within o's rounding are no loss (o >= 0, so ulp is
             # numpy's spacing)
             floor = 16.0 * math.ulp(o)
             ok = o_new >= o - floor
-            if not ok and (lost is None or not lost[i]):
+            if not ok:
                 back = _backtrack(alpha, kernel, o, floor,
                                   *path(mom.U[i], T[i]))
                 if back is None:  # numerically stationary: it ends here

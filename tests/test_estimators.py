@@ -490,6 +490,40 @@ class TestLockstep:
         assert runs[0][0] == runs[1][0] == runs[2][0]
         assert mom is runs[0][1]
 
+    def test_polar_step_marks_rank_loss(self):
+        # a stack with a rank-deficient T and a vanishing one: the first
+        # is lost, the second has no step (NaN, so the fit backtracks and
+        # finds it stationary), and the others step as alone
+        rng = np.random.default_rng(6)
+        T = rng.normal(size=(4, 3, 3))
+        T[1] = np.outer(rng.normal(size=3), rng.normal(size=3))
+        T[2] = 0.0
+        U, lost = estimators._polar_step(T)
+        assert lost.tolist() == [False, True, False, False]
+        assert np.isnan(U[1:3]).all()
+        for i in (0, 3):
+            assert np.array_equal(U[i], estimators.polar_orthogonal(T[i]))
+        assert estimators._polar_step(T[[0, 3]])[1] is None
+
+    def test_rank_loss_drops_the_restart(self, record, monkeypatch):
+        # a restart whose equations lose rank leaves the batch at once,
+        # even where its step would have been taken, and is not counted
+        step = estimators._polar_step
+        calls = []
+
+        def second_loses_rank(T):
+            U, lost = step(T)
+            if not calls:  # the first step of the three restarts
+                lost = np.array([False, True, False])
+            calls.append(len(T))
+            return U, lost
+        monkeypatch.setattr(estimators, "_polar_step", second_loses_rank)
+        est = symmetric_pp(make_sample()[0], 0.8, OPTS)
+        runs = record.runs[0]
+        assert runs[1] is None and runs[0] and runs[2]
+        assert est.restarts_used == 2 and est.converged
+        assert calls[0] == 3 and max(calls[1:]) <= 2
+
     def test_row_kernel_memory_is_one_restart(self):
         # the row path (p^3 > 4 n) reads a stack one rotation at a time:
         # ten restarts peak no higher than one did
