@@ -50,7 +50,7 @@ from .cumulants import (_cumulant_stacks, _MomentTensors, _pairs, _rowdot,
                         fobi_matrix, standardize)
 from .errors import (DegenerateObjective, InvalidParams,
                      NearDegenerateSpectrum, RankDeficient, _check_alpha)
-from .linalg import joint_diagonalize, polar_orthogonal, random_orthogonal, sym_eig
+from .linalg import EIG_FLOOR, joint_diagonalize, random_orthogonal, sym_eig
 
 #: Objective floor (times p) below which the estimate cannot be trusted
 #: to separate anything; triggers the DegenerateObjective warning.
@@ -364,19 +364,15 @@ def _sphere_step(project, T):
     return V / np.where(nrm > 1e-300, nrm, np.nan), None
 
 
-def _unit_row(v):
-    """``v`` normalized as a one-row rotation, or None if it vanishes."""
-    nrm = np.linalg.norm(v)
-    return (v / nrm)[None, :] if nrm > 1e-300 else None
-
-
 def _sphere_path(project, U, T):
     """Backtracking path of one deflation stage, and its slope: along the
     in-sphere gradient, kept orthogonal to the rows already found."""
     u, t_vec = U[0], project(T[0])
     d = t_vec - (u @ t_vec) * u  # tangent component; ascent direction
-    # the gradient is 2 T, and <T, d> = |d|^2 for d tangent and projected
-    return lambda t: _unit_row(project(u + t * d)), 2.0 * (d @ d)
+    # the gradient is 2 T, and <T, d> = |d|^2 for d tangent and projected;
+    # a point that vanishes is NaN, which the backtrack never accepts
+    return (lambda t: _sphere_step(project, u + t * d)[0][None],
+            2.0 * (d @ d))
 
 
 def symmetric_pp(X, alpha, opts=None):
@@ -405,24 +401,21 @@ def _symmetric_solve(xst, alpha, opts):
 
 
 def _polar_step(T):
-    """The symmetric fit's fixed-point steps: the polar factor of each T
-    of the stack, and the rotations whose T lost rank (or None).  A T
-    that vanishes has no step: its NaN loses, and the backtrack finds
-    the objective stationary."""
-    try:
-        return polar_orthogonal(T), None
-    except RankDeficient:
-        pass
-    # some T lost rank or vanished: step the rotations one at a time
-    U = np.full_like(T, np.nan)
-    lost = np.zeros(len(T), dtype=bool)
-    for i, T_i in enumerate(T):
-        if np.abs(T_i).max() >= 1e-300:
-            try:
-                U[i] = polar_orthogonal(T_i)
-            except RankDeficient:
-                lost[i] = True
-    return U, lost
+    """The symmetric fit's fixed-point steps: the polar factor P Q^T of
+    each T = P diag(sv) Q^T of the stack, from one SVD call, which
+    factors each T as it would alone; and the mask of the rotations whose
+    T lost rank, its smallest singular value at or below ``EIG_FLOOR``
+    times its largest (or None).  Their steps are NaN.  A T that vanishes
+    has no step either, but is not lost: its NaN loses, and the backtrack
+    finds the objective stationary."""
+    P, sv, Qt = np.linalg.svd(T)
+    U = P @ Qt
+    nostep = sv[:, -1] <= EIG_FLOOR * sv[:, 0]
+    if not nostep.any():
+        return U, None
+    U[nostep] = np.nan
+    lost = nostep & (np.abs(T).max(axis=(1, 2)) >= 1e-300)
+    return U, (lost if lost.any() else None)
 
 
 def _cayley_path(U, T):

@@ -263,27 +263,15 @@ def inv_sqrt_sym(S):
 
 def polar_orthogonal(T):
     """Orthogonal polar factor U = T (T^T T)^{-1/2}, computed as P Q^T from
-    the SVD T = P diag(sv) Q^T, of a square matrix or of each matrix of a
-    ``(b, p, p)`` stack.
+    the SVD T = P diag(sv) Q^T.
 
     Among all orthogonal matrices, U maximizes trace(U T^T).  Requires the
-    smallest singular value to exceed ``1e-12`` times the largest, in
-    every matrix of a stack.
+    smallest singular value to exceed ``1e-12`` times the largest.
     """
-    T = np.asarray(T, dtype=float)
-    if T.ndim != 3:
-        T = _require_square(T, "matrix")
-    elif T.shape[1] != T.shape[2]:
-        raise ValueError(f"matrices must be square, got shape {T.shape}")
-    elif not np.isfinite(T).all():
-        raise NonFiniteInput("matrices have non-finite entries")
-    P, sv, Qt = np.linalg.svd(T)
-    lost = sv[..., -1] <= EIG_FLOOR * sv[..., 0]
-    if lost.any():
-        name, sv = (("matrix", sv) if T.ndim == 2 else
-                    (f"matrices[{np.argmax(lost)}]", sv[np.argmax(lost)]))
+    P, sv, Qt = np.linalg.svd(_require_square(T, "matrix"))
+    if sv[-1] <= EIG_FLOOR * sv[0]:
         raise RankDeficient(
-            f"{name} is numerically rank deficient (singular value range "
+            f"matrix is numerically rank deficient (singular value range "
             f"[{sv[-1]:.3e}, {sv[0]:.3e}])")
     return P @ Qt
 

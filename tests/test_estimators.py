@@ -22,6 +22,7 @@ from cumica.errors import (DegenerateObjective, InvalidParams,
                            NotPositiveDefinite)
 from cumica.estimators import (SolverOptions, all_cumulant, compound_cumulant,
                                deflation_pp, symmetric_pp)
+from cumica.linalg import polar_orthogonal
 from cumica.simulation import IcModelSpec, generate_ic_sample, mdi
 from oracles import align_to, classical_fobi, classical_jade
 
@@ -374,10 +375,17 @@ class TestStopping:
         # a fixed-point step to a non-finite rotation loses; the fit
         # backtracks along the gradient instead
         X, omega = make_sample()
-        monkeypatch.setattr(estimators, "polar_orthogonal",
-                            lambda T: np.full_like(T, np.nan))
-        monkeypatch.setattr(estimators, "_sphere_step",
-                            lambda project, T: (np.full_like(T, np.nan), None))
+        sphere_step = estimators._sphere_step
+
+        def nan_sphere_step(project, T):
+            # the stacked step (b, 1, p) is NaN; the backtracking path
+            # normalizes its one-row points, (1, p), as before
+            if T.ndim == 3:
+                return np.full_like(T, np.nan), None
+            return sphere_step(project, T)
+        monkeypatch.setattr(estimators, "_polar_step",
+                            lambda T: (np.full_like(T, np.nan), None))
+        monkeypatch.setattr(estimators, "_sphere_step", nan_sphere_step)
         est = fit(X, 0.8, SolverOptions(restarts=2, seed=0))
         assert np.isfinite(est.W).all() and np.isfinite(est.objective)
         assert mdi(est.W, omega) < 0.1
@@ -502,7 +510,7 @@ class TestLockstep:
         assert lost.tolist() == [False, True, False, False]
         assert np.isnan(U[1:3]).all()
         for i in (0, 3):
-            assert np.array_equal(U[i], estimators.polar_orthogonal(T[i]))
+            assert np.array_equal(U[i], polar_orthogonal(T[i]))
         assert estimators._polar_step(T[[0, 3]])[1] is None
 
     def test_rank_loss_drops_the_restart(self, record, monkeypatch):

@@ -163,18 +163,6 @@ class TestPolar:
         with pytest.raises(NonFiniteInput):
             polar_orthogonal(np.array([[1.0, np.nan], [0.0, 1.0]]))
 
-    def test_polar_factor_of_a_stack(self):
-        # each matrix factored as it is alone; a rank-deficient one is
-        # named by its index
-        rng = np.random.default_rng(12)
-        T = rng.normal(size=(4, 5, 5))
-        U = polar_orthogonal(T)
-        for T_i, U_i in zip(T, U):
-            assert np.array_equal(U_i, polar_orthogonal(T_i))
-        T[2] = np.outer(rng.normal(size=5), rng.normal(size=5))
-        with pytest.raises(RankDeficient, match=r"^matrices\[2\] is"):
-            polar_orthogonal(T)
-
 
 class TestRandomOrthogonal:
     def test_orthogonal_and_deterministic(self):
