@@ -296,24 +296,44 @@ class _TensorMoments(_Kernel):
     ``E[y^2 x_a x_b]`` is ``v M4`` at the pair ``(a, b)``, and
     ``E[y^3 x] = E[y^2 x x^T] u``.  ``h3`` and ``m4`` are these dotted
     with ``u``, so the estimating equations come with the moments.  A
-    build costs O(k p^4) per rotation of k rows, whatever n is."""
+    build costs O(k p^4) per rotation of k rows, whatever n is.  A stack
+    is read in groups of rotations whose ``(k, p, p)`` gathers hold at
+    most ``_GATHER_ENTRIES`` entries together, so a large fit's batch of
+    restarts needs no more memory than one restart."""
 
     __slots__ = ("T3", "T4")
 
     def __init__(self, tensors, U):
         self.U = U
-        t = tensors
-        # take() gathers as indexing does, with a quarter of its overhead
-        V = U.take(t.iu, axis=-1) * U.take(t.ju, axis=-1) * t.twice
-        self.T3 = V @ t.M3
-        Q = (V @ t.M4).take(t.idx, axis=-1)
-        self.T4 = (Q @ U[..., None])[..., 0]
+        k, p = U.shape[-2:]
+        group = max(1, _GATHER_ENTRIES // (k * p * p))
+        if U.ndim == 2 or len(U) <= group:
+            self.T3, self.T4 = _tensor_equations(tensors, U)
+        else:
+            self.T3, self.T4 = (np.concatenate(a) for a in zip(*(
+                _tensor_equations(tensors, U[s:s + group])
+                for s in range(0, len(U), group))))
         self.h3 = _rowdot(self.T3, U)
         self.m4 = _rowdot(self.T4, U)
         self.h4 = self.m4 - 3.0
 
     def _equations(self):
         return self.T3, self.T4
+
+
+# The tensor kernel gathers ``E[y^2 x x^T]`` for at most this many
+# entries at a time (1 MB, the gather of one rotation at p = 50).
+_GATHER_ENTRIES = 1 << 17
+
+
+def _tensor_equations(t, U):
+    """``E[y^2 x]`` and ``E[y^3 x]`` of the rows of U, or of each
+    rotation of a stack, from the ``_MomentTensors`` t; each rotation's
+    matrix products are its own, so it reads as it would alone."""
+    # take() gathers as indexing does, with a quarter of its overhead
+    V = U.take(t.iu, axis=-1) * U.take(t.ju, axis=-1) * t.twice
+    Q = (V @ t.M4).take(t.idx, axis=-1)
+    return V @ t.M3, (Q @ U[..., None])[..., 0]
 
 
 def compound_matrices(xst):
