@@ -14,6 +14,7 @@ from functools import partial
 import numpy as np
 import pytest
 
+from cumica import cumulants
 from cumica.cumulants import (_BLOCK_ENTRIES, _cumulant_stacks,
                               _MomentTensors, _SourceMoments, _TensorMoments,
                               compound_matrices, cum3_stack, cum4_stack,
@@ -204,6 +205,25 @@ class TestSourceMoments:
                 np.testing.assert_allclose(mom.gradient(alpha),
                                            ref.gradient(alpha), rtol=1e-12,
                                            atol=1e-12)
+
+    def test_tensor_kernel_reads_a_stack_in_groups(self, monkeypatch):
+        # groups of two rotations over a stack of five give the bits of
+        # the whole stack read at once, and of each rotation alone
+        X = small_sample(seed=23, n=999, p=5)
+        tensors = _MomentTensors(X)
+        rng = np.random.default_rng(29)
+        U = np.array([random_orthogonal(5, rng) for _ in range(5)])
+        whole = _TensorMoments(tensors, U)
+        monkeypatch.setattr(cumulants, "_GATHER_ENTRIES", 2 * 5 ** 3)
+        grouped = _TensorMoments(tensors, U)
+        for name in ("h3", "m4", "h4"):
+            assert np.array_equal(getattr(grouped, name), getattr(whole, name))
+        assert np.array_equal(grouped.gradient(0.8), whole.gradient(0.8))
+        for i, U_i in enumerate(U):
+            alone = _TensorMoments(tensors, U_i)
+            assert np.array_equal(grouped.h3[i], alone.h3)
+            assert np.array_equal(grouped.gradient(0.8)[i],
+                                  alone.gradient(0.8))
 
     def test_tensors_are_the_pair_moments(self):
         X = small_sample(seed=21, n=500, p=4)
