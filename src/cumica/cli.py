@@ -93,44 +93,58 @@ def _split_sources(text):
 
 
 def _load_matrix(path):
-    """Read a data matrix: comma-separated, optional header, '#' comments."""
+    """Read a data matrix: comma-separated, '#' comments, and an optional
+    header, the first non-comment line if none of its cells is a number."""
     try:
         return np.loadtxt(path, delimiter=",", comments="#", ndmin=2)
     except ValueError:
         pass
+    header = _header_line(path)
     try:
-        return np.loadtxt(path, delimiter=",", comments="#", skiprows=1,
-                          ndmin=2)
+        if header:
+            return np.loadtxt(path, delimiter=",", comments="#",
+                              skiprows=header, ndmin=2)
     except ValueError:
-        raise _malformed(path) from None
+        pass
+    raise MalformedInput(f"{path}: not a comma-separated matrix of numbers")
 
 
-def _malformed(path):
-    """The ``MalformedInput`` naming the first cell or row past the
-    header line of the data file ``path`` that does not parse; lines and
-    columns count from 1."""
-    width = None
+def _header_line(path):
+    """The number of the header line of the data file ``path``, or 0 if
+    it has none; raises the ``MalformedInput`` naming the first other cell
+    or row that does not parse.  Lines and columns count from 1."""
+    header, width = 0, None
     with open(path, errors="replace") as fh:
-        next(fh, None)  # the header line, or a line loadtxt read above
-        for line_no, line in enumerate(fh, 2):
+        for line_no, line in enumerate(fh, 1):
             cells = line.split("#", 1)[0]
             if not cells.strip():
                 continue
             cells = cells.split(",")
+            bad = [col for col, cell in enumerate(cells, 1)
+                   if not _is_number(cell)]
+            if width is None and not header and len(bad) == len(cells):
+                header = line_no
+                continue
             if width is None:
                 width = len(cells)
             elif len(cells) != width:
-                return MalformedInput(
+                raise MalformedInput(
                     f"{path}: line {line_no}: expected {width} columns, "
                     f"got {len(cells)}")
-            for col, cell in enumerate(cells, 1):
-                try:
-                    float(cell)
-                except ValueError:
-                    return MalformedInput(
-                        f"{path}: line {line_no}, column {col}: "
-                        f"{cell.strip()!r} is not a number")
-    return MalformedInput(f"{path}: not a comma-separated matrix of numbers")
+            if bad:
+                raise MalformedInput(
+                    f"{path}: line {line_no}, column {bad[0]}: "
+                    f"{cells[bad[0] - 1].strip()!r} is not a number")
+    return header
+
+
+def _is_number(cell):
+    """Whether the CSV cell ``cell`` parses as a float."""
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
 
 
 def _write_output(text, out):

@@ -202,7 +202,11 @@ class TestUsageErrors:
          "a number"),
         ("1.5,2.5\n3.5,4.5\n5.5\n6.5,7.5\n",
          "line 3: expected 2 columns, got 1"),
-    ], ids=["non-numeric", "empty-cell", "ragged"])
+        # a first line with a number in it is data, not a header
+        ("1.5,abc\n" + "".join(f"{i % 7}.5,{i % 11}.25\n"
+                              for i in range(300)),
+         "line 1, column 2: 'abc' is not a number"),
+    ], ids=["non-numeric", "empty-cell", "ragged", "bad-first-row"])
     def test_malformed_data_exit_2(self, tmp_path, text, where):
         # one line naming the file, line and column, not a traceback
         path = tmp_path / "x.csv"
