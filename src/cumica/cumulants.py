@@ -218,9 +218,12 @@ def _rowdot(a, b):
 class _SourceMoments(_Kernel):
     """The moment kernel read from the data.  One rotation keeps ``Y``
     (not its powers), and ``E[y^2 x]`` and ``E[y^3 x]`` cost one more
-    pass over the rows when the gradient is asked for.  A stack is read
-    one rotation at a time, with its equations, and keeps no ``Y``, so
-    its memory is that of one rotation whatever the stack's size."""
+    pass over it when the gradient is asked for: most one-rotation reads
+    never ask (a rejected backtracking candidate, the final read of every
+    fit), and building them eagerly made a p = 3 jade fit 6% slower.  A
+    stack is read one rotation at a time, with its equations, and keeps
+    no ``Y``, so its memory is that of one rotation whatever the stack's
+    size."""
 
     __slots__ = ("xst", "Y", "_T")
 
@@ -284,9 +287,7 @@ class _MomentTensors:
     def __init__(self, xst):
         p = xst.shape[1]
         self.M3, self.M4 = _pair_moments(xst, True, True)
-        self.iu, self.ju, self.idx = _pairs(p)
-        # a pair i < j stands for both (i, j) and (j, i)
-        self.twice = np.where(self.iu == self.ju, 1.0, 2.0)
+        self.iu, self.ju, self.idx, self.twice = _pairs(p)
 
 
 class _TensorMoments(_Kernel):
@@ -360,15 +361,18 @@ _BLOCK_ENTRIES = 1 << 18
 @functools.lru_cache(maxsize=None)
 def _pairs(p):
     """The pairs ``i <= j`` of p indices in row-major order, as the index
-    arrays ``(iu, ju)``, and the ``(p, p)`` index of the pair ``(min(a,
-    b), max(a, b))`` among them; read-only, and built once per p, since
-    ``np.triu_indices`` costs more than a small fit's kernel build."""
+    arrays ``(iu, ju)``, the ``(p, p)`` index of the pair ``(min(a, b),
+    max(a, b))`` among them, and their weights (1 for ``i = j``, 2 for
+    ``i < j``, which stands for both ``(i, j)`` and ``(j, i)``); read-only,
+    and built once per p, since ``np.triu_indices`` costs more than a
+    small fit's kernel build."""
     iu, ju = np.triu_indices(p)
     idx = np.empty((p, p), dtype=np.intp)
     idx[iu, ju] = idx[ju, iu] = np.arange(len(iu))
-    for a in (iu, ju, idx):
+    twice = np.where(iu == ju, 1.0, 2.0)
+    for a in (iu, ju, idx, twice):
         a.flags.writeable = False
-    return iu, ju, idx
+    return iu, ju, idx, twice
 
 
 def _pair_moments(X, third, fourth):
@@ -405,7 +409,7 @@ def _cumulant_stacks(xst, third, fourth):
     X = _as_xst(xst)
     p = X.shape[1]
     M3, M4 = _pair_moments(X, third, fourth)
-    iu, ju, idx = _pairs(p)
+    iu, ju, idx, _ = _pairs(p)
     if fourth:
         S = (X.T @ X) / X.shape[0]
         G = S[iu][:, :, None] * S[ju][:, None, :]
@@ -441,7 +445,7 @@ def cum4_stack(xst):
     a few arrays of the output's size, whatever n is.
     """
     stack = _cumulant_stacks(xst, False, True)[1]
-    iu, ju, _ = _pairs(stack.shape[1])
+    iu, ju = _pairs(stack.shape[1])[:2]
     return stack, list(zip(iu.tolist(), ju.tolist()))
 
 

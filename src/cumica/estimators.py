@@ -25,17 +25,18 @@ all_cumulant
 
 Fixed-point iterations accept an update only if it does not decrease
 the sample objective by more than its rounding; when the raw update
-would, a backtracked ascent step along the Riemannian gradient is used
-instead, so the logged objective history is non-decreasing up to
-rounding.  They stop when the rotation moves less than ``tol``, or when
-no step along the gradient can gain more than rounding.  They read the
-sample through a moment kernel, on its moment tensors unless n is small
-against p^3.  A fit's restarts (a deflation stage's, for that
-estimator) ascend in lockstep: each iteration builds one kernel for the
-rows of every restart still running, each restart keeps its own rules,
-and a restart that stops leaves the batch; the largest finite objective
-wins, ties going to the earlier start.  The two diagonalization methods
-share one joint-diagonalization step.
+would, or does not exist because its equations lost rank, a backtracked
+ascent step along the Riemannian gradient is used instead, so the
+logged objective history is non-decreasing up to rounding.  They stop
+when the rotation moves less than ``tol``, or when no step along the
+gradient can gain more than rounding.  They read the sample through a
+moment kernel, on its moment tensors unless n is small against p^3.  A
+fit's restarts (a deflation stage's, for that estimator) ascend in
+lockstep: each iteration builds one kernel for the rows of every
+restart still running, each restart keeps its own rules, and a restart
+that stops leaves the batch; the largest finite objective wins, ties
+going to the earlier start.  The two diagonalization methods share one
+joint-diagonalization step.
 """
 
 import math
@@ -185,17 +186,16 @@ def _ascend(alpha, kernel, U0, opts, step, path):
     each rotation keeps the rules it would follow alone.
 
     ``step(T)`` maps the stacked estimating equations T at the current
-    rotations U to the next rotations, and to a mask of the rotations
-    whose equations lost rank (or None); those are dropped.  An update
-    that loses more than the objective's rounding, or whose objective is
-    not finite, is replaced by the first point of ``path(U[i], T[i])``
-    that does not lose (see ``_backtrack``); a loss within rounding is no
-    loss, so rounding never decides which step is taken.  A rotation has
-    converged when its sign-blind row delta falls below ``opts.tol``, or
-    when no point of its path can gain more than rounding; it then leaves
-    the batch, and its moments with it.  Returns one (obj, moments,
-    iterations, converged, objective history) per start, in order, or
-    None for a start that was dropped.
+    rotations U to the next rotations, NaN where there is no step.  An
+    update that loses more than the objective's rounding, or whose
+    objective is not finite, is replaced by the first point of
+    ``path(U[i], T[i])`` that does not lose (see ``_backtrack``); a loss
+    within rounding is no loss, so rounding never decides which step is
+    taken.  A rotation has converged when its sign-blind row delta falls
+    below ``opts.tol``, or when no point of its path can gain more than
+    rounding; it then leaves the batch, and its moments with it.  Returns
+    one (obj, moments, iterations, converged, objective history) per
+    start, in order.
     """
     runs = [None] * len(U0)
     live = list(range(len(U0)))  # the start of each rotation in the batch
@@ -204,15 +204,11 @@ def _ascend(alpha, kernel, U0, opts, step, path):
     T = mom.gradient(alpha)
     hists = [[o] for o in obj]
     for iters in range(1, opts.max_iter + 1):
-        U_new, lost = step(T)
-        new = kernel(U_new)
+        new = kernel(step(T))
         obj_new = new.objective(alpha)
         T_new = new.gradient(alpha)  # the next step's, taken once
         moved = []
         for i, (o, o_new) in enumerate(zip(obj, obj_new)):
-            if lost is not None and lost[i]:
-                moved.append(False)  # dropped: it neither moves nor ends
-                continue
             # changes within o's rounding are no loss (o >= 0, so ulp is
             # numpy's spacing)
             floor = 16.0 * math.ulp(o)
@@ -228,11 +224,10 @@ def _ascend(alpha, kernel, U0, opts, step, path):
                     new.put(i, cand)
                     T_new[i] = cand.gradient(alpha)
                     ok = True
+            if ok:
+                hists[i].append(obj_new[i])
             moved.append(ok)
         done = (_sign_blind_row_delta(new.U, mom.U) < opts.tol).tolist()
-        for hist, o, ok in zip(hists, obj_new, moved):
-            if ok:
-                hist.append(o)
         if all(moved) and not any(done):
             mom, obj, T = new, obj_new, T_new
             continue
@@ -278,15 +273,10 @@ def _backtrack(alpha, kernel, obj, floor, point, slope):
 
 
 def _best(runs):
-    """The run with the largest objective among those that finished; a
-    non-finite objective never beats a finite one, and ties keep the
-    earlier start.  None if no run finished."""
-    best = None
-    for run in runs:
-        if run is not None and (best is None or math.isfinite(run[0]) and (
-                not math.isfinite(best[0]) or run[0] > best[0])):
-            best = run
-    return best
+    """The run with the largest objective; a non-finite objective never
+    beats a finite one, and ties keep the earlier start."""
+    finite = [run for run in runs if math.isfinite(run[0])]
+    return max(finite, key=lambda run: run[0]) if finite else runs[0]
 
 
 def _stage_starts(p, opts):
@@ -361,7 +351,7 @@ def _sphere_step(project, T):
     objective stationary."""
     V = project(T)
     nrm = np.sqrt(_rowdot(V, V))[..., None]
-    return V / np.where(nrm > 1e-300, nrm, np.nan), None
+    return V / np.where(nrm > 1e-300, nrm, np.nan)
 
 
 def _sphere_path(project, U, T):
@@ -371,7 +361,7 @@ def _sphere_path(project, U, T):
     d = t_vec - (u @ t_vec) * u  # tangent component; ascent direction
     # the gradient is 2 T, and <T, d> = |d|^2 for d tangent and projected;
     # a point that vanishes is NaN, which the backtrack never accepts
-    return (lambda t: _sphere_step(project, u + t * d)[0][None],
+    return (lambda t: _sphere_step(project, u + t * d)[None],
             2.0 * (d @ d))
 
 
@@ -388,34 +378,23 @@ def symmetric_pp(X, alpha, opts=None):
 
 
 def _symmetric_solve(xst, alpha, opts):
-    runs = _ascend(alpha, _moment_kernel(xst),
-                   _stage_starts(xst.shape[1], opts), opts, _polar_step,
-                   _cayley_path)
-    best = _best(runs)
-    if best is None:
-        raise RankDeficient(
-            "estimating equations lost rank in every restart")
-    obj, mom, iters, converged, hist = best
-    return (mom, obj, [iters], converged,
-            sum(run is not None for run in runs), hist)
+    obj, mom, iters, converged, hist = _best(_ascend(
+        alpha, _moment_kernel(xst), _stage_starts(xst.shape[1], opts), opts,
+        _polar_step, _cayley_path))
+    return mom, obj, [iters], converged, opts.restarts, hist
 
 
 def _polar_step(T):
     """The symmetric fit's fixed-point steps: the polar factor P Q^T of
     each T = P diag(sv) Q^T of the stack, from one SVD call, which
-    factors each T as it would alone; and the mask of the rotations whose
-    T lost rank, its smallest singular value at or below ``EIG_FLOOR``
-    times its largest (or None).  Their steps are NaN.  A T that vanishes
-    has no step either, but is not lost: its NaN loses, and the backtrack
-    finds the objective stationary."""
+    factors each T as it would alone.  A T whose smallest singular value
+    is at or below ``EIG_FLOOR`` times its largest, one that vanishes
+    included, has no step: its NaN loses, and the fit backtracks along
+    the gradient or finds the objective stationary."""
     P, sv, Qt = np.linalg.svd(T)
     U = P @ Qt
-    nostep = sv[:, -1] <= EIG_FLOOR * sv[:, 0]
-    if not nostep.any():
-        return U, None
-    U[nostep] = np.nan
-    lost = nostep & (np.abs(T).max(axis=(1, 2)) >= 1e-300)
-    return U, (lost if lost.any() else None)
+    U[sv[:, -1] <= EIG_FLOOR * sv[:, 0]] = np.nan
+    return U
 
 
 def _cayley_path(U, T):
@@ -541,6 +520,5 @@ def _all_cumulant_solve(xst, alpha, opts):
     if c4 is not None:
         stack.extend(c4)
         # pairs (i, j) with i < j stand in for both (i, j) and (j, i).
-        iu, ju, _ = _pairs(xst.shape[1])
-        weights.extend((1.0 - alpha) * np.where(iu == ju, 1.0, 2.0))
+        weights.extend((1.0 - alpha) * _pairs(xst.shape[1])[3])
     return _joint_diagonalization(xst, stack, weights, opts)

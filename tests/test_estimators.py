@@ -381,10 +381,10 @@ class TestStopping:
             # the stacked step (b, 1, p) is NaN; the backtracking path
             # normalizes its one-row points, (1, p), as before
             if T.ndim == 3:
-                return np.full_like(T, np.nan), None
+                return np.full_like(T, np.nan)
             return sphere_step(project, T)
         monkeypatch.setattr(estimators, "_polar_step",
-                            lambda T: (np.full_like(T, np.nan), None))
+                            lambda T: np.full_like(T, np.nan))
         monkeypatch.setattr(estimators, "_sphere_step", nan_sphere_step)
         est = fit(X, 0.8, SolverOptions(restarts=2, seed=0))
         assert np.isfinite(est.W).all() and np.isfinite(est.objective)
@@ -452,11 +452,10 @@ class TestLockstep:
         nan, inf = float("nan"), float("inf")
         best = estimators._best
         assert best([(nan, "a"), (1.0, "b"), (2.0, "c")])[1] == "c"
-        assert best([(inf, "a"), None, (1.0, "b")])[1] == "b"
+        assert best([(inf, "a"), (1.0, "b")])[1] == "b"
         assert best([(1.0, "a"), (nan, "b")])[1] == "a"
         assert best([(1.0, "a"), (1.0, "b"), (0.5, "c")])[1] == "a"
         assert best([(nan, "a"), (nan, "b")])[1] == "a"
-        assert best([None, None]) is None
 
     @pytest.fixture
     def record(self, monkeypatch):
@@ -499,38 +498,47 @@ class TestLockstep:
         assert mom is runs[0][1]
 
     def test_polar_step_marks_rank_loss(self):
-        # a stack with a rank-deficient T and a vanishing one: the first
-        # is lost, the second has no step (NaN, so the fit backtracks and
-        # finds it stationary), and the others step as alone
+        # a stack with a rank-deficient T and a vanishing one: neither has
+        # a step (NaN, so the fit backtracks along the gradient or finds
+        # the objective stationary), and the others step as alone
         rng = np.random.default_rng(6)
         T = rng.normal(size=(4, 3, 3))
         T[1] = np.outer(rng.normal(size=3), rng.normal(size=3))
         T[2] = 0.0
-        U, lost = estimators._polar_step(T)
-        assert lost.tolist() == [False, True, False, False]
+        U = estimators._polar_step(T)
         assert np.isnan(U[1:3]).all()
         for i in (0, 3):
             assert np.array_equal(U[i], polar_orthogonal(T[i]))
-        assert estimators._polar_step(T[[0, 3]])[1] is None
 
-    def test_rank_loss_drops_the_restart(self, record, monkeypatch):
-        # a restart whose equations lose rank leaves the batch at once,
-        # even where its step would have been taken, and is not counted
-        step = estimators._polar_step
-        calls = []
+    def test_missing_step_backtracks(self, record, monkeypatch):
+        # a restart with no step stays in the batch and backtracks along
+        # the gradient, and every restart is counted
+        step, path = estimators._polar_step, estimators._cayley_path
+        events = []
 
-        def second_loses_rank(T):
-            U, lost = step(T)
-            if not calls:  # the first step of the three restarts
-                lost = np.array([False, True, False])
-            calls.append(len(T))
-            return U, lost
-        monkeypatch.setattr(estimators, "_polar_step", second_loses_rank)
-        est = symmetric_pp(make_sample()[0], 0.8, OPTS)
-        runs = record.runs[0]
-        assert runs[1] is None and runs[0] and runs[2]
-        assert est.restarts_used == 2 and est.converged
-        assert calls[0] == 3 and max(calls[1:]) <= 2
+        def second_has_none(T):
+            U = step(T)
+            if not events:  # the first step of the three restarts
+                U[1] = np.nan
+            events.append(("step", len(T)))
+            return U
+
+        def recording_path(U, T):
+            events.append(("path", U))
+            return path(U, T)
+        monkeypatch.setattr(estimators, "_polar_step", second_has_none)
+        monkeypatch.setattr(estimators, "_cayley_path", recording_path)
+        X = make_sample()[0]
+        est = symmetric_pp(X, 0.8, OPTS)
+        # the first iteration backtracks from the second start, and the
+        # next step is still taken for all three restarts
+        second = next(i for i, e in enumerate(events) if i and e[0] == "step")
+        assert events[second] == ("step", 3)
+        start = estimators._stage_starts(X.shape[1], OPTS)[1]
+        assert any(np.array_equal(U, start) for _, U in events[1:second])
+        assert all(np.isfinite(run[0]) for run in record.runs[0])
+        assert np.isfinite(est.W).all() and np.isfinite(est.objective)
+        assert est.restarts_used == 3 and est.converged
 
     def test_row_kernel_memory_is_one_restart(self):
         # the row path (p^3 > 4 n) reads a stack one rotation at a time:
