@@ -20,8 +20,13 @@ Souloumiac 1993).  Both kernels read a stack of rotations in one build,
 each rotation independently of the others.  One accumulator,
 ``_pair_moments``, serves the tensors and the cumulant stacks: it sums
 the third and fourth moments of the pair products ``x_i x_j`` over row
-blocks of a fixed number of entries, filling each block once, so their
-memory is one block plus the output whatever n is.
+blocks, filling each block once.  Every pass over the sample walks the
+same row blocks of a fixed number of entries (``_row_blocks``): the pair
+moments, the whitening of ``standardize``'s one centered copy in place,
+the FOBI and compound scatters, and ``_BlockMoments``, the moments-only
+read that ends a diagonalization fit.  Their memory is a few blocks plus
+the output whatever n is, and where the sample fits in one block they run
+exactly the unblocked operations.
 """
 
 import functools
@@ -100,7 +105,12 @@ def standardize(X, whitener="symmetric"):
         raise NotPositiveDefinite(
             f"sample covariance is singular: {n} observations of {p} "
             f"variables (need more observations than variables)")
-    mean = X.mean(axis=0)
+    # einsum adds C-ordered rows as .mean(axis=0) does, without its
+    # strided reduction; other layouts, and one column, reduce as before
+    if X.flags.c_contiguous and p > 1:
+        mean = np.einsum("ij->j", X) / n
+    else:
+        mean = X.mean(axis=0)
     # a NaN or inf makes its column mean non-finite, so finite data cost
     # no full scan
     if not np.isfinite(mean).all():
@@ -116,7 +126,8 @@ def standardize(X, whitener="symmetric"):
     if len(const):
         raise NotPositiveDefinite(
             f"sample covariance is singular: column {const[0]} is constant")
-    Xc = X - mean
+    # the one sample-sized copy: centered here, whitened in place below
+    Xc = np.subtract(X, mean, order="C")
     S = (Xc.T @ Xc) / n
 
     if not custom:
@@ -134,7 +145,12 @@ def standardize(X, whitener="symmetric"):
         except NotPositiveDefinite as exc:
             raise SingularCustomWhitener(
                 "custom whitener is rank deficient on this sample") from exc
-    return StandardizedSample(xst=Xc @ G.T, mean=mean, whitener=G)
+    # a contiguous right operand gives the same product by a faster path;
+    # the symmetric whitener is its own transpose
+    Gt = np.ascontiguousarray(G.T) if custom else G
+    for b in _row_blocks(n, p):
+        Xc[b] = Xc[b] @ Gt
+    return StandardizedSample(xst=Xc, mean=mean, whitener=G)
 
 
 def _as_xst(xst):
@@ -162,7 +178,7 @@ def projection_cumulants(xst, u, tol=1e-10):
     nrm = np.linalg.norm(u)
     if abs(nrm - 1.0) > tol:
         raise NotUnit(f"projection direction has norm {nrm!r}, expected 1")
-    mom = _SourceMoments(X, u[None, :])
+    mom = _BlockMoments(X, u[None, :])
     return float(mom.h3[0]), float(mom.h4[0])
 
 
@@ -232,8 +248,10 @@ class _SourceMoments(_Kernel):
         if U.ndim == 2:
             # a contiguous right operand gives the same product by a
             # faster path
-            self.Y = Y = xst @ np.ascontiguousarray(U.T)
-            _, self.h3, self.m4 = _column_moments(Y)
+            self.Y = xst @ np.ascontiguousarray(U.T)
+            n = xst.shape[0]
+            s3, s4 = _power_sums(self.Y)[1]
+            self.h3, self.m4 = s3 / n, s4 / n
             self._T = None
         else:
             self.Y = None
@@ -249,13 +267,16 @@ class _SourceMoments(_Kernel):
         return _row_equations(self.xst, self.Y, self.Y * self.Y)
 
 
-def _column_moments(Y):
-    """``Y^2`` and the third and fourth moments of the columns of Y."""
-    n = Y.shape[0]
+def _power_sums(Y, high=False):
+    """``Y^2`` and the column sums of ``Y^3`` and ``Y^4``, and of ``Y^6``
+    and ``Y^8`` if ``high``."""
     Y2 = Y * Y
     # einsum adds the rows without an (n, k) temporary
-    return (Y2, np.einsum("ij,ij->j", Y2, Y) / n,
-            np.einsum("ij,ij->j", Y2, Y2) / n)
+    sums = [np.einsum("ij,ij->j", Y2, Y), np.einsum("ij,ij->j", Y2, Y2)]
+    if high:
+        sums += [np.einsum("ij,ij,ij->j", Y2, Y2, Y2),
+                 np.einsum("ij,ij,ij,ij->j", Y2, Y2, Y2, Y2)]
+    return Y2, sums
 
 
 def _row_equations(xst, Y, Y2):
@@ -270,9 +291,33 @@ def _row_equations(xst, Y, Y2):
 def _rotation_moments(xst, U):
     """``h3``, ``m4``, ``E[y^2 x]`` and ``E[y^3 x]`` of one rotation U,
     keeping nothing the size of the sample."""
+    n = xst.shape[0]
     Y = xst @ np.ascontiguousarray(U.T)
-    Y2, h3, m4 = _column_moments(Y)
-    return (h3, m4, *_row_equations(xst, Y, Y2))
+    Y2, (s3, s4) = _power_sums(Y)
+    return (s3 / n, s4 / n, *_row_equations(xst, Y, Y2))
+
+
+class _BlockMoments:
+    """The moments ``h3``, ``m4`` and ``h4`` of the sources ``Y = xst @
+    U.T`` of one rotation U, and their sixth and eighth moments ``m6``
+    and ``m8`` if ``high`` (else None), without the estimating equations:
+    the read of a fit that needs no more.  The power sums are added over
+    row blocks of xst, so no more than a block of Y is held; one block
+    (``n p <= _BLOCK_ENTRIES``) runs exactly the operations of
+    ``_SourceMoments``."""
+
+    __slots__ = ("U", "n", "h3", "m4", "h4", "m6", "m8")
+
+    def __init__(self, xst, U, high=False):
+        self.U = U
+        self.n, p = xst.shape
+        Ut = np.ascontiguousarray(U.T)
+        sums = np.zeros((4 if high else 2, len(U)))
+        for b in _row_blocks(self.n, p):
+            sums += _power_sums(xst[b] @ Ut, high)[1]
+        self.h3, self.m4, *rest = sums / self.n
+        self.m6, self.m8 = rest or (None, None)
+        self.h4 = self.m4 - 3.0
 
 
 class _MomentTensors:
@@ -345,17 +390,25 @@ def compound_matrices(xst):
     2 S^2`` (the FOBI scatter minus its Gaussian part; Miettinen,
     Taskinen, Nordhausen & Oja 2015), each symmetrized once."""
     X = _as_xst(xst)
-    n = X.shape[0]
-    S = (X.T @ X) / n
-    C3 = (X * X.sum(axis=1)[:, None]).T @ X / n
+    S = (X.T @ X) / X.shape[0]
+    C3 = _scatter(X, lambda Xb: Xb.sum(axis=1))
     C4 = fobi_matrix(X) - np.trace(S) * S - 2.0 * (S @ S)
     return (C3 + C3.T) / 2.0, (C4 + C4.T) / 2.0
 
 
-# A row block of pair products holds this many entries, so its row count
-# depends only on p (never on threads, machine or environment) and the
-# stacks are summed in the same order everywhere.
+# A row block holds this many entries, so its row count depends only on
+# n and its width (never on threads, machine or environment) and every
+# blocked sum adds its blocks in the same order everywhere.
 _BLOCK_ENTRIES = 1 << 18
+
+
+def _row_blocks(n, width):
+    """Slices of n rows in blocks of ``_BLOCK_ENTRIES // width`` rows (at
+    least one), so a block of ``width`` columns holds at most
+    ``_BLOCK_ENTRIES`` entries; all rows are one block where ``n * width
+    <= _BLOCK_ENTRIES``."""
+    rows = max(1, _BLOCK_ENTRIES // width)
+    return [slice(r0, min(r0 + rows, n)) for r0 in range(0, n, rows)]
 
 
 @functools.lru_cache(maxsize=None)
@@ -383,12 +436,12 @@ def _pair_moments(X, third, fourth):
     rows is written into one buffer once and its products summed."""
     n, p = X.shape
     m = p * (p + 1) // 2
-    rows = max(1, _BLOCK_ENTRIES // m)
-    buf = np.empty((min(rows, n), m))
+    blocks = _row_blocks(n, m)
+    buf = np.empty((blocks[0].stop if blocks else 0, m))
     acc3 = np.zeros((m, p)) if third else None
     acc4 = np.zeros((m, m)) if fourth else None
-    for r0 in range(0, n, rows):
-        Xb = X[r0:r0 + rows]
+    for b in blocks:
+        Xb = X[b]
         Zb = buf[:len(Xb)]
         for i in range(p):
             c = i * p - i * (i - 1) // 2
@@ -450,8 +503,19 @@ def cum4_stack(xst):
 
 
 def fobi_matrix(xst):
-    """The kurtosis-weighted scatter ``mean(||x||^2 x x^T)``."""
-    X = _as_xst(xst)
-    n = X.shape[0]
-    r2 = (X * X).sum(axis=1)
-    return (X * r2[:, None]).T @ X / n
+    """The kurtosis-weighted scatter ``mean(||x||^2 x x^T)``, summed over
+    row blocks."""
+    return _scatter(_as_xst(xst), lambda Xb: (Xb * Xb).sum(axis=1))
+
+
+def _scatter(X, weight):
+    """The weighted scatter ``mean(w x x^T)`` of the rows x of X, with the
+    weights ``w = weight(Xb)`` of each row block Xb, summed block by block
+    so that no temporary is larger than a block."""
+    n, p = X.shape
+    acc = np.zeros((p, p))
+    for b in _row_blocks(n, p):
+        Xb = X[b]
+        acc += (Xb * weight(Xb)[:, None]).T @ Xb
+    acc /= n
+    return acc

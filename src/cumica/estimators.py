@@ -46,9 +46,9 @@ from functools import partial
 
 import numpy as np
 
-from .cumulants import (_cumulant_stacks, _MomentTensors, _pairs, _rowdot,
-                        _SourceMoments, _TensorMoments, compound_matrices,
-                        fobi_matrix, standardize)
+from .cumulants import (_BlockMoments, _cumulant_stacks, _MomentTensors,
+                        _pairs, _rowdot, _SourceMoments, _TensorMoments,
+                        compound_matrices, fobi_matrix, standardize)
 from .errors import (DegenerateObjective, InvalidParams,
                      NearDegenerateSpectrum, RankDeficient, _check_alpha)
 from .linalg import EIG_FLOOR, joint_diagonalize, random_orthogonal, sym_eig
@@ -420,13 +420,13 @@ def _cayley_path(U, T):
 
 def _spectrum_warning(alpha, mom):
     """Warn when the eigenvalue gaps identifying the rotation behind the
-    moment kernel ``mom`` are within sampling noise (three standard
-    errors) of zero for some pair."""
-    n, p = mom.Y.shape
+    moments ``mom`` (a ``_BlockMoments`` read with its sixth and eighth
+    moments) are within sampling noise (three standard errors) of zero
+    for some pair."""
+    n, p = mom.n, len(mom.h3)
     g, k4, m4 = mom.h3, mom.h4, mom.m4
-    Y2 = mom.Y * mom.Y
-    var3 = np.einsum("ij,ij,ij->j", Y2, Y2, Y2) / n - g * g
-    var4 = np.einsum("ij,ij,ij,ij->j", Y2, Y2, Y2, Y2) / n - m4 * m4
+    var3 = mom.m6 - g * g
+    var4 = mom.m8 - m4 * m4
     se3 = np.sqrt(np.maximum(var3, 0.0) / n)
     se4 = np.sqrt(np.maximum(var4, 0.0) / n)
     a, b = np.triu_indices(p, 1)
@@ -444,13 +444,14 @@ def _spectrum_warning(alpha, mom):
             f"reliably identified", NearDegenerateSpectrum, stacklevel=5)
 
 
-def _joint_diagonalization(xst, stack, weights, opts):
+def _joint_diagonalization(xst, stack, weights, opts, high=False):
     """The solve of both diagonalization methods: jointly diagonalize
-    the positive-weight matrices of ``stack``."""
+    the positive-weight matrices of ``stack``, then read the moments of
+    the rotation (with the sixth and eighth if ``high``)."""
     mats, w = zip(*((A, w) for A, w in zip(stack, weights) if w > 0.0))
     res = joint_diagonalize(mats, weights=w, tol=min(opts.tol, 1e-10),
                             max_sweeps=max(opts.max_iter, 100))
-    return (_SourceMoments(xst, res.U), res.objective, [res.sweeps],
+    return (_BlockMoments(xst, res.U, high), res.objective, [res.sweeps],
             res.converged, 1, res.objective_history)
 
 
@@ -495,7 +496,7 @@ def _pilot_unmixing(standardizer, X, alpha, opts):
 
 def _compound_solve(xst, alpha, opts):
     fit = _joint_diagonalization(xst, compound_matrices(xst),
-                                 (alpha, 1.0 - alpha), opts)
+                                 (alpha, 1.0 - alpha), opts, high=True)
     _spectrum_warning(alpha, fit[0])
     return fit
 

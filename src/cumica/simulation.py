@@ -17,7 +17,6 @@ import math
 import os
 import time
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -504,6 +503,8 @@ def monte_carlo_experiment(model, method, alpha, n, replications,
 
     threads = min(resolve_threads(threads), replications)
     if threads > 1:
+        # the pool's modules load only for a run that uses them
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=threads) as pool:
             outcomes = list(pool.map(_run_replication, jobs, chunksize=8))
     else:

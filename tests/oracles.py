@@ -213,6 +213,25 @@ def cum4_matrix(X, i, j):
 
 
 # ---------------------------------------------------------------------------
+# standardization, written out row by row
+# ---------------------------------------------------------------------------
+
+def standardize_rows(X, G):
+    """The standardization by the whitener G written out: the column
+    means summed row by row, the centered sample's covariance ``S`` (from
+    which the symmetric whitener is ``inv_sqrt_sym(S)``), and the whole
+    centered sample mapped in one product.  Returns ``(mean, S, xst)``."""
+    X = np.asarray(X, dtype=float)
+    n = X.shape[0]
+    total = np.zeros(X.shape[1])
+    for row in X:
+        total += row
+    mean = total / n
+    Xc = X - mean
+    return mean, Xc.T @ Xc / n, Xc @ G.T
+
+
+# ---------------------------------------------------------------------------
 # classical FOBI and JADE, coded the textbook way with numpy.linalg
 # ---------------------------------------------------------------------------
 

@@ -15,16 +15,36 @@ import numpy as np
 import pytest
 
 from cumica import cumulants
-from cumica.cumulants import (_BLOCK_ENTRIES, _cumulant_stacks,
-                              _MomentTensors, _SourceMoments, _TensorMoments,
+from cumica.cumulants import (_BLOCK_ENTRIES, _BlockMoments,
+                              _cumulant_stacks, _MomentTensors,
+                              _SourceMoments, _TensorMoments,
                               compound_matrices, cum3_stack, cum4_stack,
                               fobi_matrix, projection_cumulants, sample_cov,
                               standardize)
 from cumica.distributions import sample_source
 from cumica.errors import (NotPositiveDefinite, NotUnit,
                            SingularCustomWhitener)
-from cumica.linalg import random_orthogonal
-from oracles import cum3_matrix, cum4_matrix
+from cumica.linalg import inv_sqrt_sym, random_orthogonal
+from oracles import cum3_matrix, cum4_matrix, standardize_rows
+
+EPS = np.finfo(float).eps
+
+
+def blocked_rows(p):
+    """A row count spanning three full row blocks of p columns and part
+    of a fourth."""
+    return 3 * (_BLOCK_ENTRIES // p) + 11
+
+
+def within_summation_error(got, terms, axis=0):
+    """Whether ``got`` is the mean of ``terms`` along ``axis`` to within a
+    regrouped sum's rounding: for n terms that grows as ``sqrt(n) eps``
+    times their mean magnitude, here with a margin of 8, fixed before any
+    blocked sum was measured."""
+    n = terms.shape[axis]
+    ref = terms.sum(axis=axis) / n
+    scale = np.abs(terms).sum(axis=axis) / n
+    return np.all(np.abs(got - ref) <= 8.0 * np.sqrt(n) * EPS * scale)
 
 
 def small_sample(seed=0, n=300, p=3):
@@ -59,6 +79,29 @@ class TestStandardize:
         X = rng.normal(size=(400, 3)) @ rng.normal(size=(3, 3))
         G = standardize(X).whitener
         np.testing.assert_allclose(G, G.T, atol=1e-12)
+
+    def test_mean_is_numpy_mean(self):
+        # far above numpy's 8192-element reduction buffer, in each layout
+        rng = np.random.default_rng(31)
+        for p in (1, 2, 3, 10):
+            X = rng.gamma(2.0, size=(50_000, p)) * 10.0 + 3.0
+            for data in (X, np.asfortranarray(X), X[::2]):
+                assert np.array_equal(standardize(data).mean,
+                                      data.mean(axis=0))
+
+    @pytest.mark.parametrize("p", [4, 10])
+    def test_blocks_give_the_loop_reference_bits(self, p):
+        rng = np.random.default_rng(p)
+        X = (rng.gamma(2.0, size=(blocked_rows(p), p))
+             @ rng.normal(size=(p, p)) + 5.0)
+        W0 = rng.normal(size=(p, p)) + 3.0 * np.eye(p)
+        for whitener in ("symmetric", W0):
+            st = standardize(X, whitener=whitener)
+            mean, S, xst = standardize_rows(X, st.whitener)
+            assert np.array_equal(st.mean, mean)
+            assert np.array_equal(st.xst, xst)
+            if isinstance(whitener, str):
+                assert np.array_equal(st.whitener, inv_sqrt_sym(S))
 
     def test_custom_whitener_also_whitens(self):
         rng = np.random.default_rng(3)
@@ -281,6 +324,32 @@ class TestSourceMoments:
                       - _SourceMoments(X, U - E).objective(0.6)) / (2 * eps)
                 assert fd == pytest.approx(G[i, j], rel=1e-6, abs=1e-8)
 
+    def test_one_block_read_is_the_kernel_bits(self):
+        # n p <= _BLOCK_ENTRIES: one block, and the row kernel's operations
+        X = small_sample(seed=13)
+        n = X.shape[0]
+        for U in self.rotations():
+            read, kernel = _BlockMoments(X, U, True), _SourceMoments(X, U)
+            for name in ("h3", "m4", "h4"):
+                assert np.array_equal(getattr(read, name),
+                                      getattr(kernel, name))
+            Y2 = kernel.Y * kernel.Y
+            assert np.array_equal(
+                read.m6, np.einsum("ij,ij,ij->j", Y2, Y2, Y2) / n)
+            assert np.array_equal(
+                read.m8, np.einsum("ij,ij,ij,ij->j", Y2, Y2, Y2, Y2) / n)
+            assert _BlockMoments(X, U).m6 is None
+
+    def test_blocked_read_matches_the_unblocked_moments(self):
+        p = 5
+        X = small_sample(seed=43, n=blocked_rows(p), p=p)
+        U = random_orthogonal(p, np.random.default_rng(44))
+        read = _BlockMoments(X, U, True)
+        Y = X @ U.T
+        for name, power in (("h3", 3), ("m4", 4), ("m6", 6), ("m8", 8)):
+            assert within_summation_error(getattr(read, name), Y ** power)
+        assert np.array_equal(read.h4, read.m4 - 3.0)
+
     def test_projection_cumulants_read_the_kernel(self):
         X = small_sample(seed=17)
         for U in self.rotations():
@@ -292,6 +361,37 @@ class TestSourceMoments:
 
 
 class TestCumulantMatrices:
+    @staticmethod
+    def unblocked(X):
+        """The FOBI scatter, C3 and C4 in one product each over all rows."""
+        n = X.shape[0]
+        S = X.T @ X / n
+        F = (X * (X * X).sum(axis=1)[:, None]).T @ X / n
+        C3 = (X * X.sum(axis=1)[:, None]).T @ X / n
+        C4 = F - np.trace(S) * S - 2.0 * (S @ S)
+        return F, (C3 + C3.T) / 2.0, (C4 + C4.T) / 2.0
+
+    def test_one_block_scatters_are_the_unblocked_bits(self):
+        X = small_sample(seed=37, n=1000, p=4)
+        F, C3, C4 = self.unblocked(X)
+        assert np.array_equal(fobi_matrix(X), F)
+        got3, got4 = compound_matrices(X)
+        assert np.array_equal(got3, C3) and np.array_equal(got4, C4)
+
+    def test_blocked_scatters_match_the_unblocked_formulas(self):
+        p = 6
+        X = small_sample(seed=41, n=blocked_rows(p), p=p)
+        F, C3, C4 = self.unblocked(X)
+        r2 = (X * X).sum(axis=1)
+        fobi_terms = X[:, :, None] * X[:, None, :] * r2[:, None, None]
+        assert within_summation_error(fobi_matrix(X), fobi_terms)
+        got3, got4 = compound_matrices(X)
+        c3_terms = X[:, :, None] * X[:, None, :] * X.sum(axis=1)[:, None, None]
+        assert within_summation_error(got3, c3_terms)
+        # C4 differs from the unblocked one only through the FOBI scatter
+        scale = np.abs(fobi_terms).mean(axis=0)
+        assert np.all(np.abs(got4 - C4)
+                      <= 8.0 * np.sqrt(len(X)) * EPS * scale)
     def test_cum3_matches_bruteforce(self):
         X = small_sample(seed=7)
         T = np.einsum("ri,ra,rb->iab", X, X, X) / X.shape[0]
@@ -355,6 +455,31 @@ class TestCumulantMatrices:
             assert abs(C4[i, i] - kappa) < 0.5
             off = C3 - np.diag(np.diag(C3))
             assert np.abs(off).max() < 0.1
+
+
+class TestRowBlockMemory:
+    """The blocked steps hold the stated number of sample-sized arrays and
+    a few row blocks of ``_BLOCK_ENTRIES`` floats, whatever n is; each
+    allowance counts the blocks that can be live at once, plus one."""
+
+    @pytest.mark.parametrize("step,copies,blocks", [
+        (standardize, 1, 2),  # the centered copy; a block's product
+        (fobi_matrix, 0, 2),  # a block's weighted copy
+        (compound_matrices, 0, 2),
+        # a block of Y and of Y^2
+        (lambda X: _BlockMoments(X, np.eye(X.shape[1]), True), 0, 3)],
+        ids=["standardize", "fobi_matrix", "compound_matrices", "read"])
+    def test_peak_is_bounded(self, step, copies, blocks):
+        X = np.random.default_rng(47).normal(size=(blocked_rows(10), 10))
+        bound = copies * X.nbytes + blocks * 8 * _BLOCK_ENTRIES
+        tracemalloc.start()
+        try:
+            step(X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound, (f"peak {peak / 1e6:.2f} MB, bound "
+                               f"{bound / 1e6:.2f} MB")
 
 
 def _rows_per_block(p):

@@ -15,8 +15,9 @@ import numpy as np
 import pytest
 
 from cumica import estimators
-from cumica.cumulants import (_MomentTensors, _SourceMoments,
-                              _TensorMoments, sample_cov, standardize)
+from cumica.cumulants import (_BLOCK_ENTRIES, _BlockMoments, _MomentTensors,
+                              _SourceMoments, _TensorMoments, sample_cov,
+                              standardize)
 from cumica.errors import (DegenerateObjective, InvalidParams,
                            NearDegenerateSpectrum, NonFiniteInput,
                            NotPositiveDefinite)
@@ -206,7 +207,7 @@ class TestDiagnostics:
         model = IcModelSpec(sources=("gamma:2", "gamma:2", "gamma:8",
                                      "gamma:8", "ep:4"))
         X, _, _ = generate_ic_sample(model, 3000, np.random.default_rng(9))
-        mom = _SourceMoments(X, np.eye(5))
+        mom = _BlockMoments(X, np.eye(5), True)
         Y, alpha = X, 0.4
         n, p = Y.shape
         se3 = [np.sqrt(max(np.mean(y ** 6) - np.mean(y ** 3) ** 2, 0) / n)
@@ -271,25 +272,26 @@ def _digest(data):
 
 
 class TestMomentKernel:
-    """Every fit builds each rotation's moment kernel once: the accepted
-    iterate's moments carry into the next step and the winner's into the
-    canonical form.  A build of a stack of rotations counts once per
+    """Every fit reads each rotation's moments once: the accepted
+    iterate's kernel carries into the next step and the winner's into the
+    canonical form, and a diagonalization fit reads its rotation once, by
+    row blocks.  A build of a stack of rotations counts once per
     rotation."""
 
     @pytest.fixture
     def seen(self, monkeypatch):
         seen = []
-        for name in ("_SourceMoments", "_TensorMoments"):
+        for name in ("_SourceMoments", "_TensorMoments", "_BlockMoments"):
             base = getattr(estimators, name)
 
             class Recording(base):
                 __slots__ = ()
 
-                def __init__(self, data, U, base=base):
+                def __init__(self, data, U, *args, base=base):
                     key = _digest(data)
                     seen.extend((key, u.shape, u.tobytes())
                                 for u in U.reshape(-1, *U.shape[-2:]))
-                    base.__init__(self, data, U)
+                    base.__init__(self, data, U, *args)
 
             monkeypatch.setattr(estimators, name, Recording)
         return seen
@@ -551,6 +553,33 @@ class TestLockstep:
         finally:
             tracemalloc.stop()
         assert peak <= 12e6, f"peak {peak / 1e6:.1f} MB"
+
+
+class TestMemory:
+    """A diagonalization fit holds its data, one whitened copy and a few
+    row blocks, whatever n is."""
+
+    @pytest.mark.filterwarnings(
+        "ignore::cumica.errors.NearDegenerateSpectrum")
+    @pytest.mark.parametrize("fit", [
+        all_cumulant, partial(compound_cumulant, standardizer="fobi"),
+        compound_cumulant], ids=["all_cumulant", "compound-fobi",
+                                 "compound-symmetric"])
+    def test_peak_is_one_copy_and_a_few_blocks(self, fit):
+        p = 10
+        n = 3 * (_BLOCK_ENTRIES // p) + 1000  # three row blocks and more
+        X, _ = make_sample(TestMomentKernel.P10, n, 3)
+        # the whitened copy; at most two blocks are live at once (Y and
+        # Y^2 in the final read), and one more is allowed
+        bound = X.nbytes + 3 * 8 * _BLOCK_ENTRIES
+        tracemalloc.start()
+        try:
+            fit(X, 0.8, opts=SolverOptions(restarts=2, seed=0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound, (f"peak {peak / 1e6:.2f} MB, bound "
+                               f"{bound / 1e6:.2f} MB")
 
 
 def _recorder(calls, name, fn):
