@@ -105,12 +105,7 @@ def standardize(X, whitener="symmetric"):
         raise NotPositiveDefinite(
             f"sample covariance is singular: {n} observations of {p} "
             f"variables (need more observations than variables)")
-    # einsum adds C-ordered rows as .mean(axis=0) does, without its
-    # strided reduction; other layouts, and one column, reduce as before
-    if X.flags.c_contiguous and p > 1:
-        mean = np.einsum("ij->j", X) / n
-    else:
-        mean = X.mean(axis=0)
+    mean = X.mean(axis=0)
     # a NaN or inf makes its column mean non-finite, so finite data cost
     # no full scan
     if not np.isfinite(mean).all():
@@ -267,16 +262,11 @@ class _SourceMoments(_Kernel):
         return _row_equations(self.xst, self.Y, self.Y * self.Y)
 
 
-def _power_sums(Y, high=False):
-    """``Y^2`` and the column sums of ``Y^3`` and ``Y^4``, and of ``Y^6``
-    and ``Y^8`` if ``high``."""
+def _power_sums(Y):
+    """``Y^2`` and the column sums of ``Y^3`` and ``Y^4``."""
     Y2 = Y * Y
     # einsum adds the rows without an (n, k) temporary
-    sums = [np.einsum("ij,ij->j", Y2, Y), np.einsum("ij,ij->j", Y2, Y2)]
-    if high:
-        sums += [np.einsum("ij,ij,ij->j", Y2, Y2, Y2),
-                 np.einsum("ij,ij,ij,ij->j", Y2, Y2, Y2, Y2)]
-    return Y2, sums
+    return Y2, [np.einsum("ij,ij->j", Y2, Y), np.einsum("ij,ij->j", Y2, Y2)]
 
 
 def _row_equations(xst, Y, Y2):
@@ -300,23 +290,25 @@ def _rotation_moments(xst, U):
 class _BlockMoments:
     """The moments ``h3``, ``m4`` and ``h4`` of the sources ``Y = xst @
     U.T`` of one rotation U, and their sixth and eighth moments ``m6``
-    and ``m8`` if ``high`` (else None), without the estimating equations:
-    the read of a fit that needs no more.  The power sums are added over
+    and ``m8``, without the estimating equations: the read of a fit that
+    needs no more.  The power sums are added over
     row blocks of xst, so no more than a block of Y is held; one block
     (``n p <= _BLOCK_ENTRIES``) runs exactly the operations of
     ``_SourceMoments``."""
 
     __slots__ = ("U", "n", "h3", "m4", "h4", "m6", "m8")
 
-    def __init__(self, xst, U, high=False):
+    def __init__(self, xst, U):
         self.U = U
         self.n, p = xst.shape
         Ut = np.ascontiguousarray(U.T)
-        sums = np.zeros((4 if high else 2, len(U)))
+        sums = np.zeros((4, len(U)))
         for b in _row_blocks(self.n, p):
-            sums += _power_sums(xst[b] @ Ut, high)[1]
-        self.h3, self.m4, *rest = sums / self.n
-        self.m6, self.m8 = rest or (None, None)
+            Y2, s34 = _power_sums(xst[b] @ Ut)
+            sums += [*s34, np.einsum("ij,ij,ij->j", Y2, Y2, Y2),
+                     np.einsum("ij,ij,ij,ij->j", Y2, Y2, Y2, Y2)]
+            del Y2  # freed before the next block's Y is formed
+        self.h3, self.m4, self.m6, self.m8 = sums / self.n
         self.h4 = self.m4 - 3.0
 
 

@@ -420,9 +420,8 @@ def _cayley_path(U, T):
 
 def _spectrum_warning(alpha, mom):
     """Warn when the eigenvalue gaps identifying the rotation behind the
-    moments ``mom`` (a ``_BlockMoments`` read with its sixth and eighth
-    moments) are within sampling noise (three standard errors) of zero
-    for some pair."""
+    moments ``mom`` (a ``_BlockMoments`` read) are within sampling noise
+    (three standard errors) of zero for some pair."""
     n, p = mom.n, len(mom.h3)
     g, k4, m4 = mom.h3, mom.h4, mom.m4
     var3 = mom.m6 - g * g
@@ -444,14 +443,14 @@ def _spectrum_warning(alpha, mom):
             f"reliably identified", NearDegenerateSpectrum, stacklevel=5)
 
 
-def _joint_diagonalization(xst, stack, weights, opts, high=False):
+def _joint_diagonalization(xst, stack, weights, opts):
     """The solve of both diagonalization methods: jointly diagonalize
     the positive-weight matrices of ``stack``, then read the moments of
-    the rotation (with the sixth and eighth if ``high``)."""
+    the rotation."""
     mats, w = zip(*((A, w) for A, w in zip(stack, weights) if w > 0.0))
     res = joint_diagonalize(mats, weights=w, tol=min(opts.tol, 1e-10),
                             max_sweeps=max(opts.max_iter, 100))
-    return (_BlockMoments(xst, res.U, high), res.objective, [res.sweeps],
+    return (_BlockMoments(xst, res.U), res.objective, [res.sweeps],
             res.converged, 1, res.objective_history)
 
 
@@ -496,7 +495,7 @@ def _pilot_unmixing(standardizer, X, alpha, opts):
 
 def _compound_solve(xst, alpha, opts):
     fit = _joint_diagonalization(xst, compound_matrices(xst),
-                                 (alpha, 1.0 - alpha), opts, high=True)
+                                 (alpha, 1.0 - alpha), opts)
     _spectrum_warning(alpha, fit[0])
     return fit
 

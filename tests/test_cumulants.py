@@ -329,7 +329,7 @@ class TestSourceMoments:
         X = small_sample(seed=13)
         n = X.shape[0]
         for U in self.rotations():
-            read, kernel = _BlockMoments(X, U, True), _SourceMoments(X, U)
+            read, kernel = _BlockMoments(X, U), _SourceMoments(X, U)
             for name in ("h3", "m4", "h4"):
                 assert np.array_equal(getattr(read, name),
                                       getattr(kernel, name))
@@ -338,13 +338,12 @@ class TestSourceMoments:
                 read.m6, np.einsum("ij,ij,ij->j", Y2, Y2, Y2) / n)
             assert np.array_equal(
                 read.m8, np.einsum("ij,ij,ij,ij->j", Y2, Y2, Y2, Y2) / n)
-            assert _BlockMoments(X, U).m6 is None
 
     def test_blocked_read_matches_the_unblocked_moments(self):
         p = 5
         X = small_sample(seed=43, n=blocked_rows(p), p=p)
         U = random_orthogonal(p, np.random.default_rng(44))
-        read = _BlockMoments(X, U, True)
+        read = _BlockMoments(X, U)
         Y = X @ U.T
         for name, power in (("h3", 3), ("m4", 4), ("m6", 6), ("m8", 8)):
             assert within_summation_error(getattr(read, name), Y ** power)
@@ -467,7 +466,7 @@ class TestRowBlockMemory:
         (fobi_matrix, 0, 2),  # a block's weighted copy
         (compound_matrices, 0, 2),
         # a block of Y and of Y^2
-        (lambda X: _BlockMoments(X, np.eye(X.shape[1]), True), 0, 3)],
+        (lambda X: _BlockMoments(X, np.eye(X.shape[1])), 0, 3)],
         ids=["standardize", "fobi_matrix", "compound_matrices", "read"])
     def test_peak_is_bounded(self, step, copies, blocks):
         X = np.random.default_rng(47).normal(size=(blocked_rows(10), 10))

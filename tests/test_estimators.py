@@ -207,7 +207,7 @@ class TestDiagnostics:
         model = IcModelSpec(sources=("gamma:2", "gamma:2", "gamma:8",
                                      "gamma:8", "ep:4"))
         X, _, _ = generate_ic_sample(model, 3000, np.random.default_rng(9))
-        mom = _BlockMoments(X, np.eye(5), True)
+        mom = _BlockMoments(X, np.eye(5))
         Y, alpha = X, 0.4
         n, p = Y.shape
         se3 = [np.sqrt(max(np.mean(y ** 6) - np.mean(y ** 3) ** 2, 0) / n)
@@ -287,11 +287,11 @@ class TestMomentKernel:
             class Recording(base):
                 __slots__ = ()
 
-                def __init__(self, data, U, *args, base=base):
+                def __init__(self, data, U, base=base):
                     key = _digest(data)
                     seen.extend((key, u.shape, u.tobytes())
                                 for u in U.reshape(-1, *U.shape[-2:]))
-                    base.__init__(self, data, U, *args)
+                    base.__init__(self, data, U)
 
             monkeypatch.setattr(estimators, name, Recording)
         return seen
