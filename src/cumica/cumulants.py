@@ -24,7 +24,8 @@ blocks, filling each block once.  Every pass over the sample walks the
 same row blocks of a fixed number of entries (``_row_blocks``): the pair
 moments, the whitening of ``standardize``'s one centered copy in place,
 the FOBI and compound scatters, and ``_BlockMoments``, the moments-only
-read that ends a diagonalization fit.  Their memory is a few blocks plus
+read that ends a diagonalization fit (with ``_high_moments`` for the
+compound fit's spectrum check).  Their memory is a few blocks plus
 the output whatever n is, and where the sample fits in one block they run
 exactly the unblocked operations.
 """
@@ -289,27 +290,39 @@ def _rotation_moments(xst, U):
 
 class _BlockMoments:
     """The moments ``h3``, ``m4`` and ``h4`` of the sources ``Y = xst @
-    U.T`` of one rotation U, and their sixth and eighth moments ``m6``
-    and ``m8``, without the estimating equations: the read of a fit that
-    needs no more.  The power sums are added over
-    row blocks of xst, so no more than a block of Y is held; one block
+    U.T`` of one rotation U, without the estimating equations: the read
+    of a fit that needs no more.  The power sums are added over row
+    blocks of xst, so no more than a block of Y is held; one block
     (``n p <= _BLOCK_ENTRIES``) runs exactly the operations of
     ``_SourceMoments``."""
 
-    __slots__ = ("U", "n", "h3", "m4", "h4", "m6", "m8")
+    __slots__ = ("U", "n", "h3", "m4", "h4")
 
     def __init__(self, xst, U):
         self.U = U
         self.n, p = xst.shape
         Ut = np.ascontiguousarray(U.T)
-        sums = np.zeros((4, len(U)))
+        sums = np.zeros((2, len(U)))
         for b in _row_blocks(self.n, p):
-            Y2, s34 = _power_sums(xst[b] @ Ut)
-            sums += [*s34, np.einsum("ij,ij,ij->j", Y2, Y2, Y2),
-                     np.einsum("ij,ij,ij,ij->j", Y2, Y2, Y2, Y2)]
-            del Y2  # freed before the next block's Y is formed
-        self.h3, self.m4, self.m6, self.m8 = sums / self.n
+            sums += _power_sums(xst[b] @ Ut)[1]
+        self.h3, self.m4 = sums / self.n
         self.h4 = self.m4 - 3.0
+
+
+def _high_moments(xst, U):
+    """The sixth and eighth moments ``m6`` and ``m8`` of the sources ``Y
+    = xst @ U.T``, added over row blocks as ``_BlockMoments`` adds the
+    third and fourth.  Only the compound fit's spectrum check needs
+    them, so the other reads skip their two slow four-way sums."""
+    n, p = xst.shape
+    Ut = np.ascontiguousarray(U.T)
+    sums = np.zeros((2, len(U)))
+    for b in _row_blocks(n, p):
+        Y2 = xst[b] @ Ut
+        Y2 *= Y2
+        sums += [np.einsum("ij,ij,ij->j", Y2, Y2, Y2),
+                 np.einsum("ij,ij,ij,ij->j", Y2, Y2, Y2, Y2)]
+    return sums / n
 
 
 class _MomentTensors:

@@ -46,9 +46,10 @@ from functools import partial
 
 import numpy as np
 
-from .cumulants import (_BlockMoments, _cumulant_stacks, _MomentTensors,
-                        _pairs, _rowdot, _SourceMoments, _TensorMoments,
-                        compound_matrices, fobi_matrix, standardize)
+from .cumulants import (_BlockMoments, _cumulant_stacks, _high_moments,
+                        _MomentTensors, _pairs, _rowdot, _SourceMoments,
+                        _TensorMoments, compound_matrices, fobi_matrix,
+                        standardize)
 from .errors import (DegenerateObjective, InvalidParams,
                      NearDegenerateSpectrum, RankDeficient, _check_alpha)
 from .linalg import EIG_FLOOR, joint_diagonalize, random_orthogonal, sym_eig
@@ -418,14 +419,15 @@ def _cayley_path(U, T):
     return point, 0.5 * float(np.sum(A * A))
 
 
-def _spectrum_warning(alpha, mom):
+def _spectrum_warning(alpha, xst, mom):
     """Warn when the eigenvalue gaps identifying the rotation behind the
-    moments ``mom`` (a ``_BlockMoments`` read) are within sampling noise
-    (three standard errors) of zero for some pair."""
+    moments ``mom`` (a ``_BlockMoments`` read of ``xst``) are within
+    sampling noise (three standard errors) of zero for some pair."""
     n, p = mom.n, len(mom.h3)
     g, k4, m4 = mom.h3, mom.h4, mom.m4
-    var3 = mom.m6 - g * g
-    var4 = mom.m8 - m4 * m4
+    m6, m8 = _high_moments(xst, mom.U)
+    var3 = m6 - g * g
+    var4 = m8 - m4 * m4
     se3 = np.sqrt(np.maximum(var3, 0.0) / n)
     se4 = np.sqrt(np.maximum(var4, 0.0) / n)
     a, b = np.triu_indices(p, 1)
@@ -496,7 +498,7 @@ def _pilot_unmixing(standardizer, X, alpha, opts):
 def _compound_solve(xst, alpha, opts):
     fit = _joint_diagonalization(xst, compound_matrices(xst),
                                  (alpha, 1.0 - alpha), opts)
-    _spectrum_warning(alpha, fit[0])
+    _spectrum_warning(alpha, xst, fit[0])
     return fit
 
 

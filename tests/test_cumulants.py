@@ -16,7 +16,7 @@ import pytest
 
 from cumica import cumulants
 from cumica.cumulants import (_BLOCK_ENTRIES, _BlockMoments,
-                              _cumulant_stacks, _MomentTensors,
+                              _cumulant_stacks, _high_moments, _MomentTensors,
                               _SourceMoments, _TensorMoments,
                               compound_matrices, cum3_stack, cum4_stack,
                               fobi_matrix, projection_cumulants, sample_cov,
@@ -334,19 +334,21 @@ class TestSourceMoments:
                 assert np.array_equal(getattr(read, name),
                                       getattr(kernel, name))
             Y2 = kernel.Y * kernel.Y
+            m6, m8 = _high_moments(X, U)
             assert np.array_equal(
-                read.m6, np.einsum("ij,ij,ij->j", Y2, Y2, Y2) / n)
+                m6, np.einsum("ij,ij,ij->j", Y2, Y2, Y2) / n)
             assert np.array_equal(
-                read.m8, np.einsum("ij,ij,ij,ij->j", Y2, Y2, Y2, Y2) / n)
+                m8, np.einsum("ij,ij,ij,ij->j", Y2, Y2, Y2, Y2) / n)
 
     def test_blocked_read_matches_the_unblocked_moments(self):
         p = 5
         X = small_sample(seed=43, n=blocked_rows(p), p=p)
         U = random_orthogonal(p, np.random.default_rng(44))
         read = _BlockMoments(X, U)
+        m6, m8 = _high_moments(X, U)
         Y = X @ U.T
-        for name, power in (("h3", 3), ("m4", 4), ("m6", 6), ("m8", 8)):
-            assert within_summation_error(getattr(read, name), Y ** power)
+        for m, power in ((read.h3, 3), (read.m4, 4), (m6, 6), (m8, 8)):
+            assert within_summation_error(m, Y ** power)
         assert np.array_equal(read.h4, read.m4 - 3.0)
 
     def test_projection_cumulants_read_the_kernel(self):
@@ -466,8 +468,11 @@ class TestRowBlockMemory:
         (fobi_matrix, 0, 2),  # a block's weighted copy
         (compound_matrices, 0, 2),
         # a block of Y and of Y^2
-        (lambda X: _BlockMoments(X, np.eye(X.shape[1])), 0, 3)],
-        ids=["standardize", "fobi_matrix", "compound_matrices", "read"])
+        (lambda X: _BlockMoments(X, np.eye(X.shape[1])), 0, 3),
+        # the last block's Y^2 while the next block's is formed
+        (lambda X: _high_moments(X, np.eye(X.shape[1])), 0, 3)],
+        ids=["standardize", "fobi_matrix", "compound_matrices", "read",
+             "high_read"])
     def test_peak_is_bounded(self, step, copies, blocks):
         X = np.random.default_rng(47).normal(size=(blocked_rows(10), 10))
         bound = copies * X.nbytes + blocks * 8 * _BLOCK_ENTRIES

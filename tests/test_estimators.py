@@ -221,7 +221,7 @@ class TestDiagnostics:
                       + (1 - alpha) * (se4[a] ** 2 + se4[b] ** 2))]
         assert ref and len(ref) < p * (p - 1) // 2
         with pytest.warns(NearDegenerateSpectrum) as rec:
-            estimators._spectrum_warning(alpha, mom)
+            estimators._spectrum_warning(alpha, X, mom)
         assert f"pair(s) {ref} are" in str(rec[0].message)
 
     @pytest.mark.parametrize("fit", [deflation_pp, symmetric_pp,
