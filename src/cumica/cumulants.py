@@ -11,23 +11,23 @@ The fixed-point estimators read the candidate sources ``Y = xst @ U.T``
 of a rotation U through a moment kernel: their skewness, excess
 kurtosis, projection index and estimating equations ``E[y^2 x]`` and
 ``E[y^3 x]`` (the fixed-point form of Hyvarinen 1999; Miettinen,
-Taskinen, Nordhausen & Oja 2015).  ``_SourceMoments`` reads them from
-the rows, at O(n p k) per rotation of k rows.  They are multilinear in U,
-so ``_TensorMoments`` reads them instead from the sample moment tensors
-``E[x x x]`` and ``E[x x x x]``, formed once per sample, at O(k p^4)
-per rotation whatever n is; JADE works the same way (Cardoso &
-Souloumiac 1993).  Both kernels read a stack of rotations in one build,
-each rotation independently of the others.  One accumulator,
-``_pair_moments``, serves the tensors and the cumulant stacks: it sums
-the third and fourth moments of the pair products ``x_i x_j`` over row
-blocks, filling each block once.  Every pass over the sample walks the
-same row blocks of a fixed number of entries (``_row_blocks``): the pair
-moments, the whitening of ``standardize``'s one centered copy in place,
-the FOBI and compound scatters, and ``_BlockMoments``, the moments-only
-read that ends a diagonalization fit (with ``_high_moments`` for the
-compound fit's spectrum check).  Their memory is a few blocks plus
-the output whatever n is, and where the sample fits in one block they run
-exactly the unblocked operations.
+Taskinen, Nordhausen & Oja 2015).  ``_RowMoments`` reads them from the
+rows, at O(n p k) per rotation of k rows; it also ends every
+diagonalization fit.  They are multilinear in U, so ``_TensorMoments``
+reads them instead from the sample moment tensors ``E[x x x]`` and
+``E[x x x x]``, formed once per sample, at O(k p^4) per rotation
+whatever n is; JADE works the same way (Cardoso & Souloumiac 1993).
+Both kernels read a stack of rotations in one build, each rotation
+independently of the others.  One accumulator, ``_pair_moments``,
+serves the tensors and the cumulant stacks: it sums the third and
+fourth moments of the pair products ``x_i x_j`` over row blocks,
+filling each block once.  Every pass over the sample walks the same row
+blocks of a fixed number of entries (``_row_blocks``): the pair moments,
+the whitening of ``standardize``'s one centered copy in place, the FOBI
+and compound scatters, and ``_row_sums``, the one reader of the rows
+behind ``_RowMoments`` and the compound fit's spectrum check.  Their
+memory is a few blocks plus the output whatever n is, and where the
+sample fits in one block they run exactly the unblocked operations.
 """
 
 import functools
@@ -172,9 +172,10 @@ def projection_cumulants(xst, u, tol=1e-10):
     if u.shape[0] != X.shape[1]:
         raise ValueError(f"u has length {u.shape[0]}, expected {X.shape[1]}")
     nrm = np.linalg.norm(u)
-    if abs(nrm - 1.0) > tol:
+    # written so that a NaN norm fails too
+    if not abs(nrm - 1.0) <= tol:
         raise NotUnit(f"projection direction has norm {nrm!r}, expected 1")
-    mom = _BlockMoments(X, u[None, :])
+    mom = _RowMoments(X, u[None, :])
     return float(mom.h3[0]), float(mom.h4[0])
 
 
@@ -227,102 +228,66 @@ def _rowdot(a, b):
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
-class _SourceMoments(_Kernel):
-    """The moment kernel read from the data.  One rotation keeps ``Y``
-    (not its powers), and ``E[y^2 x]`` and ``E[y^3 x]`` cost one more
-    pass over it when the gradient is asked for: most one-rotation reads
-    never ask (a rejected backtracking candidate, the final read of every
-    fit), and building them eagerly made a p = 3 jade fit 6% slower.  A
-    stack is read one rotation at a time, with its equations, and keeps
-    no ``Y``, so its memory is that of one rotation whatever the stack's
-    size."""
+class _RowMoments(_Kernel):
+    """The moment kernel read from the rows by ``_row_sums``, so it holds
+    no more than a row block of Y whatever n is.  A stack is read one
+    rotation at a time, equations included.  One rotation is read
+    without its equations, and a second pass adds them only if
+    ``gradient`` asks: that lets the reads that never ask (the final read
+    of a diagonalization fit, ``projection_cumulants``, a rejected
+    backtracking candidate) share this kernel at the cost of one pass."""
 
-    __slots__ = ("xst", "Y", "_T")
+    __slots__ = ("xst", "_T")
 
     def __init__(self, xst, U):
         self.U, self.xst = U, xst
         if U.ndim == 2:
-            # a contiguous right operand gives the same product by a
-            # faster path
-            self.Y = xst @ np.ascontiguousarray(U.T)
-            n = xst.shape[0]
-            s3, s4 = _power_sums(self.Y)[1]
-            self.h3, self.m4 = s3 / n, s4 / n
+            self.h3, self.m4 = _row_sums(xst, U)
             self._T = None
         else:
-            self.Y = None
-            self.h3, self.m4, T3, T4 = (
-                np.array(a) for a in zip(*(_rotation_moments(xst, u)
+            self.h3, self.m4, *self._T = (
+                np.array(a) for a in zip(*(_row_sums(xst, u, "equations")
                                            for u in U)))
-            self._T = T3, T4
         self.h4 = self.m4 - 3.0
 
     def _equations(self):
-        if self._T is not None:
-            return self._T
-        return _row_equations(self.xst, self.Y, self.Y * self.Y)
+        if self._T is None:
+            self._T = _row_sums(self.xst, self.U, "equations")[2:]
+        return self._T
 
 
-def _power_sums(Y):
-    """``Y^2`` and the column sums of ``Y^3`` and ``Y^4``."""
-    Y2 = Y * Y
-    # einsum adds the rows without an (n, k) temporary
-    return Y2, [np.einsum("ij,ij->j", Y2, Y), np.einsum("ij,ij->j", Y2, Y2)]
-
-
-def _row_equations(xst, Y, Y2):
-    """``E[y^2 x]`` and ``E[y^3 x]`` from ``Y`` and ``Y^2``, which is
-    overwritten by ``Y^3``."""
-    n = xst.shape[0]
-    T3 = Y2.T @ xst / n
-    Y2 *= Y
-    return T3, Y2.T @ xst / n
-
-
-def _rotation_moments(xst, U):
-    """``h3``, ``m4``, ``E[y^2 x]`` and ``E[y^3 x]`` of one rotation U,
-    keeping nothing the size of the sample."""
-    n = xst.shape[0]
-    Y = xst @ np.ascontiguousarray(U.T)
-    Y2, (s3, s4) = _power_sums(Y)
-    return (s3 / n, s4 / n, *_row_equations(xst, Y, Y2))
-
-
-class _BlockMoments:
-    """The moments ``h3``, ``m4`` and ``h4`` of the sources ``Y = xst @
-    U.T`` of one rotation U, without the estimating equations: the read
-    of a fit that needs no more.  The power sums are added over row
-    blocks of xst, so no more than a block of Y is held; one block
-    (``n p <= _BLOCK_ENTRIES``) runs exactly the operations of
-    ``_SourceMoments``."""
-
-    __slots__ = ("U", "n", "h3", "m4", "h4")
-
-    def __init__(self, xst, U):
-        self.U = U
-        self.n, p = xst.shape
-        Ut = np.ascontiguousarray(U.T)
-        sums = np.zeros((2, len(U)))
-        for b in _row_blocks(self.n, p):
-            sums += _power_sums(xst[b] @ Ut)[1]
-        self.h3, self.m4 = sums / self.n
-        self.h4 = self.m4 - 3.0
-
-
-def _high_moments(xst, U):
-    """The sixth and eighth moments ``m6`` and ``m8`` of the sources ``Y
-    = xst @ U.T``, added over row blocks as ``_BlockMoments`` adds the
-    third and fourth.  Only the compound fit's spectrum check needs
-    them, so the other reads skip their two slow four-way sums."""
+def _row_sums(xst, U, read="moments"):
+    """``[E[y^3], E[y^4]]`` of the sources ``Y = xst @ U.T`` of one
+    rotation U, followed by ``E[y^2 x]`` and ``E[y^3 x]`` if ``read`` is
+    "equations"; ``[E[y^6], E[y^8]]`` alone if it is "high", since only
+    the compound fit's spectrum check needs those slow four-way sums.
+    The sums are added over row blocks, so no more than a block of Y and
+    of its powers is held; one block (``n p <= _BLOCK_ENTRIES``) runs the
+    unblocked operations."""
     n, p = xst.shape
+    # a contiguous right operand gives the same product by a faster path
     Ut = np.ascontiguousarray(U.T)
-    sums = np.zeros((2, len(U)))
+    sums = None
     for b in _row_blocks(n, p):
-        Y2 = xst[b] @ Ut
-        Y2 *= Y2
-        sums += [np.einsum("ij,ij,ij->j", Y2, Y2, Y2),
-                 np.einsum("ij,ij,ij,ij->j", Y2, Y2, Y2, Y2)]
-    return sums / n
+        Xb = xst[b]
+        Y = Xb @ Ut
+        # in place where no odd power is read: a second block-sized array
+        # costs more in page faults than the product itself
+        Y2 = np.multiply(Y, Y, out=Y if read == "high" else None)
+        # einsum adds the rows without a temporary of the block's size
+        if read == "high":
+            part = [np.einsum("ij,ij,ij->j", Y2, Y2, Y2),
+                    np.einsum("ij,ij,ij,ij->j", Y2, Y2, Y2, Y2)]
+        else:
+            part = [np.einsum("ij,ij->j", Y2, Y),
+                    np.einsum("ij,ij->j", Y2, Y2)]
+        if read == "equations":
+            part.append(Y2.T @ Xb)
+            Y2 *= Y
+            part.append(Y2.T @ Xb)
+        del Y, Y2  # so the next block's are not formed beside them
+        sums = part if sums is None else [a + s for a, s in zip(sums, part)]
+    return [a / n for a in sums]
 
 
 class _MomentTensors:
@@ -411,9 +376,9 @@ def _row_blocks(n, width):
     """Slices of n rows in blocks of ``_BLOCK_ENTRIES // width`` rows (at
     least one), so a block of ``width`` columns holds at most
     ``_BLOCK_ENTRIES`` entries; all rows are one block where ``n * width
-    <= _BLOCK_ENTRIES``."""
+    <= _BLOCK_ENTRIES``, an empty one where n = 0."""
     rows = max(1, _BLOCK_ENTRIES // width)
-    return [slice(r0, min(r0 + rows, n)) for r0 in range(0, n, rows)]
+    return [slice(r0, min(r0 + rows, n)) for r0 in range(0, max(n, 1), rows)]
 
 
 @functools.lru_cache(maxsize=None)
@@ -442,7 +407,7 @@ def _pair_moments(X, third, fourth):
     n, p = X.shape
     m = p * (p + 1) // 2
     blocks = _row_blocks(n, m)
-    buf = np.empty((blocks[0].stop if blocks else 0, m))
+    buf = np.empty((blocks[0].stop, m))
     acc3 = np.zeros((m, p)) if third else None
     acc4 = np.zeros((m, m)) if fourth else None
     for b in blocks:

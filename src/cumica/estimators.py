@@ -46,10 +46,9 @@ from functools import partial
 
 import numpy as np
 
-from .cumulants import (_BlockMoments, _cumulant_stacks, _high_moments,
-                        _MomentTensors, _pairs, _rowdot, _SourceMoments,
-                        _TensorMoments, compound_matrices, fobi_matrix,
-                        standardize)
+from .cumulants import (_cumulant_stacks, _MomentTensors, _pairs, _row_sums,
+                        _rowdot, _RowMoments, _TensorMoments,
+                        compound_matrices, fobi_matrix, standardize)
 from .errors import (DegenerateObjective, InvalidParams,
                      NearDegenerateSpectrum, RankDeficient, _check_alpha)
 from .linalg import EIG_FLOOR, joint_diagonalize, random_orthogonal, sym_eig
@@ -98,7 +97,7 @@ class UnmixingEstimate:
     objective : float
         Final sample objective.
     restarts_used : int
-        Number of restarts that ran to completion.
+        ``opts.restarts`` for the fixed-point fits, 1 for the others.
     objective_history : object
         Accepted-iterate objective values: an array for single-loop
         methods, a list of per-row arrays for the deflation estimator.
@@ -168,16 +167,16 @@ def _sign_blind_row_delta(U_new, U_old):
 
 def _moment_kernel(xst):
     """The moment kernel ``U -> kernel`` of the fixed-point solvers on the
-    standardized sample ``xst``: on its moment tensors where ``p^3 <=
-    4 n``, on the rows otherwise.  There a tensor build is no slower
-    than a pass over the rows (measured at p = 10 to 50: 1.5x faster or
-    more for p rows, 1.06x or more for one; below p = 10 both take tens
-    of microseconds), and the tensors' ``p^4 / 4`` floats are no more
-    than the ``n p`` of the sample itself."""
+    standardized sample ``xst``: ``_TensorMoments`` where ``p^3 <= 4 n``,
+    ``_RowMoments`` otherwise.  There a tensor build is no slower than a
+    pass over the rows (measured at p = 10 to 50: 1.5x faster or more
+    for p rows, 1.06x or more for one; below p = 10 both take tens of
+    microseconds), and the tensors' ``p^4 / 4`` floats are no more than
+    the ``n p`` of the sample itself."""
     n, p = xst.shape
     if p ** 3 <= 4 * n:
         return partial(_TensorMoments, _MomentTensors(xst))
-    return partial(_SourceMoments, xst)
+    return partial(_RowMoments, xst)
 
 
 def _ascend(alpha, kernel, U0, opts, step, path):
@@ -421,11 +420,12 @@ def _cayley_path(U, T):
 
 def _spectrum_warning(alpha, xst, mom):
     """Warn when the eigenvalue gaps identifying the rotation behind the
-    moments ``mom`` (a ``_BlockMoments`` read of ``xst``) are within
-    sampling noise (three standard errors) of zero for some pair."""
-    n, p = mom.n, len(mom.h3)
+    moments ``mom`` (a ``_RowMoments`` read of ``xst``) are within
+    sampling noise (three standard errors, from a ``_row_sums`` read of
+    the sixth and eighth moments) of zero for some pair."""
+    n, p = xst.shape
     g, k4, m4 = mom.h3, mom.h4, mom.m4
-    m6, m8 = _high_moments(xst, mom.U)
+    m6, m8 = _row_sums(xst, mom.U, "high")
     var3 = m6 - g * g
     var4 = m8 - m4 * m4
     se3 = np.sqrt(np.maximum(var3, 0.0) / n)
@@ -452,7 +452,7 @@ def _joint_diagonalization(xst, stack, weights, opts):
     mats, w = zip(*((A, w) for A, w in zip(stack, weights) if w > 0.0))
     res = joint_diagonalize(mats, weights=w, tol=min(opts.tol, 1e-10),
                             max_sweeps=max(opts.max_iter, 100))
-    return (_BlockMoments(xst, res.U), res.objective, [res.sweeps],
+    return (_RowMoments(xst, res.U), res.objective, [res.sweeps],
             res.converged, 1, res.objective_history)
 
 

@@ -15,12 +15,11 @@ import numpy as np
 import pytest
 
 from cumica import cumulants
-from cumica.cumulants import (_BLOCK_ENTRIES, _BlockMoments,
-                              _cumulant_stacks, _high_moments, _MomentTensors,
-                              _SourceMoments, _TensorMoments,
-                              compound_matrices, cum3_stack, cum4_stack,
-                              fobi_matrix, projection_cumulants, sample_cov,
-                              standardize)
+from cumica.cumulants import (_BLOCK_ENTRIES, _cumulant_stacks,
+                              _MomentTensors, _row_sums, _RowMoments,
+                              _TensorMoments, compound_matrices, cum3_stack,
+                              cum4_stack, fobi_matrix, projection_cumulants,
+                              sample_cov, standardize)
 from cumica.distributions import sample_source
 from cumica.errors import (NotPositiveDefinite, NotUnit,
                            SingularCustomWhitener)
@@ -185,8 +184,9 @@ class TestProjectionCumulants:
 
     def test_rejects_non_unit(self):
         X = small_sample()
-        with pytest.raises(NotUnit):
-            projection_cumulants(X, np.array([1.0, 1.0, 0.0]))
+        for u in ([1.0, 1.0, 0.0], [np.nan, 0.0, 0.0], [np.inf, 0.0, 0.0]):
+            with pytest.raises(NotUnit):
+                projection_cumulants(X, np.array(u))
 
 
 class TestSourceMoments:
@@ -203,7 +203,7 @@ class TestSourceMoments:
     @staticmethod
     def kernels(X):
         """Both kernels of the sample X, as ``U -> kernel``."""
-        return (partial(_SourceMoments, X),
+        return (partial(_RowMoments, X),
                 partial(_TensorMoments, _MomentTensors(X)))
 
     def test_matches_written_out_moments(self):
@@ -238,7 +238,7 @@ class TestSourceMoments:
         rng = np.random.default_rng(17)
         for _ in range(3):
             U = random_orthogonal(5, rng)[:rows]
-            ref, mom = _SourceMoments(X, U), _TensorMoments(tensors, U)
+            ref, mom = _RowMoments(X, U), _TensorMoments(tensors, U)
             for name in ("h3", "m4", "h4"):
                 np.testing.assert_allclose(getattr(mom, name),
                                            getattr(ref, name), rtol=1e-12)
@@ -299,42 +299,40 @@ class TestSourceMoments:
         assert peak <= bound, (f"tensor setup peak {peak / 1e6:.1f} MB, "
                                f"bound {bound / 1e6:.1f} MB")
 
-    def test_memory_is_y_and_its_square(self):
-        X = np.random.default_rng(20).normal(size=(100_000, 10))
-        U = random_orthogonal(10, np.random.default_rng(21))
-        tracemalloc.start()
-        try:
-            mom = _SourceMoments(X, U)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 2.2 * mom.Y.nbytes, (
-            f"kernel peak is {peak / mom.Y.nbytes:.2f} x Y")
-
     def test_gradient_is_half_the_euclidean_gradient(self):
         X = small_sample(seed=14)
         U = random_orthogonal(3, np.random.default_rng(16))
-        G = 2.0 * _SourceMoments(X, U).gradient(0.6)
+        G = 2.0 * _RowMoments(X, U).gradient(0.6)
         eps = 1e-6
         for i in range(3):
             for j in range(3):
                 E = np.zeros((3, 3))
                 E[i, j] = eps
-                fd = (_SourceMoments(X, U + E).objective(0.6)
-                      - _SourceMoments(X, U - E).objective(0.6)) / (2 * eps)
+                fd = (_RowMoments(X, U + E).objective(0.6)
+                      - _RowMoments(X, U - E).objective(0.6)) / (2 * eps)
                 assert fd == pytest.approx(G[i, j], rel=1e-6, abs=1e-8)
 
     def test_one_block_read_is_the_kernel_bits(self):
-        # n p <= _BLOCK_ENTRIES: one block, and the row kernel's operations
+        # n p <= _BLOCK_ENTRIES: one block, and the operations on all of Y
         X = small_sample(seed=13)
         n = X.shape[0]
         for U in self.rotations():
-            read, kernel = _BlockMoments(X, U), _SourceMoments(X, U)
-            for name in ("h3", "m4", "h4"):
-                assert np.array_equal(getattr(read, name),
-                                      getattr(kernel, name))
-            Y2 = kernel.Y * kernel.Y
-            m6, m8 = _high_moments(X, U)
+            Y = X @ np.ascontiguousarray(U.T)
+            Y2 = Y * Y
+            Y3 = Y2 * Y
+            ref = [np.einsum("ij,ij->j", Y2, Y) / n,
+                   np.einsum("ij,ij->j", Y2, Y2) / n,
+                   Y2.T @ X / n, Y3.T @ X / n]
+            mom = _RowMoments(X, U)
+            got = [mom.h3, mom.m4, *mom._equations()]
+            # a stack's rotations read as they would alone
+            stack = _RowMoments(X, np.stack([U, U]))
+            got += [stack.h3[1], stack.m4[1], *(T[1] for T in
+                                                 stack._equations())]
+            for a, b in zip(got, ref + ref):
+                assert np.array_equal(a, b)
+            assert np.array_equal(mom.h4, mom.m4 - 3.0)
+            m6, m8 = _row_sums(X, U, "high")
             assert np.array_equal(
                 m6, np.einsum("ij,ij,ij->j", Y2, Y2, Y2) / n)
             assert np.array_equal(
@@ -344,17 +342,22 @@ class TestSourceMoments:
         p = 5
         X = small_sample(seed=43, n=blocked_rows(p), p=p)
         U = random_orthogonal(p, np.random.default_rng(44))
-        read = _BlockMoments(X, U)
-        m6, m8 = _high_moments(X, U)
+        h3, m4, T3, T4 = _row_sums(X, U, "equations")
+        m6, m8 = _row_sums(X, U, "high")
         Y = X @ U.T
-        for m, power in ((read.h3, 3), (read.m4, 4), (m6, 6), (m8, 8)):
+        for m, power in ((h3, 3), (m4, 4), (m6, 6), (m8, 8)):
             assert within_summation_error(m, Y ** power)
-        assert np.array_equal(read.h4, read.m4 - 3.0)
+        for T, power in ((T3, 2), (T4, 3)):
+            assert within_summation_error(
+                T, Y[:, :, None] ** power * X[:, None, :])
+        mom = _RowMoments(X, U)
+        assert np.array_equal(mom.h3, h3) and np.array_equal(mom.m4, m4)
+        assert np.array_equal(mom.h4, m4 - 3.0)
 
     def test_projection_cumulants_read_the_kernel(self):
         X = small_sample(seed=17)
         for U in self.rotations():
-            mom = _SourceMoments(X, U)
+            mom = _RowMoments(X, U)
             for k, u in enumerate(U):
                 h3, h4 = projection_cumulants(X, u)
                 np.testing.assert_allclose(h3, mom.h3[k], rtol=1e-12)
@@ -467,12 +470,14 @@ class TestRowBlockMemory:
         (standardize, 1, 2),  # the centered copy; a block's product
         (fobi_matrix, 0, 2),  # a block's weighted copy
         (compound_matrices, 0, 2),
-        # a block of Y and of Y^2
-        (lambda X: _BlockMoments(X, np.eye(X.shape[1])), 0, 3),
-        # the last block's Y^2 while the next block's is formed
-        (lambda X: _high_moments(X, np.eye(X.shape[1])), 0, 3)],
+        # a block of Y and of Y^2 (then Y^3, in place), in each read
+        (lambda X: _RowMoments(X, np.eye(X.shape[1])), 0, 3),
+        (lambda X: _row_sums(X, np.eye(X.shape[1]), "high"), 0, 3),
+        (lambda X: _RowMoments(X, np.eye(X.shape[1])).gradient(0.5), 0, 3),
+        (lambda X: _RowMoments(X, np.stack([np.eye(X.shape[1])] * 3))
+         .gradient(0.5), 0, 3)],
         ids=["standardize", "fobi_matrix", "compound_matrices", "read",
-             "high_read"])
+             "high_read", "kernel", "kernel_stack"])
     def test_peak_is_bounded(self, step, copies, blocks):
         X = np.random.default_rng(47).normal(size=(blocked_rows(10), 10))
         bound = copies * X.nbytes + blocks * 8 * _BLOCK_ENTRIES

@@ -15,9 +15,8 @@ import numpy as np
 import pytest
 
 from cumica import estimators
-from cumica.cumulants import (_BLOCK_ENTRIES, _BlockMoments, _MomentTensors,
-                              _SourceMoments, _TensorMoments, sample_cov,
-                              standardize)
+from cumica.cumulants import (_BLOCK_ENTRIES, _MomentTensors, _RowMoments,
+                              _TensorMoments, sample_cov, standardize)
 from cumica.errors import (DegenerateObjective, InvalidParams,
                            NearDegenerateSpectrum, NonFiniteInput,
                            NotPositiveDefinite)
@@ -207,7 +206,7 @@ class TestDiagnostics:
         model = IcModelSpec(sources=("gamma:2", "gamma:2", "gamma:8",
                                      "gamma:8", "ep:4"))
         X, _, _ = generate_ic_sample(model, 3000, np.random.default_rng(9))
-        mom = _BlockMoments(X, np.eye(5))
+        mom = _RowMoments(X, np.eye(5))
         Y, alpha = X, 0.4
         n, p = Y.shape
         se3 = [np.sqrt(max(np.mean(y ** 6) - np.mean(y ** 3) ** 2, 0) / n)
@@ -281,7 +280,7 @@ class TestMomentKernel:
     @pytest.fixture
     def seen(self, monkeypatch):
         seen = []
-        for name in ("_SourceMoments", "_TensorMoments", "_BlockMoments"):
+        for name in ("_RowMoments", "_TensorMoments"):
             base = getattr(estimators, name)
 
             class Recording(base):
@@ -365,11 +364,11 @@ class TestStopping:
                  ((u / np.linalg.norm(u))[None, :],
                   lambda V, T: estimators._sphere_path(project, V, T))]
         for V, path in cases:
-            mom = _SourceMoments(X, V)
+            mom = _RowMoments(X, V)
             point, slope = path(V, mom.gradient(0.7))
             t = 1e-6
-            fd = (_SourceMoments(X, point(t)).objective(0.7)
-                  - _SourceMoments(X, point(-t)).objective(0.7)) / (2 * t)
+            fd = (_RowMoments(X, point(t)).objective(0.7)
+                  - _RowMoments(X, point(-t)).objective(0.7)) / (2 * t)
             assert fd == pytest.approx(slope, rel=1e-6)
 
     @pytest.mark.parametrize("fit", [deflation_pp, symmetric_pp])
@@ -395,7 +394,7 @@ class TestStopping:
     @pytest.mark.parametrize("fit", [deflation_pp, symmetric_pp])
     def test_non_finite_objective_is_not_converged(self, monkeypatch, fit):
         X, _ = make_sample()
-        for name in ("_SourceMoments", "_TensorMoments"):
+        for name in ("_RowMoments", "_TensorMoments"):
             base = getattr(estimators, name)
             monkeypatch.setattr(estimators, name, type(name, (base,), {
                 "__slots__": (), "objective": lambda self, alpha:
@@ -438,7 +437,7 @@ class TestLockstep:
     def test_each_restart_ends_where_it_would_alone(self, rows, tensors):
         xst = standardize(make_sample(n=3000)[0]).xst
         kernel = (partial(_TensorMoments, _MomentTensors(xst)) if tensors
-                  else partial(_SourceMoments, xst))
+                  else partial(_RowMoments, xst))
         starts, step, path = self.ascents(xst, rows)
         runs = estimators._ascend(0.8, kernel, starts, OPTS, step, path)
         for i, run in enumerate(runs):
