@@ -150,7 +150,8 @@ def asv_deflation(profiles, alpha):
     alpha = _check_alpha(alpha)
     p = len(prs)
     base = [_deflation_law(pr, alpha) for pr in prs]
-    bad = tuple(k for k, v in enumerate(base) if v == math.inf)
+    # the last component's criterion enters no entry
+    bad = tuple(k for k, v in enumerate(base[:-1]) if v == math.inf)
     if bad:
         raise ZeroDenominator(
             f"deflation criterion vanishes for component(s) {list(bad)} at "

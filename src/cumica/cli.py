@@ -19,6 +19,7 @@ all numeric CSV cells round-trip exactly through ``float()``.
 import argparse
 import contextlib
 import sys
+import warnings
 
 import numpy as np
 
@@ -26,7 +27,8 @@ from .asymptotics import optimal_alpha
 from .errors import CumicaError, MalformedInput
 from .estimators import SolverOptions
 from .simulation import (_ALIASES, _ASV_TABLES, _ESTIMATORS, IcModelSpec,
-                         _csv_table, _estimate_once, _fmt, _seed_sequence,
+                         _csv_rows, _csv_table, _estimate_once, _fmt,
+                         _seed_sequence,
                          check_assumptions, contour_grid, generate_ic_sample,
                          monte_carlo_experiment, read_config, resolve_method)
 
@@ -94,19 +96,23 @@ def _split_sources(text):
 
 def _load_matrix(path):
     """Read a data matrix: comma-separated, '#' comments, and an optional
-    header, the first non-comment line if none of its cells is a number."""
-    try:
-        return np.loadtxt(path, delimiter=",", comments="#", ndmin=2)
-    except ValueError:
-        pass
-    header = _header_line(path)
-    try:
-        if header:
-            return np.loadtxt(path, delimiter=",", comments="#",
-                              skiprows=header, ndmin=2)
-    except ValueError:
-        pass
-    raise MalformedInput(f"{path}: not a comma-separated matrix of numbers")
+    header, the first non-comment line if none of its cells is a number.
+    A file with no data rows raises MalformedInput."""
+    fmt = {"delimiter": ",", "comments": "#", "ndmin": 2}
+    X = None
+    with warnings.catch_warnings():
+        # numpy warns of a file with no data rows; the check below names it
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        with contextlib.suppress(ValueError):
+            X = np.loadtxt(path, **fmt)
+        if X is None and (header := _header_line(path)):
+            with contextlib.suppress(ValueError):
+                X = np.loadtxt(path, skiprows=header, **fmt)
+    if X is None:
+        raise MalformedInput(f"{path}: not a comma-separated matrix of numbers")
+    if not X.size:
+        raise MalformedInput(f"{path}: no data rows")
+    return X
 
 
 def _header_line(path):
@@ -157,56 +163,42 @@ def _write_output(text, out):
 
 def _cmd_estimate(args):
     name, standardizer = _resolve_flags(args)
-    standardizer = standardizer or args.standardizer
-    if standardizer is not None and name != "compound":
-        raise UsageError("--standardizer applies to the compound method only")
+    if args.standardizer not in (None, standardizer):
+        if name != "compound":
+            raise UsageError(
+                "--standardizer applies to the compound method only")
+        if standardizer:
+            raise UsageError("method fobi takes --standardizer fobi only")
+        standardizer = args.standardizer
     opts = SolverOptions(tol=args.tol, restarts=args.restarts, seed=args.seed)
     X = _load_matrix(args.infile)
     est = _estimate_once(name, X, args.alpha, opts, standardizer)
-    lines = [_echo("estimate", method=name, alpha=args.alpha,
-                   standardizer=standardizer, tol=opts.tol,
-                   restarts=opts.restarts, seed=opts.seed,
-                   infile=args.infile)]
     iters = ",".join(str(i) for i in est.iterations)
-    lines.append(f"# converged={est.converged} iterations={iters} "
-                 f"objective={est.objective!r} "
-                 f"restarts_used={est.restarts_used}\n")
-    for row in est.W:
-        lines.append(",".join(repr(float(v)) for v in row) + "\n")
-    return "".join(lines)
+    return (_echo("estimate", method=name, alpha=args.alpha,
+                  standardizer=standardizer, tol=opts.tol,
+                  restarts=opts.restarts, seed=opts.seed, infile=args.infile)
+            + f"# converged={est.converged} iterations={iters} "
+            f"objective={est.objective!r} restarts_used={est.restarts_used}\n"
+            + _csv_rows(est.W.tolist()))
 
 
 _SIMULATE_KEYS = ("sources", "method", "alpha", "n", "reps", "seed",
                   "mixing", "emit_data", "threads", "out")
 
 
-def _merge_config(args):
-    """Fill simulate flags that were not given from --config, then defaults."""
-    cfg = read_config(args.config) if args.config else {}
+def _config_argv(path):
+    """The simulate config file ``path`` as '--key=value' tokens, for the
+    parser to check as it checks the command line's own flags."""
+    cfg = read_config(path)
     unknown = set(cfg) - set(_SIMULATE_KEYS)
     if unknown:
         raise UsageError(f"unknown config keys: {sorted(unknown)}; "
                          f"expected a subset of {list(_SIMULATE_KEYS)}")
-    coerce = {"alpha": float, "n": int, "reps": int, "seed": int,
-              "threads": int,
-              "emit_data": lambda s: s.lower() in ("1", "true", "yes")}
-    for key in _SIMULATE_KEYS:
-        if getattr(args, key) is None and key in cfg:
-            try:
-                value = coerce.get(key, str)(cfg[key])
-            except ValueError:
-                raise UsageError(
-                    f"config key {key} has bad value {cfg[key]!r}") from None
-            setattr(args, key, value)
-    if args.seed is None:
-        args.seed = 0
-    if args.mixing is None:
-        args.mixing = "identity"
-    if args.emit_data is None:
-        args.emit_data = False
-    if args.mixing not in ("identity", "random"):
-        raise UsageError(f"--mixing must be identity or random, "
-                         f"got {args.mixing!r}")
+    argv = [f"--{key}={value}" for key, value in cfg.items()
+            if key != "emit_data"]
+    if cfg.get("emit_data", "").lower() in ("1", "true", "yes"):
+        argv.append("--emit-data")
+    return argv
 
 
 def _require(args, *names):
@@ -239,7 +231,6 @@ def _emit_rows(header, X):
 
 
 def _cmd_simulate(args):
-    _merge_config(args)
     _require(args, "sources")
     specs = _split_sources(args.sources)
     if args.emit_data:
@@ -250,11 +241,10 @@ def _cmd_simulate(args):
         data_ss = _seed_sequence(args.seed).spawn(1)[0].spawn(2)[0]
         X, omega, _ = generate_ic_sample(model, args.n,
                                          np.random.default_rng(data_ss))
-        flat = ",".join(repr(float(v)) for v in omega.ravel())
         return _emit_rows(
             _echo("simulate", sources=",".join(specs), n=args.n,
                   seed=args.seed, mixing=args.mixing, emit_data=True)
-            + f"# omega: {flat}\n", X)
+            + "# omega: " + _csv_rows([omega.ravel().tolist()]), X)
     _require(args, "method", "n", "reps")
     _resolve_flags(args)
     model = _build_model(specs, args.mixing, args.seed)
@@ -281,8 +271,8 @@ def _cmd_optimal_alpha(args):
     star, value = optimal_alpha(args.pi, args.mu, grid_tol=args.grid)
     return (_echo("optimal-alpha", pi=args.pi, mu=args.mu, grid=args.grid)
             + f"# alpha_star = {star!r}\n"
-            + "alpha_star,criterion\n"
-            + f"{star!r},{value!r}\n")
+            + _csv_rows([("alpha_star", "criterion"),
+                         (float(star), float(value))]))
 
 
 def _cmd_contour(args):
@@ -306,8 +296,7 @@ def _cmd_check_assumptions(args):
     number = check_assumptions(model, args.method, args.alpha)
     return (_echo("check-assumptions", method=args.method, alpha=args.alpha,
                   sources=",".join(specs))
-            + "assumption,satisfied\n"
-            + f"{number},true\n")
+            + _csv_rows([("assumption", "satisfied"), (number, "true")]))
 
 
 def _build_parser():
@@ -320,9 +309,9 @@ def _build_parser():
     est.add_argument("--method", required=True, choices=_METHODS)
     est.add_argument("--alpha", type=float)
     est.add_argument("--standardizer", choices=["symmetric", "fobi"])
-    est.add_argument("--tol", type=float, default=1e-9)
-    est.add_argument("--restarts", type=int, default=10)
-    est.add_argument("--seed", type=int, default=0)
+    est.add_argument("--tol", type=float, default=SolverOptions.tol)
+    est.add_argument("--restarts", type=int, default=SolverOptions.restarts)
+    est.add_argument("--seed", type=int, default=SolverOptions.seed)
     est.add_argument("--out")
     est.set_defaults(func=_cmd_estimate)
 
@@ -333,10 +322,10 @@ def _build_parser():
     sim.add_argument("--alpha", type=float)
     sim.add_argument("--n", type=int)
     sim.add_argument("--reps", type=int)
-    sim.add_argument("--seed", type=int)
-    sim.add_argument("--mixing", choices=["identity", "random"])
-    sim.add_argument("--emit-data", dest="emit_data", action="store_const",
-                     const=True, default=None)
+    sim.add_argument("--seed", type=int, default=0)
+    sim.add_argument("--mixing", choices=["identity", "random"],
+                     default="identity")
+    sim.add_argument("--emit-data", dest="emit_data", action="store_true")
     sim.add_argument("--threads", type=int)
     sim.add_argument("--config")
     sim.add_argument("--out")
@@ -382,13 +371,14 @@ def run(argv=None):
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "config", None):
+            # the file's flags go first, so the line's own flags win
+            argv = sys.argv[1:] if argv is None else list(argv)
+            args = parser.parse_args(
+                [*argv[:1], *_config_argv(args.config), *argv[1:]])
         text = args.func(args)
         _write_output(text, args.out)
-    except UsageError as exc:
-        sys.stderr.write(_GRAMMAR)
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
-    except OSError as exc:
+    except (UsageError, OSError) as exc:
         sys.stderr.write(_GRAMMAR)
         sys.stderr.write(f"error: {exc}\n")
         return 1

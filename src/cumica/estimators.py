@@ -462,8 +462,8 @@ def compound_cumulant(X, alpha, opts=None, *, standardizer=None):
     The data are first unmixed by a pilot root-n-consistent estimator
     (the ``standardizer``), then the two compound matrices C3 and C4 are
     formed and the remaining rotation is found by jointly diagonalizing
-    them with weights ``alpha`` and ``1 - alpha`` (a single
-    eigendecomposition when ``alpha`` is 0 or 1).
+    them with weights ``alpha`` and ``1 - alpha`` (Jacobi sweeps on the
+    one matrix with positive weight when ``alpha`` is 0 or 1).
 
     Parameters
     ----------

@@ -68,6 +68,12 @@ def resolve_method(method, alpha):
     return name, None if alpha is None else _check_alpha(alpha), None
 
 
+def _check_int(name, value):
+    """Raise InvalidSpec unless ``value`` is an integer; a bool is not."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise InvalidSpec(f"{name} must be an integer, got {value!r}")
+
+
 def _seed_sequence(seed):
     """``seed`` as a SeedSequence: one passes through, a non-negative
     integer seeds a new one, and anything else raises InvalidSpec."""
@@ -154,6 +160,7 @@ def generate_ic_sample(model, n, stream):
     if not isinstance(model, IcModelSpec):
         model = IcModelSpec(sources=tuple(model))
     p = model.p
+    _check_int("n", n)
     if n <= p:
         raise InvalidSpec(f"need n > p, got n={n}, p={p}")
     Z = np.column_stack([sample_source(s, n, stream) for s in model.sources])
@@ -352,25 +359,25 @@ def _fmt(x):
     return str(x)
 
 
+def _csv_rows(rows):
+    """CSV text with one line per row of ``_fmt`` cells; the cells must
+    be Python scalars, since ``_fmt`` writes a NumPy float as its repr."""
+    return "".join(",".join(map(_fmt, row)) + "\n" for row in rows)
+
+
 def _csv_table(comments, method, alpha, n, reps, asv, n_var=None,
                rel_err=None, path_or_file=None):
     """Return the CSV table with one row per entry of the 2-d ``asv``,
     after '# ' comment lines; a missing n_var or rel_err reads nan.  The
     text also goes to ``path_or_file`` (a path or file object) if given."""
     missing = np.full(asv.shape, np.nan)
-    n_var = missing if n_var is None else n_var
-    rel_err = missing if rel_err is None else rel_err
-    lines = [f"# {c}\n" for c in comments]
-    lines.append("method,alpha,n,reps,k,l,n_var,asv,rel_err\n")
-    rows, cols = asv.shape
-    for k in range(rows):
-        for l in range(cols):
-            lines.append(",".join([
-                method, _fmt(alpha), str(n), str(reps), str(k), str(l),
-                _fmt(float(n_var[k, l])), _fmt(float(asv[k, l])),
-                _fmt(float(rel_err[k, l])),
-            ]) + "\n")
-    text = "".join(lines)
+    columns = [np.asarray(m, dtype=float).ravel().tolist() for m in (
+        missing if n_var is None else n_var, asv,
+        missing if rel_err is None else rel_err)]
+    rows = [(method, alpha, n, reps, k, l, *cells)
+            for (k, l), *cells in zip(np.ndindex(asv.shape), *columns)]
+    text = "".join(f"# {c}\n" for c in comments) + _csv_rows(
+        ["method,alpha,n,reps,k,l,n_var,asv,rel_err".split(","), *rows])
     if hasattr(path_or_file, "write"):
         path_or_file.write(text)
     elif path_or_file is not None:
@@ -488,6 +495,7 @@ def monte_carlo_experiment(model, method, alpha, n, replications,
     if not isinstance(model, IcModelSpec):
         model = IcModelSpec(sources=tuple(model))
     method, alpha, standardizer = resolve_method(method, alpha)
+    _check_int("replications", replications)
     if replications < 2:
         raise InvalidSpec("need at least two replications")
     check_assumptions(model, method, alpha)

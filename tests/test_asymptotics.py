@@ -155,6 +155,13 @@ class TestDegeneracies:
         with pytest.raises(ZeroDenominator):
             asv_allcumulant(["normal", "normal"], 0.3)
 
+    def test_deflation_ignores_the_last_criterion(self):
+        # no entry reads the last component's criterion, so its
+        # vanishing is not an error
+        table = asv_deflation(["gamma:1", "normal"], 1.0)
+        assert np.all(np.isfinite(table.offdiag))
+        assert table.offdiag[1, 0] == table.offdiag[0, 1] + 1.0
+
     @pytest.mark.parametrize("table, sources, alpha, pair, message", [
         (asv_symmetric, ["gamma:1", "normal", "normal"], 1.0, (1, 2),
          "symmetric criterion vanishes for pair (1, 2) at alpha=1.0"),

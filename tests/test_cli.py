@@ -5,17 +5,19 @@ codes, stdout, and stderr can be asserted exactly; one subprocess test
 covers the installed entry point.
 """
 
+import argparse
 import contextlib
 import io
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cumica.cli import main
+from cumica.cli import _SIMULATE_KEYS, _build_parser, main
 from cumica.estimators import SolverOptions, all_cumulant
 from cumica.simulation import mdi
 
@@ -237,6 +239,25 @@ class TestUsageErrors:
                             "fobi"])
         assert code == 1 and "compound" in err
 
+    def test_fobi_rejects_another_standardizer(self):
+        code, out, err = run(["estimate", "--in", "x.csv", "--method",
+                              "fobi", "--standardizer", "symmetric"])
+        assert (code, out) == (1, "")
+        assert err.endswith(
+            "error: method fobi takes --standardizer fobi only\n")
+
+    @pytest.mark.parametrize("text", ["", "# a comment\n\n", "a,b\n"],
+                             ids=["empty", "comments-only", "header-only"])
+    def test_no_data_rows_exit_2(self, tmp_path, text):
+        path = tmp_path / "x.csv"
+        path.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy's own warning stays out
+            code, out, err = run(["estimate", "--in", str(path), "--method",
+                                  "jade", "--alpha", "0.8"])
+        assert (code, out) == (2, "")
+        assert err == f"MalformedInput: {path}: no data rows\n"
+
 
 class TestSimulateAndEstimate:
     def emit(self, tmp_path, extra=()):
@@ -290,6 +311,14 @@ class TestSimulateAndEstimate:
         assert code == 0
         assert "method=compound alpha=0.0 standardizer=fobi" in out.splitlines()[0]
 
+    @pytest.mark.filterwarnings("ignore::cumica.errors.NearDegenerateSpectrum")
+    def test_fobi_takes_its_own_standardizer(self, tmp_path):
+        argv = ["estimate", "--in", str(self.emit(tmp_path)), "--method",
+                "fobi"]
+        code, out, err = run(argv)
+        assert code == 0, err
+        assert run([*argv, "--standardizer", "fobi"]) == (0, out, "")
+
     def test_monte_carlo_deterministic_output(self):
         argv = ["simulate", "--sources", "gamma:1,gamma:2,gamma:4",
                 "--method", "jade", "--alpha", "0.8", "--n", "1200",
@@ -329,6 +358,53 @@ class TestSimulateAndEstimate:
         cfg.write_text("bogus = 1\n")
         code, _, err = run(["simulate", "--config", str(cfg)])
         assert code == 1 and "unknown config keys" in err
+
+    def test_config_keys_are_the_simulate_flags(self):
+        parser = _build_parser()
+        sub = next(a for a in parser._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        flags = {s for a in sub.choices["simulate"]._actions
+                 for s in a.option_strings}
+        assert flags - {"-h", "--help", "--config"} == {
+            "--" + key.replace("_", "-") for key in _SIMULATE_KEYS}
+
+    @pytest.mark.parametrize("emit", [False, True], ids=["mc", "emit-data"])
+    def test_config_file_matches_flags(self, tmp_path, emit):
+        values = {"sources": "gamma:1,gamma:2,gamma:4", "method": "jade",
+                  "alpha": "0.8", "n": "1200", "reps": "6", "seed": "4",
+                  "mixing": "random", "threads": "1"}
+        assert set(values) | {"emit_data", "out"} == set(_SIMULATE_KEYS)
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("".join(f"{k} = {v}\n" for k, v in values.items())
+                       + f"emit_data = {'yes' if emit else 'no'}\n"
+                       + f"out = {tmp_path / 'cfg.csv'}\n")
+        assert run(["simulate", "--config", str(cfg)]) == (0, "", "")
+        flags = [f"--{k}={v}" for k, v in values.items()]
+        flags += ["--emit-data"] * emit
+        code, _, err = run(["simulate", *flags, "--out",
+                            str(tmp_path / "flags.csv")])
+        assert code == 0, err
+        text = (tmp_path / "flags.csv").read_bytes()
+        assert text.startswith(b"# cumica simulate:")
+        assert (b"emit_data=True" in text) == emit
+        assert (tmp_path / "cfg.csv").read_bytes() == text
+
+    @pytest.mark.parametrize("key, value, code", [
+        ("method", "fastica", 1), ("n", "1e4", 1), ("mixing", "Random", 1),
+        ("seed", "-1", 2)])
+    def test_bad_config_value_fails_as_the_flag_does(self, tmp_path, key,
+                                                      value, code):
+        values = {"sources": "gamma:1,gamma:2", "method": "jade",
+                  "alpha": "0.8", "n": "500", "reps": "4", key: value}
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
+        by_file = run(["simulate", "--config", str(cfg), "--threads", "1"])
+        by_flag = run(["simulate", *(f"--{k}={v}" for k, v in values.items()),
+                       "--threads", "1"])
+        assert by_file == by_flag
+        assert by_file[:2] == (code, "")
+        if code == 1:
+            assert f"error: argument --{key}: invalid" in by_file[2]
 
 
 class TestFobiAlias:

@@ -178,6 +178,12 @@ class TestIcModelSpec:
         with pytest.raises(InvalidSpec):
             generate_ic_sample(m, 2, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("n", [100.5, 1e3, True, "100"])
+    def test_sample_size_must_be_an_integer(self, n):
+        with pytest.raises(InvalidSpec, match="n must be an integer"):
+            generate_ic_sample(GAMMA3, n, np.random.default_rng(0))
+        generate_ic_sample(GAMMA3, np.int64(100), np.random.default_rng(0))
+
 
 class TestCheckAssumptions:
     def test_assumption_numbers(self):
@@ -303,6 +309,13 @@ class TestMonteCarlo:
     def test_replication_floor(self):
         with pytest.raises(InvalidSpec):
             monte_carlo_experiment(GAMMA3, "symmetric", 0.8, 1000, 1)
+
+    @pytest.mark.parametrize("reps", [8.5, 8.0, True])
+    def test_replications_must_be_an_integer(self, reps):
+        with pytest.raises(InvalidSpec,
+                           match="replications must be an integer"):
+            monte_carlo_experiment(GAMMA3, "symmetric", 0.8, 1000, reps,
+                                   threads=1)
 
     def test_negative_master_seed(self):
         with pytest.raises(InvalidSpec, match="non-negative integer, got -1"):
