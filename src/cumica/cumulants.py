@@ -12,22 +12,25 @@ of a rotation U through a moment kernel: their skewness, excess
 kurtosis, projection index and estimating equations ``E[y^2 x]`` and
 ``E[y^3 x]`` (the fixed-point form of Hyvarinen 1999; Miettinen,
 Taskinen, Nordhausen & Oja 2015).  ``_RowMoments`` reads them from the
-rows, at O(n p k) per rotation of k rows; it also ends every
-diagonalization fit.  They are multilinear in U, so ``_TensorMoments``
-reads them instead from the sample moment tensors ``E[x x x]`` and
-``E[x x x x]``, formed once per sample, at O(k p^4) per rotation
-whatever n is; JADE works the same way (Cardoso & Souloumiac 1993).
-Both kernels read a stack of rotations in one build, each rotation
-independently of the others.  One accumulator, ``_pair_moments``,
-serves the tensors and the cumulant stacks: it sums the third and
+rows, at O(n p k) per rotation of k rows; it also ends the compound
+fit.  They are multilinear in U, so ``_TensorMoments`` reads them
+instead from the sample moment tensors ``E[x x x]`` and ``E[x x x x]``,
+formed once per sample, at O(k p^4) per rotation whatever n is; JADE
+works the same way (Cardoso & Souloumiac 1993), and ends by reading its
+rotation from the tensors.  Both kernels read a stack of rotations in
+one build, each rotation independently of the others.  One
+accumulator, ``_pair_moments``, serves the tensors and the cumulant
+stacks, and one pass of it gives a JADE fit both: it sums the third and
 fourth moments of the pair products ``x_i x_j`` over row blocks,
-filling each block once.  Every pass over the sample walks the same row
-blocks of a fixed number of entries (``_row_blocks``): the pair moments,
-the whitening of ``standardize``'s one centered copy in place, the FOBI
-and compound scatters, and ``_row_sums``, the one reader of the rows
-behind ``_RowMoments`` and the compound fit's spectrum check.  Their
-memory is a few blocks plus the output whatever n is, and where the
-sample fits in one block they run exactly the unblocked operations.
+filling each block once, transposed, from the sample's columns.
+``standardize`` keeps its one centered copy column-major, so those
+columns are contiguous, and whitens it in place.  Every pass over the
+sample walks the same row blocks of a fixed number of entries
+(``_row_blocks``): the pair moments, the whitening, the FOBI and
+compound scatters, and ``_row_sums``, the one reader of the rows behind
+``_RowMoments`` and the compound fit's spectrum check.  Their memory is
+a few blocks plus the output whatever n is, and where the sample fits
+in one block they run exactly the unblocked operations.
 """
 
 import functools
@@ -47,7 +50,8 @@ class StandardizedSample:
     Attributes
     ----------
     xst : (n, p) ndarray
-        Standardized observations: ``xst = (x - mean) @ whitener.T``.
+        Standardized observations: ``xst = (x - mean) @ whitener.T``,
+        stored column-major.
     mean : (p,) ndarray
         Sample mean of the raw data.
     whitener : (p, p) ndarray
@@ -122,8 +126,9 @@ def standardize(X, whitener="symmetric"):
     if len(const):
         raise NotPositiveDefinite(
             f"sample covariance is singular: column {const[0]} is constant")
-    # the one sample-sized copy: centered here, whitened in place below
-    Xc = np.subtract(X, mean, order="C")
+    # the one sample-sized copy, column-major: centered here, whitened in
+    # place below
+    Xc = np.subtract(X, mean, order="F")
     S = (Xc.T @ Xc) / n
 
     if not custom:
@@ -141,11 +146,9 @@ def standardize(X, whitener="symmetric"):
         except NotPositiveDefinite as exc:
             raise SingularCustomWhitener(
                 "custom whitener is rank deficient on this sample") from exc
-    # a contiguous right operand gives the same product by a faster path;
-    # the symmetric whitener is its own transpose
-    Gt = np.ascontiguousarray(G.T) if custom else G
+    Xt = Xc.T  # contiguous rows, one per variable
     for b in _row_blocks(n, p):
-        Xc[b] = Xc[b] @ Gt
+        Xt[:, b] = G @ Xt[:, b]
     return StandardizedSample(xst=Xc, mean=mean, whitener=G)
 
 
@@ -299,10 +302,11 @@ class _MomentTensors:
 
     __slots__ = ("M3", "M4", "iu", "ju", "twice", "idx")
 
-    def __init__(self, xst):
-        p = xst.shape[1]
-        self.M3, self.M4 = _pair_moments(xst, True, True)
-        self.iu, self.ju, self.idx, self.twice = _pairs(p)
+    def __init__(self, xst, moments=None):
+        """The tensors of ``xst``; ``moments``, if given, are the ``(M3,
+        M4)`` of a ``_pair_moments`` pass over it already made."""
+        self.M3, self.M4 = moments or _pair_moments(xst, True, True)
+        self.iu, self.ju, self.idx, self.twice = _pairs(xst.shape[1])
 
 
 class _TensorMoments(_Kernel):
@@ -403,44 +407,52 @@ def _pair_moments(X, third, fourth):
     moments ``Z^T Z / n`` (``(m, m)``) if ``fourth``, else None, of the
     pair products ``Z[r, q] = X[r, i_q] X[r, j_q]`` over the ``m`` pairs
     ``i <= j`` in row-major order.  Z is never held whole: each block of
-    rows is written into one buffer once and its products summed."""
+    rows is written, transposed, into one buffer once, from the columns
+    of X (contiguous in a column-major sample), and its products
+    summed."""
     n, p = X.shape
     m = p * (p + 1) // 2
     blocks = _row_blocks(n, m)
-    buf = np.empty((blocks[0].stop, m))
+    buf = np.empty(m * blocks[0].stop)
     acc3 = np.zeros((m, p)) if third else None
     acc4 = np.zeros((m, m)) if fourth else None
     for b in blocks:
         Xb = X[b]
-        Zb = buf[:len(Xb)]
+        Xt = Xb.T
+        Zt = buf[:m * len(Xb)].reshape(m, len(Xb))
         for i in range(p):
             c = i * p - i * (i - 1) // 2
-            np.multiply(Xb[:, i:i + 1], Xb[:, i:], out=Zb[:, c:c + p - i])
+            np.multiply(Xt[i], Xt[i:], out=Zt[c:c + p - i])
         if third:
-            acc3 += Zb.T @ Xb
+            acc3 += Zt @ Xb
         if fourth:
-            acc4 += Zb.T @ Zb
+            acc4 += Zt @ Zt.T
     for acc in (acc3, acc4):
         if acc is not None:
             acc /= n
     return acc3, acc4
 
 
-def _cumulant_stacks(xst, third, fourth):
+def _cumulant_stacks(xst, third, fourth, tensors=False):
     """``cum3_stack(xst)`` if ``third`` and ``cum4_stack(xst)[0]`` if
-    ``fourth``, else None, from one pass over the pair products."""
+    ``fourth``, else None, from one pass over the pair products; with
+    ``tensors``, the ``_MomentTensors`` of that pass follow them."""
     X = _as_xst(xst)
     p = X.shape[1]
-    M3, M4 = _pair_moments(X, third, fourth)
+    M3, M4 = _pair_moments(X, third or tensors, fourth or tensors)
     iu, ju, idx, _ = _pairs(p)
+    c3 = M3.T[:, idx] if third else None
+    c4 = None
     if fourth:
         S = (X.T @ X) / X.shape[0]
         G = S[iu][:, :, None] * S[ju][:, None, :]
         G = G + G.transpose(0, 2, 1)
         G += S[iu, ju][:, None, None] * S
-        M4 = M4[:, idx]
-        M4 -= G
-    return (M3.T[:, idx] if third else None), M4
+        c4 = M4[:, idx]
+        c4 -= G
+    if tensors:
+        return c3, c4, _MomentTensors(X, (M3, M4))
+    return c3, c4
 
 
 def cum3_stack(xst):

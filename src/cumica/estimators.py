@@ -4,11 +4,12 @@ Every estimator runs one fit pipeline, ``_fit``: check ``alpha``, center
 the data and whiten it to identity sample covariance (by the symmetric
 inverse square root, or by the compound estimator's pilot unmixing
 matrix), find the rotation of the whitened data with the method's
-solver, warn if the objective is degenerate, and put the rows in
-canonical form.  ``alpha`` in [0, 1] is the proportion of weight on
-squared third cumulants, ``1 - alpha`` on squared fourth cumulants.  The
-returned matrix W unmixes the raw data: rows of ``(X - mean(X)) @ W.T``
-estimate the independent sources, and ``W Cov(X) W^T = I``.
+solver, and end in ``_estimate``: warn if the objective is degenerate,
+and put the rows in canonical form.  ``alpha`` in [0, 1] is the
+proportion of weight on squared third cumulants, ``1 - alpha`` on
+squared fourth cumulants.  The returned matrix W unmixes the raw data:
+rows of ``(X - mean(X)) @ W.T`` estimate the independent sources, and
+``W Cov(X) W^T = I``.
 
 Methods
 -------
@@ -36,7 +37,14 @@ lockstep: each iteration builds one kernel for the rows of every
 restart still running, each restart keeps its own rules, and a restart
 that stops leaves the batch; the largest finite objective wins, ties
 going to the earlier start.  The two diagonalization methods share one
-joint-diagonalization step.
+Jacobi tolerance and sweep budget.
+
+A JADE fit needs the sample only for its first step: one pass over the
+standardized rows forms the cumulant matrices and the moment tensors,
+the rotation is found from the matrices alone, and its moments are read
+from the tensors (Cardoso & Souloumiac 1993).  So ``_all_cumulant_block``
+fits many samples with one batched joint diagonalization, holding only
+those per sample, and each fit ends as ``all_cumulant`` ends it alone.
 """
 
 import math
@@ -49,9 +57,10 @@ import numpy as np
 from .cumulants import (_cumulant_stacks, _MomentTensors, _pairs, _row_sums,
                         _rowdot, _RowMoments, _TensorMoments,
                         compound_matrices, fobi_matrix, standardize)
-from .errors import (DegenerateObjective, InvalidParams,
+from .errors import (CumicaError, DegenerateObjective, InvalidParams,
                      NearDegenerateSpectrum, RankDeficient, _check_alpha)
-from .linalg import EIG_FLOOR, joint_diagonalize, random_orthogonal, sym_eig
+from .linalg import (EIG_FLOOR, _joint_diagonalize_stacks, joint_diagonalize,
+                     random_orthogonal, sym_eig)
 
 #: Objective floor (times p) below which the estimate cannot be trusted
 #: to separate anything; triggers the DegenerateObjective warning.
@@ -129,15 +138,21 @@ def _fit(method, X, alpha, opts, solve, pilot=None):
     opts = opts or SolverOptions()
     st = standardize(X, whitener="symmetric" if pilot is None
                      else pilot(X, alpha, opts))
-    mom, objective, iterations, converged, restarts_used, history = solve(
-        st.xst, alpha, opts)
-    if objective < _DEGENERATE_FLOOR * st.xst.shape[1]:
+    return _estimate(method, st.whitener, alpha, *solve(st.xst, alpha, opts))
+
+
+def _estimate(method, whitener, alpha, mom, objective, iterations, converged,
+              restarts_used, history):
+    """The end of every fit: warn if the objective is degenerate, and
+    put the rows of the rotation behind ``mom`` in canonical form."""
+    if objective < _DEGENERATE_FLOOR * len(whitener):
+        # reported at the caller of the estimator, through _fit
         warnings.warn(
             f"best objective {objective:.3e} is below {_DEGENERATE_FLOOR}*p; "
             f"the chosen cumulant weighting carries almost no signal for "
-            f"these sources", DegenerateObjective, stacklevel=3)
+            f"these sources", DegenerateObjective, stacklevel=4)
     return UnmixingEstimate(
-        W=_canonical_form(mom, st.whitener, alpha), method=method,
+        W=_canonical_form(mom, whitener, alpha), method=method,
         alpha=alpha, iterations=iterations, converged=converged,
         objective=objective, restarts_used=restarts_used,
         objective_history=history)
@@ -445,15 +460,11 @@ def _spectrum_warning(alpha, xst, mom):
             f"reliably identified", NearDegenerateSpectrum, stacklevel=5)
 
 
-def _joint_diagonalization(xst, stack, weights, opts):
-    """The solve of both diagonalization methods: jointly diagonalize
-    the positive-weight matrices of ``stack``, then read the moments of
-    the rotation."""
-    mats, w = zip(*((A, w) for A, w in zip(stack, weights) if w > 0.0))
-    res = joint_diagonalize(mats, weights=w, tol=min(opts.tol, 1e-10),
-                            max_sweeps=max(opts.max_iter, 100))
-    return (_RowMoments(xst, res.U), res.objective, [res.sweeps],
-            res.converged, 1, res.objective_history)
+def _sweep_limits(opts):
+    """The Jacobi tolerance and sweep budget of both diagonalization
+    methods."""
+    return {"tol": min(opts.tol, 1e-10),
+            "max_sweeps": max(opts.max_iter, 100)}
 
 
 def compound_cumulant(X, alpha, opts=None, *, standardizer=None):
@@ -496,10 +507,14 @@ def _pilot_unmixing(standardizer, X, alpha, opts):
 
 
 def _compound_solve(xst, alpha, opts):
-    fit = _joint_diagonalization(xst, compound_matrices(xst),
-                                 (alpha, 1.0 - alpha), opts)
-    _spectrum_warning(alpha, xst, fit[0])
-    return fit
+    # the matrix whose weight is zero is left out
+    mats, w = zip(*((A, w) for A, w in zip(compound_matrices(xst),
+                                            (alpha, 1.0 - alpha)) if w > 0.0))
+    res = joint_diagonalize(mats, weights=w, **_sweep_limits(opts))
+    mom = _RowMoments(xst, res.U)
+    _spectrum_warning(alpha, xst, mom)
+    return (mom, res.objective, [res.sweeps], res.converged, 1,
+            res.objective_history)
 
 
 def all_cumulant(X, alpha, opts=None):
@@ -513,14 +528,69 @@ def all_cumulant(X, alpha, opts=None):
 
 
 def _all_cumulant_solve(xst, alpha, opts):
-    # a stack whose weight is zero is not built; both come from one pass
-    c3, c4 = _cumulant_stacks(xst, alpha > 0.0, alpha < 1.0)
-    stack, weights = [], []
+    matrices, weights, tensors = _all_cumulant_matrices(xst, alpha)
+    return _all_cumulant_read(tensors, joint_diagonalize(
+        matrices, weights=weights, **_sweep_limits(opts)))
+
+
+def _all_cumulant_matrices(xst, alpha):
+    """The matrices a JADE fit of the standardized sample ``xst``
+    diagonalizes, their weights, and the sample's moment tensors, all
+    from one pass over the pair products; a stack whose weight is zero
+    is not built."""
+    p = xst.shape[1]
+    c3, c4, tensors = _cumulant_stacks(xst, alpha > 0.0, alpha < 1.0,
+                                       tensors=True)
+    matrices, weights = [], []
     if c3 is not None:
-        stack.extend(c3)
-        weights.extend([alpha] * xst.shape[1])
+        matrices.extend(c3)
+        weights.extend([alpha] * p)
     if c4 is not None:
-        stack.extend(c4)
+        matrices.extend(c4)
         # pairs (i, j) with i < j stand in for both (i, j) and (j, i).
-        weights.extend((1.0 - alpha) * _pairs(xst.shape[1])[3])
-    return _joint_diagonalization(xst, stack, weights, opts)
+        weights.extend((1.0 - alpha) * _pairs(p)[3])
+    return matrices, weights, tensors
+
+
+def _all_cumulant_read(tensors, res):
+    """What ``_estimate`` needs of a JADE fit whose joint diagonalization
+    gave ``res``: the moments of its rotation, read from the tensors."""
+    return (_TensorMoments(tensors, res.U), res.objective, [res.sweeps],
+            res.converged, 1, res.objective_history)
+
+
+def _all_cumulant_prep(X, alpha):
+    """The whitener of ``X``, then ``_all_cumulant_matrices`` of its
+    standardized copy, which is dropped on return."""
+    st = standardize(X)
+    return (st.whitener, *_all_cumulant_matrices(st.xst, alpha))
+
+
+def _all_cumulant_block(draws, alpha, opts=None):
+    """``all_cumulant`` of the samples returned by the callables
+    ``draws``, with one joint-diagonalization call for them all.
+
+    Each sample is drawn, standardized and reduced to its cumulant
+    matrices and moment tensors before the next is drawn, so the block
+    holds O(p^4) floats per sample and one sample at a time.  Then
+    ``_joint_diagonalize_stacks`` rotates every sample's stack in one
+    batch (``joint_diagonalize`` is its batch of one), and each fit ends
+    as ``all_cumulant`` ends it, to the bit.  Returns, per sample, its
+    ``UnmixingEstimate`` or the ``CumicaError`` or ``LinAlgError`` that
+    its preparation raised.
+    """
+    alpha = _check_alpha(alpha)
+    opts = opts or SolverOptions()
+    preps = []
+    for draw in draws:
+        try:
+            preps.append(_all_cumulant_prep(draw(), alpha))
+        except (CumicaError, np.linalg.LinAlgError) as exc:
+            preps.append(exc)
+    ready = [prep for prep in preps if not isinstance(prep, Exception)]
+    results = iter(_joint_diagonalize_stacks(
+        [matrices for _, matrices, _, _ in ready], ready[0][2],
+        **_sweep_limits(opts)) if ready else ())
+    return [prep if isinstance(prep, Exception) else _estimate(
+        "all_cumulant", prep[0], alpha,
+        *_all_cumulant_read(prep[3], next(results))) for prep in preps]

@@ -13,6 +13,10 @@ Jacobi rotations back only ``joint_diagonalize``, which has no LAPACK
 equivalent (Cardoso & Souloumiac 1996): plane rotations with the
 closed-form optimal Givens angle, applied in cyclic order over index
 pairs until the largest |angle| in a sweep falls below the tolerance.
+One loop, ``_jacobi``, rotates a batch of stacks held matrix index last,
+``(B, p, p, m)``, so a rotation reads contiguous rows of m entries and
+one pass over the index pairs serves every stack of the batch, each
+with its own angle; ``joint_diagonalize`` is its batch of one.
 """
 
 import math
@@ -83,17 +87,15 @@ def is_orthogonal(U, tol=1e-10):
             and np.abs(U @ U.T - np.eye(U.shape[0])).max() <= tol)
 
 
-def _optimal_angle(h1, h2, weights):
+def _optimal_angle(g11, g12, g22):
     """Givens angle maximizing the weighted squared-diagonal gain of a pair.
 
-    ``h1[s] = B_s[k,k] - B_s[l,l]`` and ``h2[s] = B_s[k,l] + B_s[l,k]``.
-    The rotated difference is cos(2t)*h1 + sin(2t)*h2, so the optimal
-    (cos 2t, sin 2t) is the leading eigenvector of the accumulated 2x2
-    Gram matrix of (h1, h2); the branch with cos 2t >= 0 keeps |t| <= pi/4.
+    With ``h1[s] = B_s[k,k] - B_s[l,l]`` and ``h2[s] = B_s[k,l] + B_s[l,k]``,
+    ``g11``, ``g12`` and ``g22`` are the weighted sums of ``h1 * h1``,
+    ``h1 * h2`` and ``h2 * h2``.  The rotated difference is cos(2t)*h1 +
+    sin(2t)*h2, so the optimal (cos 2t, sin 2t) is the leading eigenvector
+    of that 2x2 Gram matrix; the branch with cos 2t >= 0 keeps |t| <= pi/4.
     """
-    g11 = weights @ (h1 * h1)
-    g12 = weights @ (h1 * h2)
-    g22 = weights @ (h2 * h2)
     ton = g11 - g22
     toff = 2.0 * g12
     r = math.hypot(ton, toff)
@@ -106,19 +108,37 @@ def _optimal_angle(h1, h2, weights):
     return 0.5 * math.atan2(toff, x)
 
 
-def _rotate_stack(stack, k, l, c, s):
-    """Apply B <- R B R^T on every matrix in the stack, in place.
+def _rotate(stacks, U, sel, k, l, c, s):
+    """Apply B <- R B R^T to every matrix of the stacks ``sel`` of the
+    matrix-last ``(B, p, p, m)`` array, and U <- R U, in place, where R is
+    the identity except R[k,k] = R[l,l] = c, R[k,l] = s, R[l,k] = -s, with
+    each stack's own c and s."""
+    c2, s2 = c[:, None], s[:, None]
+    c3, s3 = c2[..., None], s2[..., None]
+    a, b = stacks[sel, k], stacks[sel, l]
+    stacks[sel, k], stacks[sel, l] = c3 * a + s3 * b, c3 * b - s3 * a
+    a, b = stacks[sel, :, k], stacks[sel, :, l]
+    stacks[sel, :, k], stacks[sel, :, l] = c3 * a + s3 * b, c3 * b - s3 * a
+    a, b = U[sel, k], U[sel, l]
+    U[sel, k], U[sel, l] = c2 * a + s2 * b, c2 * b - s2 * a
 
-    R is the identity except R[k,k] = R[l,l] = c, R[k,l] = s, R[l,k] = -s.
-    """
-    new_k = c * stack[:, k, :] + s * stack[:, l, :]
-    new_l = c * stack[:, l, :] - s * stack[:, k, :]
-    stack[:, k, :] = new_k
-    stack[:, l, :] = new_l
-    new_k = c * stack[:, :, k] + s * stack[:, :, l]
-    new_l = c * stack[:, :, l] - s * stack[:, :, k]
-    stack[:, :, k] = new_k
-    stack[:, :, l] = new_l
+
+def _weighted(values, w):
+    """``w @ v`` for each row v of the ``(..., m)`` array: one dot product
+    per row, summed as ``w @ v`` sums it alone, so a stack's angle does
+    not depend on the other stacks of its batch."""
+    return (values[..., None, :] @ w[:, None])[..., 0, 0]
+
+
+def _objectives(stacks, w):
+    """Weighted squared diagonal mass of each matrix-last stack."""
+    d = stacks.diagonal(axis1=1, axis2=2)  # (B, m, p)
+    return _weighted(np.multiply(d, d, order="C").sum(axis=-1), w).tolist()
+
+
+def _masses(stacks, w):
+    """Weighted squared Frobenius mass of each matrix-last stack."""
+    return _weighted(np.einsum("bijs,bijs->bs", stacks, stacks), w).tolist()
 
 
 @dataclass
@@ -151,7 +171,9 @@ def joint_diagonalize(matrices, weights=None, tol=1e-10, max_sweeps=100):
     plane rotations with the closed-form optimal angle per index pair.  Each
     rotation can only increase the objective, and the weighted total squared
     Frobenius mass is invariant, so the off-diagonal mass decreases
-    monotonically.
+    monotonically.  This is the batch of one of ``_joint_diagonalize_stacks``:
+    the input is checked and copied once, matrix index last, and rotated
+    in place there.
 
     Parameters
     ----------
@@ -169,12 +191,28 @@ def joint_diagonalize(matrices, weights=None, tol=1e-10, max_sweeps=100):
     -------
     JointDiagResult
     """
-    stack = np.array(matrices, dtype=float)  # the one copy, rotated in place
-    if stack.ndim != 3 or stack.shape[0] == 0:
+    return _joint_diagonalize_stacks([matrices], weights, tol, max_sweeps)[0]
+
+
+def _joint_diagonalize_stacks(stacks, weights, tol, max_sweeps):
+    """``joint_diagonalize`` of each of several stacks of m symmetric
+    ``(p, p)`` matrices with the same weights, in one batch: the stacks
+    are copied into one matrix-last ``(B, p, p, m)`` array, and each sweep
+    visits the index pairs once for all of them, every stack with its
+    own angle.  A stack that converges stops rotating, so each one ends
+    as it would alone, to the bit.  Returns one ``JointDiagResult`` per
+    stack, in order."""
+    m = len(stacks[0]) if len(stacks) else 0
+    shape = np.shape(stacks[0][0]) if m else ()
+    if len(shape) != 2 or shape[0] != shape[1]:
         raise ValueError(f"expected a nonempty stack of square matrices, "
-                         f"got shape {stack.shape}")
-    _require_symmetric_stack(stack)
-    m, p, _ = stack.shape
+                         f"got {m} of shape {shape}")
+    p = shape[0]
+    buf = np.empty((len(stacks), p, p, m))
+    for b, matrices in enumerate(stacks):
+        # the one copy, rotated in place
+        np.stack(matrices, axis=-1, out=buf[b])
+        _require_symmetric_stack(buf[b].transpose(2, 0, 1))
     if weights is None:
         w = np.ones(m)
     else:
@@ -183,50 +221,74 @@ def joint_diagonalize(matrices, weights=None, tol=1e-10, max_sweeps=100):
             raise ValueError(f"expected {m} weights, got shape {w.shape}")
         if (w < 0).any():
             raise ValueError("weights must be nonnegative")
+    return _jacobi(buf, w, tol, max_sweeps)
 
-    def objective():
-        d = stack.diagonal(axis1=1, axis2=2)
-        return float(w @ (d * d).sum(axis=1))
 
-    def mass():
-        return float(w @ np.einsum("sij,sij->s", stack, stack))
-
-    U = np.eye(p)
-    obj_hist = [objective()]
-    mass_hist = [mass()]
-    converged = p < 2
+def _jacobi(stacks, w, tol, max_sweeps):
+    """Cyclic Jacobi sweeps on each matrix-last stack of the ``(B, p, p,
+    m)`` array, in place, with the weights ``w``.  Each pair's angle is
+    each stack's own, from dot products that run per stack, and a stack
+    skips a pair whose angle is below ``tol``; a stack whose largest
+    angle in a sweep is below ``tol`` has converged and leaves the batch,
+    so no stack's bits depend on the others."""
+    B, p, _, m = stacks.shape
+    U = np.broadcast_to(np.eye(p), (B, p, p)).copy()
+    obj_hist = [[o] for o in _objectives(stacks, w)]
+    mass_hist = [[x] for x in _masses(stacks, w)]
+    results = [None] * B
+    live = list(range(B))  # the stack behind each row of the batch
     sweeps = 0
-    while not converged and sweeps < max_sweeps:
+
+    def finish(i, j, converged):
+        results[j] = JointDiagResult(
+            U=U[i].copy(), sweeps=sweeps, converged=converged,
+            objective=obj_hist[j][-1],
+            objective_history=np.array(obj_hist[j]),
+            mass_history=np.array(mass_hist[j]),
+            diagonals=stacks[i].diagonal().copy())
+
+    if p < 2:
+        for i in live:
+            finish(i, i, True)
+        return results
+    while live and sweeps < max_sweeps:
         sweeps += 1
-        biggest = 0.0
+        biggest = [0.0] * len(live)
         for k in range(p - 1):
             for l in range(k + 1, p):
-                h1 = stack[:, k, k] - stack[:, l, l]
-                h2 = stack[:, k, l] + stack[:, l, k]
-                theta = _optimal_angle(h1, h2, w)
-                biggest = max(biggest, abs(theta))
-                if abs(theta) < tol:
+                h1 = stacks[:, k, k] - stacks[:, l, l]
+                h2 = stacks[:, k, l] + stacks[:, l, k]
+                g = np.empty((len(live), 3, m))
+                np.multiply(h1, h1, out=g[:, 0])
+                np.multiply(h1, h2, out=g[:, 1])
+                np.multiply(h2, h2, out=g[:, 2])
+                sel, cs = [], []
+                for i, sums in enumerate(_weighted(g, w).tolist()):
+                    theta = _optimal_angle(*sums)
+                    biggest[i] = max(biggest[i], abs(theta))
+                    if abs(theta) >= tol:
+                        sel.append(i)
+                        cs.append((math.cos(theta), math.sin(theta)))
+                if not sel:
                     continue
-                c, s = math.cos(theta), math.sin(theta)
-                _rotate_stack(stack, k, l, c, s)
-                new_uk = c * U[k, :] + s * U[l, :]
-                new_ul = c * U[l, :] - s * U[k, :]
-                U[k, :] = new_uk
-                U[l, :] = new_ul
-        obj_hist.append(objective())
-        mass_hist.append(mass())
-        if biggest < tol:
-            converged = True
-
-    return JointDiagResult(
-        U=U,
-        sweeps=sweeps,
-        converged=converged,
-        objective=obj_hist[-1],
-        objective_history=np.array(obj_hist),
-        mass_history=np.array(mass_hist),
-        diagonals=stack.diagonal(axis1=1, axis2=2).copy(),
-    )
+                c, s = np.array(cs).T
+                _rotate(stacks, U, slice(None) if len(sel) == len(live)
+                        else sel, k, l, c, s)
+        for j, o, x in zip(live, _objectives(stacks, w), _masses(stacks, w)):
+            obj_hist[j].append(o)
+            mass_hist[j].append(x)
+        done = [b < tol for b in biggest]
+        if any(done):
+            for i, j in enumerate(live):
+                if done[i]:
+                    finish(i, j, True)
+            keep = [i for i, d in enumerate(done) if not d]
+            live = [live[i] for i in keep]
+            if live:
+                stacks, U = stacks[keep], U[keep]
+    for i, j in enumerate(live):  # out of sweeps
+        finish(i, j, False)
+    return results
 
 
 def sym_eig(S):

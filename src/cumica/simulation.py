@@ -9,7 +9,11 @@ variances n*Var(w_kl) against the analytic asymptotic variances.
 Seeding discipline: a run takes one master seed; per-replication
 generators are derived through ``numpy.random.SeedSequence.spawn``
 before any work is dispatched, so results are bitwise identical
-whatever the worker parallelism.
+whatever the worker parallelism.  Replications run in fixed blocks of
+``_BLOCK``, one block per pool task whatever the worker count; a block
+of JADE replications draws and reduces one sample at a time and then
+rotates all of its cumulant stacks in one batched joint
+diagonalization.
 """
 
 import itertools
@@ -26,10 +30,14 @@ from .distributions import SourceSpec, moment_profile, sample_source
 from .errors import (AssumptionViolated, CumicaError, InvalidParams,
                      InvalidSpec, SingularInput, TooManyFailures,
                      _check_alpha)
-from .estimators import (SolverOptions, all_cumulant, compound_cumulant,
-                         deflation_pp, symmetric_pp)
+from .estimators import (SolverOptions, _all_cumulant_block, all_cumulant,
+                         compound_cumulant, deflation_pp, symmetric_pp)
 
 _MAX_CONDITION = 1e8
+
+# Monte Carlo replications per pool task, whatever the worker count, so
+# a replication's work never depends on how many workers there are.
+_BLOCK = 8
 
 # The method registry: estimator and variance table per canonical name,
 # looked up at call time; resolve_method applies the aliases.
@@ -68,19 +76,23 @@ def resolve_method(method, alpha):
     return name, None if alpha is None else _check_alpha(alpha), None
 
 
-def _check_int(name, value):
-    """Raise InvalidSpec unless ``value`` is an integer; a bool is not."""
+def _check_int(name, value, kind="an integer"):
+    """Raise InvalidSpec, saying that ``name`` must be ``kind``, unless
+    ``value`` is an integer; a bool is not."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise InvalidSpec(f"{name} must be an integer, got {value!r}")
+        raise InvalidSpec(f"{name} must be {kind}, got {value!r}")
 
 
 def _seed_sequence(seed):
     """``seed`` as a SeedSequence: one passes through, a non-negative
-    integer seeds a new one, and anything else raises InvalidSpec."""
+    integer seeds a new one, and anything else (a bool included) raises
+    InvalidSpec."""
     if isinstance(seed, np.random.SeedSequence):
         return seed
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise InvalidSpec(f"seed must be a non-negative integer, got {seed!r}")
+    kind = "a non-negative integer"
+    _check_int("seed", seed, kind)
+    if seed < 0:
+        raise InvalidSpec(f"seed must be {kind}, got {seed!r}")
     return np.random.SeedSequence(seed)
 
 
@@ -432,10 +444,10 @@ def resolve_threads(threads=None):
                                   f"got {env!r}") from None
         else:
             threads = os.cpu_count() or 1
-    threads = int(threads)
+    _check_int("threads", threads)
     if threads < 1:
         raise InvalidSpec(f"threads must be >= 1, got {threads}")
-    return threads
+    return int(threads)
 
 
 def _estimate_once(method, X, alpha, opts, standardizer=None):
@@ -443,25 +455,58 @@ def _estimate_once(method, X, alpha, opts, standardizer=None):
     return _ESTIMATORS[method](X, alpha, opts=opts, **extra)
 
 
-def _run_replication(args):
-    """One Monte Carlo replication; must stay a top-level function so the
-    process pool can pickle it."""
-    model, method, alpha, standardizer, n, child, opts = args
+def _draw(job):
+    """The sample of one Monte Carlo job and its solver seed: the job's
+    SeedSequence spawns two, the first for the data and the second for
+    the solver."""
+    model, _, _, _, n, child, _ = job
     data_ss, solver_ss = child.spawn(2)
-    X, Omega, _ = generate_ic_sample(model, n, np.random.default_rng(data_ss))
-    opts = replace(opts, seed=int(solver_ss.generate_state(1)[0]))
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            est = _estimate_once(method, X, alpha, opts, standardizer)
-    except (CumicaError, np.linalg.LinAlgError) as exc:
-        # numerical failures are counted; a programming error propagates
-        return ("error", type(exc).__name__, None, None)
+    X, _, _ = generate_ic_sample(model, n, np.random.default_rng(data_ss))
+    return X, int(solver_ss.generate_state(1)[0])
+
+
+def _outcome(est, Omega):
+    """A replication's (status, error name, aligned W, mdi) from its fit,
+    or from the numerical error that stopped it."""
+    if isinstance(est, Exception):
+        return ("error", type(est).__name__, None, None)
     if not est.converged:
         return ("unconverged", None, None, None)
     aligned = align_signed_permutation(est.W @ Omega)
     score = mdi(est.W, Omega)
     return ("ok", None, aligned, score)
+
+
+def _run_replication(job):
+    """One Monte Carlo replication, fitted through ``_ESTIMATORS``."""
+    model, method, alpha, standardizer, _, _, opts = job
+    X, seed = _draw(job)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            est = _estimate_once(method, X, alpha, replace(opts, seed=seed),
+                                 standardizer)
+    except (CumicaError, np.linalg.LinAlgError) as exc:
+        # numerical failures are counted; a programming error propagates
+        est = exc
+    return _outcome(est, model.mixing_matrix())
+
+
+def _run_block(jobs):
+    """The outcomes of one block of Monte Carlo jobs, in order; must stay
+    a top-level function so the process pool can pickle it.  JADE fits
+    the block's samples with one batched joint diagonalization, drawing
+    each sample only when its turn comes; every other method fits them
+    one at a time."""
+    model, method, alpha, _, _, _, opts = jobs[0]
+    if method != "all_cumulant":
+        return [_run_replication(job) for job in jobs]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        fits = _all_cumulant_block(
+            [lambda job=job: _draw(job)[0] for job in jobs], alpha, opts)
+    Omega = model.mixing_matrix()
+    return [_outcome(est, Omega) for est in fits]
 
 
 def monte_carlo_experiment(model, method, alpha, n, replications,
@@ -509,14 +554,16 @@ def monte_carlo_experiment(model, method, alpha, n, replications,
     jobs = [(replica, method, alpha, standardizer, n, child, opts)
             for child in _seed_sequence(master_seed).spawn(replications)]
 
+    blocks = [jobs[i:i + _BLOCK] for i in range(0, len(jobs), _BLOCK)]
     threads = min(resolve_threads(threads), replications)
     if threads > 1:
         # the pool's modules load only for a run that uses them
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(_run_replication, jobs, chunksize=8))
+            done = list(pool.map(_run_block, blocks))
     else:
-        outcomes = [_run_replication(job) for job in jobs]
+        done = [_run_block(block) for block in blocks]
+    outcomes = [outcome for block in done for outcome in block]
 
     mats = [aligned for status, _, aligned, _ in outcomes if status == "ok"]
     scores = [s for status, _, _, s in outcomes if status == "ok"]

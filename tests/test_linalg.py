@@ -300,3 +300,58 @@ class TestJointDiagonalize:
         finally:
             tracemalloc.stop()
         assert peak <= 1.5 * stack_bytes, (peak, stack_bytes)
+
+
+def _same_result(a, b):
+    """Two JointDiagResults agree to the bit, signs of zeros included."""
+    return (a.U.tobytes() == b.U.tobytes() and a.sweeps == b.sweeps
+            and a.converged == b.converged and a.objective == b.objective
+            and a.objective_history.tobytes() == b.objective_history.tobytes()
+            and a.mass_history.tobytes() == b.mass_history.tobytes()
+            and a.diagonals.tobytes() == b.diagonals.tobytes())
+
+
+class TestBatchedJacobi:
+    """Several stacks rotate in one batch, each with its own angles,
+    sweeps and convergence, and each ends as it would alone."""
+
+    @staticmethod
+    def batch(rng, p, m, noises):
+        return [planted_stack(rng, p, m, noise)[0] for noise in noises]
+
+    @pytest.mark.parametrize("p,m", [(3, 9), (5, 20), (8, 44)])
+    def test_each_stack_ends_as_it_would_alone(self, p, m):
+        # noise levels spread the sweep counts (4 to 58 here); a budget of
+        # 5 stops the noisier stacks unconverged beside converged ones
+        rng = np.random.default_rng(p)
+        stacks = self.batch(rng, p, m, [0.0, 1e-3, 0.3, 1e-6, 3.0, 0.1])
+        w = rng.uniform(0.5, 2.0, size=m)
+        for max_sweeps in (100, 5):
+            together = cumica.linalg._joint_diagonalize_stacks(
+                stacks, w, 1e-10, max_sweeps)
+            alone = [joint_diagonalize(S, weights=w, max_sweeps=max_sweeps)
+                     for S in stacks]
+            assert all(_same_result(a, b) for a, b in zip(together, alone))
+            converged = [res.converged for res in together]
+            if max_sweeps == 100:
+                assert all(converged)
+                assert len({res.sweeps for res in together}) >= 3
+            else:
+                assert any(converged) and not all(converged)
+
+    def test_batch_order_does_not_matter(self):
+        rng = np.random.default_rng(21)
+        stacks = self.batch(rng, 4, 10, [0.2, 0.0, 0.05, 1e-4, 0.5])
+        forward = cumica.linalg._joint_diagonalize_stacks(stacks, None,
+                                                          1e-10, 100)
+        backward = cumica.linalg._joint_diagonalize_stacks(stacks[::-1], None,
+                                                           1e-10, 100)
+        assert all(_same_result(a, b)
+                   for a, b in zip(forward, backward[::-1]))
+
+    def test_input_stacks_not_modified(self):
+        rng = np.random.default_rng(22)
+        stacks = self.batch(rng, 3, 6, [0.1, 0.2])
+        before = [S.copy() for S in stacks]
+        cumica.linalg._joint_diagonalize_stacks(stacks, None, 1e-10, 100)
+        assert all(np.array_equal(S, B) for S, B in zip(stacks, before))

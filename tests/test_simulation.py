@@ -16,11 +16,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import cumica.estimators
 import cumica.simulation
 from cumica.distributions import moment_profile
 from cumica.errors import (AssumptionViolated, InvalidParams, InvalidSpec,
-                           SingularInput, TooManyFailures)
-from cumica.estimators import SolverOptions
+                           NotPositiveDefinite, SingularInput,
+                           TooManyFailures)
+from cumica.estimators import SolverOptions, all_cumulant
 from cumica.simulation import (ContourGrid, IcModelSpec, _max_assignment,
                                align_signed_permutation, canonical_method,
                                check_assumptions, contour_grid,
@@ -300,6 +302,15 @@ class TestMonteCarlo:
             monte_carlo_experiment(GAMMA3, "symmetric", 0.8, 1000, 8,
                                    threads=1)
 
+    def test_programming_error_in_a_jade_block_is_not_a_failure(
+            self, monkeypatch):
+        def broken(xst, alpha):
+            raise TypeError("bug in the JADE preparation")
+        monkeypatch.setattr(cumica.estimators, "_all_cumulant_matrices",
+                            broken)
+        with pytest.raises(TypeError, match="bug in the JADE preparation"):
+            monte_carlo_experiment(GAMMA3, "jade", 0.8, 1000, 8, threads=1)
+
     def test_too_many_failures(self):
         starved = SolverOptions(max_iter=1, tol=1e-14, restarts=1)
         with pytest.raises(TooManyFailures):
@@ -340,6 +351,76 @@ class TestMonteCarlo:
         buf = io.StringIO()
         res.to_csv(buf)
         assert buf.getvalue() == text
+
+
+def _jade_jobs(reps, seed, n=1000):
+    """Monte Carlo jobs as monte_carlo_experiment makes them: JADE at
+    alpha 0.8 on the identity-mixed GAMMA3, one spawned seed each."""
+    return [(GAMMA3, "all_cumulant", 0.8, None, n, child,
+             SolverOptions(restarts=1))
+            for child in np.random.SeedSequence(seed).spawn(reps)]
+
+
+def _alone(job):
+    """The outcome of a job's sample fitted by all_cumulant alone."""
+    model, _, alpha, _, n, child, opts = job
+    X, omega, _ = generate_ic_sample(
+        model, n, np.random.default_rng(child.spawn(2)[0]))
+    est = all_cumulant(X, alpha, opts)
+    return align_signed_permutation(est.W @ omega), mdi(est.W, omega)
+
+
+class TestJadeBlocks:
+    """JADE replications run in fixed blocks of eight through one batched
+    joint diagonalization; each ends as all_cumulant ends alone."""
+
+    def test_every_block_position_matches_a_fit_alone(self, monkeypatch):
+        # 20 replications: two full blocks and one of four
+        seen = []
+        outcome = cumica.simulation._outcome
+
+        def record(est, omega):
+            seen.append(outcome(est, omega))
+            return seen[-1]
+        monkeypatch.setattr(cumica.simulation, "_outcome", record)
+        res = monte_carlo_experiment(GAMMA3, "jade", 0.8, 1000, 20,
+                                     master_seed=9,
+                                     opts=SolverOptions(restarts=1),
+                                     threads=1)
+        assert res.failures == 0 and len(seen) == 20
+        for (status, _, aligned, score), job in zip(seen, _jade_jobs(20, 9)):
+            alone, alone_score = _alone(job)
+            assert status == "ok"
+            assert aligned.tobytes() == alone.tobytes()
+            assert score == alone_score
+
+    def test_n_var_is_bitwise_equal_for_any_worker_count(self):
+        kw = dict(model=GAMMA3, method="jade", alpha=0.8, n=1000,
+                  replications=20, master_seed=11,
+                  opts=SolverOptions(restarts=1))
+        runs = [monte_carlo_experiment(**kw, threads=t) for t in (1, 2, 4)]
+        assert runs[0].n_var.tobytes() == runs[1].n_var.tobytes()
+        assert runs[0].n_var.tobytes() == runs[2].n_var.tobytes()
+        assert runs[0].mdi_mean == runs[1].mdi_mean == runs[2].mdi_mean
+
+    def test_a_failed_preparation_fails_only_its_replication(
+            self, monkeypatch):
+        good = cumica.simulation._run_block(_jade_jobs(8, 12))
+        standardize = cumica.estimators.standardize
+        calls = []
+
+        def third_fails(X, *args, **kwargs):
+            calls.append(None)
+            if len(calls) == 3:
+                raise NotPositiveDefinite("singular sample")
+            return standardize(X, *args, **kwargs)
+        monkeypatch.setattr(cumica.estimators, "standardize", third_fails)
+        bad = cumica.simulation._run_block(_jade_jobs(8, 12))
+        assert bad[2] == ("error", "NotPositiveDefinite", None, None)
+        for i in (0, 1, 3, 4, 5, 6, 7):
+            assert bad[i][0] == good[i][0] == "ok"
+            assert bad[i][2].tobytes() == good[i][2].tobytes()
+            assert bad[i][3] == good[i][3]
 
 
 class TestContour:
@@ -445,6 +526,20 @@ class TestConfigAndThreads:
         assert resolve_threads(None) == 2
         monkeypatch.delenv("CUMICA_THREADS")
         assert resolve_threads(None) >= 1
+
+    @pytest.mark.parametrize("threads", [2.5, 2.0, True, "2"])
+    def test_resolve_threads_rejects_non_integers(self, threads):
+        with pytest.raises(InvalidSpec, match="threads must be an integer"):
+            resolve_threads(threads)
+        assert resolve_threads(np.int64(2)) == 2
+
+    def test_bool_seed_rejected(self):
+        with pytest.raises(InvalidSpec, match="non-negative integer, got True"):
+            monte_carlo_experiment(GAMMA3, "symmetric", 0.8, 1000, 8,
+                                   master_seed=True, threads=1)
+        with pytest.raises(InvalidSpec, match="non-negative integer, got True"):
+            IcModelSpec(sources=("gamma:1", "gamma:2"),
+                        mixing=("random", True))
 
     def test_resolve_threads_rejects_non_integer_variable(self, monkeypatch):
         monkeypatch.setenv("CUMICA_THREADS", "abc")
