@@ -566,7 +566,7 @@ def _all_cumulant_prep(X, alpha):
     return (st.whitener, *_all_cumulant_matrices(st.xst, alpha))
 
 
-def _all_cumulant_block(draws, alpha, opts=None):
+def _all_cumulant_block(draws, alpha, opts):
     """``all_cumulant`` of the samples returned by the callables
     ``draws``, with one joint-diagonalization call for them all.
 
@@ -579,14 +579,14 @@ def _all_cumulant_block(draws, alpha, opts=None):
     ``UnmixingEstimate`` or the ``CumicaError`` or ``LinAlgError`` that
     its preparation raised.
     """
-    alpha = _check_alpha(alpha)
-    opts = opts or SolverOptions()
     preps = []
     for draw in draws:
+        X = draw()
         try:
-            preps.append(_all_cumulant_prep(draw(), alpha))
+            preps.append(_all_cumulant_prep(X, alpha))
         except (CumicaError, np.linalg.LinAlgError) as exc:
             preps.append(exc)
+        del X  # so the next sample is not drawn beside this one
     ready = [prep for prep in preps if not isinstance(prep, Exception)]
     results = iter(_joint_diagonalize_stacks(
         [matrices for _, matrices, _, _ in ready], ready[0][2],

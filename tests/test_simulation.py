@@ -11,6 +11,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -18,11 +19,13 @@ import pytest
 
 import cumica.estimators
 import cumica.simulation
+from cumica.cumulants import _BLOCK_ENTRIES
 from cumica.distributions import moment_profile
 from cumica.errors import (AssumptionViolated, InvalidParams, InvalidSpec,
                            NotPositiveDefinite, SingularInput,
                            TooManyFailures)
-from cumica.estimators import SolverOptions, all_cumulant
+from cumica.estimators import (SolverOptions, _all_cumulant_block,
+                               all_cumulant)
 from cumica.simulation import (ContourGrid, IcModelSpec, _max_assignment,
                                align_signed_permutation, canonical_method,
                                check_assumptions, contour_grid,
@@ -402,6 +405,23 @@ class TestJadeBlocks:
         assert runs[0].n_var.tobytes() == runs[1].n_var.tobytes()
         assert runs[0].n_var.tobytes() == runs[2].n_var.tobytes()
         assert runs[0].mdi_mean == runs[1].mdi_mean == runs[2].mdi_mean
+
+    def test_a_block_holds_one_sample_at_a_time(self):
+        # each draw makes a fresh sample; the block keeps the tensors and
+        # matrices of each, not the samples
+        X, _, _ = generate_ic_sample(GAMMA3, 200_000,
+                                     np.random.default_rng(13))
+        bound = 2 * X.nbytes + 3 * 8 * _BLOCK_ENTRIES
+        tracemalloc.start()
+        try:
+            fits = _all_cumulant_block([X.copy] * 8, 0.8,
+                                       SolverOptions(restarts=1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(fit.converged for fit in fits)
+        assert peak <= bound, (f"peak {peak / 1e6:.2f} MB, bound "
+                               f"{bound / 1e6:.2f} MB")
 
     def test_a_failed_preparation_fails_only_its_replication(
             self, monkeypatch):
