@@ -50,6 +50,11 @@ CASES = {
     "simulate_mc": ["simulate", "--sources", SOURCES, "--method", "jade",
                     "--alpha", "0.8", "--n", "1200", "--reps", "8",
                     "--seed", "4", "--threads", "1"],
+    # a block of 8 and one of 2, through the fits one at a time
+    "simulate_mc_symmetric": ["simulate", "--sources", SOURCES, "--method",
+                              "symmetric", "--alpha", "0.8", "--n", "1200",
+                              "--reps", "10", "--seed", "4",
+                              "--threads", "1"],
 }
 # golden name suffix -> (method, alpha); the weight endpoints pin the
 # single-stack branches of the diagonalization methods
