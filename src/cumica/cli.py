@@ -28,8 +28,8 @@ from .errors import CumicaError, MalformedInput
 from .estimators import SolverOptions
 from .simulation import (_ALIASES, _ASV_TABLES, _ESTIMATORS, IcModelSpec,
                          _csv_rows, _csv_table, _estimate_once, _fmt,
-                         _seed_sequence,
-                         check_assumptions, contour_grid, generate_ic_sample,
+                         _replication_sample, _seed_sequence,
+                         check_assumptions, contour_grid,
                          monte_carlo_experiment, read_config, resolve_method)
 
 _METHODS = (*_ESTIMATORS, *_ALIASES)
@@ -238,9 +238,9 @@ def _cmd_simulate(args):
         model = _build_model(specs, args.mixing, args.seed)
         # replication 0 of a Monte Carlo run with the same seed sees
         # exactly this dataset
-        data_ss = _seed_sequence(args.seed).spawn(1)[0].spawn(2)[0]
-        X, omega, _ = generate_ic_sample(model, args.n,
-                                         np.random.default_rng(data_ss))
+        X, _ = _replication_sample(model, args.n,
+                                   _seed_sequence(args.seed).spawn(1)[0])
+        omega = model.mixing_matrix()
         return _emit_rows(
             _echo("simulate", sources=",".join(specs), n=args.n,
                   seed=args.seed, mixing=args.mixing, emit_data=True)

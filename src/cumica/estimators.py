@@ -39,12 +39,13 @@ that stops leaves the batch; the largest finite objective wins, ties
 going to the earlier start.  The two diagonalization methods share one
 Jacobi tolerance and sweep budget.
 
-A JADE fit needs the sample only for its first step: one pass over the
-standardized rows forms the cumulant matrices and the moment tensors,
-the rotation is found from the matrices alone, and its moments are read
-from the tensors (Cardoso & Souloumiac 1993).  So ``_all_cumulant_block``
-fits many samples with one batched joint diagonalization, holding only
-those per sample, and each fit ends as ``all_cumulant`` ends it alone.
+A Monte Carlo block's fits run through one loop, ``_fit_each``, which
+draws each sample only when its turn comes and keeps a numerical error
+in the place of the fit it stopped.  A JADE fit needs its sample only
+for one pass that forms the cumulant matrices and moment tensors: the
+rotation is found from the matrices and its moments read from the
+tensors (Cardoso & Souloumiac 1993).  So ``_all_cumulant_block`` runs
+that pass in the loop and rotates the block's matrices in one batch.
 """
 
 import math
@@ -79,10 +80,13 @@ class SolverOptions:
     def __post_init__(self):
         if not self.tol > 0:
             raise InvalidParams(f"tol must be positive, got {self.tol!r}")
-        if self.max_iter < 1:
-            raise InvalidParams(f"max_iter must be >= 1, got {self.max_iter!r}")
-        if self.restarts < 1:
-            raise InvalidParams(f"restarts must be >= 1, got {self.restarts!r}")
+        for name in ("max_iter", "restarts"):
+            value = getattr(self, name)
+            if type(value) is bool or not isinstance(value, (int, np.integer)):
+                raise InvalidParams(
+                    f"{name} must be an integer, got {value!r}")
+            if value < 1:
+                raise InvalidParams(f"{name} must be >= 1, got {value!r}")
         if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
             raise InvalidParams(
                 f"seed must be a non-negative integer, got {self.seed!r}")
@@ -559,34 +563,38 @@ def _all_cumulant_read(tensors, res):
             res.converged, 1, res.objective_history)
 
 
-def _all_cumulant_prep(X, alpha):
-    """The whitener of ``X``, then ``_all_cumulant_matrices`` of its
-    standardized copy, which is dropped on return."""
-    st = standardize(X)
-    return (st.whitener, *_all_cumulant_matrices(st.xst, alpha))
+def _fit_each(fit, draws):
+    """``fit(X, seed)`` of each sample and solver seed that the callables
+    ``draws`` return, in order; a sample is drawn only when its turn
+    comes and dropped before the next.  The ``CumicaError`` or
+    ``LinAlgError`` that stops a fit stands in its place; any other error
+    is a programming error and propagates."""
+    fits = []
+    for draw in draws:
+        X, seed = draw()
+        try:
+            fits.append(fit(X, seed))
+        except (CumicaError, np.linalg.LinAlgError) as exc:
+            fits.append(exc)
+        del X  # so the next sample is not drawn beside this one
+    return fits
 
 
 def _all_cumulant_block(draws, alpha, opts):
-    """``all_cumulant`` of the samples returned by the callables
-    ``draws``, with one joint-diagonalization call for them all.
+    """``all_cumulant`` of the samples of ``draws`` (see ``_fit_each``;
+    JADE has no random start, so their seeds go unused).
 
-    Each sample is drawn, standardized and reduced to its cumulant
-    matrices and moment tensors before the next is drawn, so the block
-    holds O(p^4) floats per sample and one sample at a time.  Then
-    ``_joint_diagonalize_stacks`` rotates every sample's stack in one
-    batch (``joint_diagonalize`` is its batch of one), and each fit ends
-    as ``all_cumulant`` ends it, to the bit.  Returns, per sample, its
-    ``UnmixingEstimate`` or the ``CumicaError`` or ``LinAlgError`` that
-    its preparation raised.
+    Each sample is reduced to its cumulant matrices and moment tensors
+    before the next is drawn, so the block holds O(p^4) floats per sample
+    and one sample at a time.  Then one ``_joint_diagonalize_stacks`` call
+    rotates every sample's stack (``joint_diagonalize`` is its batch of
+    one), and each fit ends as ``all_cumulant`` ends it, to the bit; the
+    error that stopped a preparation stands in the place of its fit.
     """
-    preps = []
-    for draw in draws:
-        X = draw()
-        try:
-            preps.append(_all_cumulant_prep(X, alpha))
-        except (CumicaError, np.linalg.LinAlgError) as exc:
-            preps.append(exc)
-        del X  # so the next sample is not drawn beside this one
+    def prepare(X, _):
+        st = standardize(X)  # its whitened copy is dropped on return
+        return (st.whitener, *_all_cumulant_matrices(st.xst, alpha))
+    preps = _fit_each(prepare, draws)
     ready = [prep for prep in preps if not isinstance(prep, Exception)]
     results = iter(_joint_diagonalize_stacks(
         [matrices for _, matrices, _, _ in ready], ready[0][2],

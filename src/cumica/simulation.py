@@ -6,14 +6,16 @@ without loss of generality), aligns each estimate to the identity by
 the optimal signed permutation, and compares the scaled empirical
 variances n*Var(w_kl) against the analytic asymptotic variances.
 
-Seeding discipline: a run takes one master seed; per-replication
-generators are derived through ``numpy.random.SeedSequence.spawn``
-before any work is dispatched, so results are bitwise identical
-whatever the worker parallelism.  Replications run in fixed blocks of
-``_BLOCK``, one block per pool task whatever the worker count; a block
-of JADE replications draws and reduces one sample at a time and then
-rotates all of its cumulant stacks in one batched joint
-diagonalization.
+Seeding discipline: a run takes one master seed and spawns one
+SeedSequence per replication from it before any work is dispatched;
+``_replication_sample`` alone maps one to its replication's sample and
+solver seed (``cumica simulate --emit-data`` writes replication 0's).
+Replications run in fixed blocks of ``_BLOCK``, one pool task each that
+carries the run's settings once, so results are bitwise identical
+whatever the worker count.  Every block runs through one loop,
+``estimators._fit_each``, which draws one sample at a time and counts a
+numerical error as its replication's failure; a JADE block then rotates
+all of its cumulant stacks in one batched joint diagonalization.
 """
 
 import itertools
@@ -22,6 +24,7 @@ import os
 import time
 import warnings
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -30,8 +33,9 @@ from .distributions import SourceSpec, moment_profile, sample_source
 from .errors import (AssumptionViolated, CumicaError, InvalidParams,
                      InvalidSpec, SingularInput, TooManyFailures,
                      _check_alpha)
-from .estimators import (SolverOptions, _all_cumulant_block, all_cumulant,
-                         compound_cumulant, deflation_pp, symmetric_pp)
+from .estimators import (SolverOptions, _all_cumulant_block, _fit_each,
+                         all_cumulant, compound_cumulant, deflation_pp,
+                         symmetric_pp)
 
 _MAX_CONDITION = 1e8
 
@@ -419,9 +423,15 @@ class McResult:
 
     def to_csv(self, path_or_file=None):
         """Serialize as CSV (one row per matrix entry); returns the text."""
+        seed = self.master_seed
+        if isinstance(seed, np.random.SeedSequence):
+            # one line, and the seed as given, not as the run's spawning
+            # left it
+            seed = (f"SeedSequence(entropy={seed.entropy}, "
+                    f"spawn_key={seed.spawn_key})")
         comments = [
             f"monte carlo: method={self.method} alpha={_fmt(self.alpha)} "
-            f"n={self.n} reps={self.replications} seed={self.master_seed}",
+            f"n={self.n} reps={self.replications} seed={seed}",
             "sources: " + ",".join(str(s) for s in self.sources),
             f"mdi: mean={_fmt(self.mdi_mean)} "
             f"median={_fmt(self.mdi_median)} max={_fmt(self.mdi_max)}",
@@ -455,12 +465,11 @@ def _estimate_once(method, X, alpha, opts, standardizer=None):
     return _ESTIMATORS[method](X, alpha, opts=opts, **extra)
 
 
-def _draw(job):
-    """The sample of one Monte Carlo job and its solver seed: the job's
-    SeedSequence spawns two, the first for the data and the second for
-    the solver."""
-    model, _, _, _, n, child, _ = job
-    data_ss, solver_ss = child.spawn(2)
+def _replication_sample(model, n, seq):
+    """The sample and solver seed of the Monte Carlo replication whose
+    SeedSequence is ``seq``: it spawns two, the first drawing the sample
+    from ``model`` and the second seeding the solver."""
+    data_ss, solver_ss = seq.spawn(2)
     X, _, _ = generate_ic_sample(model, n, np.random.default_rng(data_ss))
     return X, int(solver_ss.generate_state(1)[0])
 
@@ -472,39 +481,25 @@ def _outcome(est, Omega):
         return ("error", type(est).__name__, None, None)
     if not est.converged:
         return ("unconverged", None, None, None)
-    aligned = align_signed_permutation(est.W @ Omega)
-    score = mdi(est.W, Omega)
-    return ("ok", None, aligned, score)
+    return ("ok", None, align_signed_permutation(est.W @ Omega),
+            mdi(est.W, Omega))
 
 
-def _run_replication(job):
-    """One Monte Carlo replication, fitted through ``_ESTIMATORS``."""
-    model, method, alpha, standardizer, _, _, opts = job
-    X, seed = _draw(job)
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            est = _estimate_once(method, X, alpha, replace(opts, seed=seed),
-                                 standardizer)
-    except (CumicaError, np.linalg.LinAlgError) as exc:
-        # numerical failures are counted; a programming error propagates
-        est = exc
-    return _outcome(est, model.mixing_matrix())
-
-
-def _run_block(jobs):
-    """The outcomes of one block of Monte Carlo jobs, in order; must stay
-    a top-level function so the process pool can pickle it.  JADE fits
-    the block's samples with one batched joint diagonalization, drawing
-    each sample only when its turn comes; every other method fits them
-    one at a time."""
-    model, method, alpha, _, _, _, opts = jobs[0]
-    if method != "all_cumulant":
-        return [_run_replication(job) for job in jobs]
+def _run_block(run, seqs):
+    """The outcomes of one block of Monte Carlo replications, from the
+    run's settings ``run`` and the block's SeedSequences ``seqs``; must
+    stay a top-level function so the process pool can pickle it.  JADE
+    runs ``_fit_each`` through its batch, every other method directly."""
+    model, method, alpha, standardizer, n, opts = run
+    draws = [partial(_replication_sample, model, n, seq) for seq in seqs]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        fits = _all_cumulant_block(
-            [lambda job=job: _draw(job)[0] for job in jobs], alpha, opts)
+        if method == "all_cumulant":
+            fits = _all_cumulant_block(draws, alpha, opts)
+        else:
+            fits = _fit_each(lambda X, seed: _estimate_once(
+                method, X, alpha, replace(opts, seed=seed), standardizer),
+                draws)
     Omega = model.mixing_matrix()
     return [_outcome(est, Omega) for est in fits]
 
@@ -544,29 +539,26 @@ def monte_carlo_experiment(model, method, alpha, n, replications,
     if replications < 2:
         raise InvalidSpec("need at least two replications")
     check_assumptions(model, method, alpha)
-    profiles = model.profiles()
-    table = _ASV_TABLES[method](profiles, alpha)
-    p = model.p
+    table = _ASV_TABLES[method](model.profiles(), alpha)
     asv = table.offdiag + np.diag(table.diag)
 
     opts = opts or SolverOptions()
     replica = IcModelSpec(sources=model.sources)  # identity mixing, no shift
-    jobs = [(replica, method, alpha, standardizer, n, child, opts)
-            for child in _seed_sequence(master_seed).spawn(replications)]
-
-    blocks = [jobs[i:i + _BLOCK] for i in range(0, len(jobs), _BLOCK)]
+    run = (replica, method, alpha, standardizer, n, opts)
+    seqs = _seed_sequence(master_seed).spawn(replications)
+    blocks = [seqs[i:i + _BLOCK] for i in range(0, replications, _BLOCK)]
     threads = min(resolve_threads(threads), replications)
     if threads > 1:
         # the pool's modules load only for a run that uses them
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            done = list(pool.map(_run_block, blocks))
+            done = list(pool.map(partial(_run_block, run), blocks))
     else:
-        done = [_run_block(block) for block in blocks]
+        done = [_run_block(run, block) for block in blocks]
     outcomes = [outcome for block in done for outcome in block]
 
     mats = [aligned for status, _, aligned, _ in outcomes if status == "ok"]
-    scores = [s for status, _, _, s in outcomes if status == "ok"]
+    scores = np.array([s for status, _, _, s in outcomes if status == "ok"])
     failures = replications - len(mats)
     if failures > 0.01 * replications:
         kinds = sorted({name for status, name, _, _ in outcomes
@@ -575,11 +567,9 @@ def monte_carlo_experiment(model, method, alpha, n, replications,
             f"{failures}/{replications} replications failed or did not "
             f"converge" + (f" (errors: {', '.join(kinds)})" if kinds else ""))
 
-    stack = np.stack(mats)
-    n_var = n * stack.var(axis=0, ddof=1)
+    n_var = n * np.stack(mats).var(axis=0, ddof=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         rel = np.where(asv != 0.0, (n_var - asv) / asv, np.nan)
-    scores = np.array(scores)
     return McResult(
         method=method, alpha=alpha, n=int(n), replications=int(replications),
         sources=tuple(str(s) for s in model.sources),

@@ -17,8 +17,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import cumica.simulation
 from cumica.cli import _SIMULATE_KEYS, _build_parser, main
-from cumica.estimators import SolverOptions, all_cumulant
+from cumica.estimators import (SolverOptions, all_cumulant, compound_cumulant,
+                               symmetric_pp)
 from cumica.simulation import mdi
 
 
@@ -310,6 +312,41 @@ class TestSimulateAndEstimate:
                             "fobi", "--alpha", "0.7"])
         assert code == 0
         assert "method=compound alpha=0.0 standardizer=fobi" in out.splitlines()[0]
+
+    @pytest.mark.filterwarnings("ignore::cumica.errors.NearDegenerateSpectrum")
+    def test_compound_takes_the_fobi_standardizer(self, tmp_path):
+        path = self.emit(tmp_path)
+        code, out, err = run(["estimate", "--in", str(path), "--method",
+                              "compound", "--alpha", "0.5",
+                              "--standardizer", "fobi"])
+        assert code == 0, err
+        assert " standardizer=fobi " in out.splitlines()[0]
+        X = np.loadtxt(path, delimiter=",", comments="#")
+        est = compound_cumulant(X, 0.5, standardizer="fobi")
+        assert np.array_equal(parse_matrix(out), est.W)
+
+    def test_emit_data_is_replication_zero(self, tmp_path, monkeypatch):
+        # the sample replication 0 of a Monte Carlo run with the same
+        # seed fits, drawn through the same seed contract
+        fitted = []
+
+        def record(X, alpha, opts=None):
+            fitted.append(X.copy())
+            return symmetric_pp(X, alpha, opts)
+        monkeypatch.setitem(cumica.simulation._ESTIMATORS, "symmetric",
+                            record)
+        common = ["simulate", "--sources", "gamma:1,gamma:2,gamma:4",
+                  "--n", "1000", "--seed", "6"]
+        code, _, err = run([*common, "--method", "symmetric", "--alpha",
+                            "0.8", "--reps", "2", "--threads", "1"])
+        assert code == 0, err
+        path = tmp_path / "data.csv"
+        code, _, err = run([*common, "--mixing", "identity", "--emit-data",
+                            "--out", str(path)])
+        assert code == 0, err
+        X = np.loadtxt(path, delimiter=",", comments="#")
+        assert len(fitted) == 2
+        assert X.tobytes() == fitted[0].tobytes()
 
     @pytest.mark.filterwarnings("ignore::cumica.errors.NearDegenerateSpectrum")
     def test_fobi_takes_its_own_standardizer(self, tmp_path):

@@ -124,6 +124,13 @@ class TestStandardize:
         with pytest.raises(SingularCustomWhitener):
             standardize(X, whitener=W0)
 
+    def test_custom_whitener_with_a_zero_row(self):
+        X = np.random.default_rng(5).normal(size=(200, 3))
+        W0 = np.eye(3)
+        W0[1] = 0.0
+        with pytest.raises(SingularCustomWhitener, match="nonpositive"):
+            standardize(X, whitener=W0)
+
     @pytest.mark.parametrize("n", [1, 3, 4])
     def test_too_few_observations_named(self, n):
         X = np.random.default_rng(6).normal(size=(n, 4))

@@ -19,7 +19,7 @@ from cumica.cumulants import (_BLOCK_ENTRIES, _MomentTensors, _RowMoments,
                               _TensorMoments, sample_cov, standardize)
 from cumica.errors import (DegenerateObjective, InvalidParams,
                            NearDegenerateSpectrum, NonFiniteInput,
-                           NotPositiveDefinite)
+                           NotPositiveDefinite, RankDeficient)
 from cumica.estimators import (SolverOptions, all_cumulant, compound_cumulant,
                                deflation_pp, symmetric_pp)
 from cumica.linalg import polar_orthogonal
@@ -261,6 +261,42 @@ class TestDiagnostics:
                              ("seed", 0.5), ("seed", None)]:
             with pytest.raises(InvalidParams, match=field):
                 SolverOptions(**{field: value})
+
+    @pytest.mark.parametrize("field", ["max_iter", "restarts"])
+    @pytest.mark.parametrize("value", [2.5, True], ids=["float", "bool"])
+    def test_counts_must_be_integers(self, field, value):
+        # either would be taken, then fail inside the fit or be reported
+        # as a count of True
+        with pytest.raises(InvalidParams,
+                           match=f"{field} must be an integer, got {value}"):
+            SolverOptions(**{field: value})
+        assert getattr(SolverOptions(**{field: np.int64(2)}), field) == 2
+
+
+@pytest.mark.parametrize("fit", [deflation_pp, symmetric_pp,
+                                 compound_cumulant, all_cumulant])
+def test_one_source(fit):
+    # p = 1: the rotation is the identity, and W scales to unit variance
+    X = np.random.default_rng(8).gamma(2.0, size=(500, 1)) * 3.0 + 1.0
+    est = fit(X, 0.8, SolverOptions(restarts=2, seed=0))
+    assert est.converged and est.W.shape == (1, 1)
+    assert est.W[0, 0] > 0.0  # gamma data skew right
+    np.testing.assert_allclose(est.W[0, 0] ** 2 * sample_cov(X)[0, 0], 1.0,
+                               rtol=1e-12)
+
+
+class TestOrthocomplement:
+    def test_unit_vector_orthogonal_to_the_rows(self):
+        rng = np.random.default_rng(9)
+        prev = np.linalg.qr(rng.normal(size=(5, 2)))[0].T
+        v = estimators._orthocomplement_vector(prev)
+        assert v.shape == (5,)
+        assert abs(np.linalg.norm(v) - 1.0) < 1e-12
+        assert np.abs(prev @ v).max() < 1e-12
+
+    def test_full_basis_has_no_complement(self):
+        with pytest.raises(RankDeficient, match="basis"):
+            estimators._orthocomplement_vector(np.eye(4))
 
 
 def _digest(data):

@@ -336,6 +336,20 @@ class TestMonteCarlo:
             monte_carlo_experiment(GAMMA3, "symmetric", 0.8, 1000, 8,
                                    master_seed=-1, threads=1)
 
+    @pytest.mark.parametrize("seed", [5, np.random.SeedSequence(5)],
+                             ids=["int", "SeedSequence"])
+    def test_csv_comments_are_one_line_each(self, seed):
+        res = monte_carlo_experiment(GAMMA3, "jade", 0.8, 1000, 4,
+                                     master_seed=seed, threads=1)
+        lines = res.to_csv().splitlines()
+        header = lines.index("method,alpha,n,reps,k,l,n_var,asv,rel_err")
+        assert header == 4
+        assert all(line.startswith("# ") for line in lines[:header])
+        # the seed as given, not as the run's spawning left it
+        assert lines[0].endswith(
+            " seed=5" if isinstance(seed, int)
+            else " seed=SeedSequence(entropy=5, spawn_key=())")
+
     def test_csv_round_trip(self):
         res = monte_carlo_experiment(GAMMA3, "symmetric", 0.8, 1200, 8,
                                      master_seed=5,
@@ -356,17 +370,18 @@ class TestMonteCarlo:
         assert buf.getvalue() == text
 
 
-def _jade_jobs(reps, seed, n=1000):
-    """Monte Carlo jobs as monte_carlo_experiment makes them: JADE at
-    alpha 0.8 on the identity-mixed GAMMA3, one spawned seed each."""
-    return [(GAMMA3, "all_cumulant", 0.8, None, n, child,
-             SolverOptions(restarts=1))
-            for child in np.random.SeedSequence(seed).spawn(reps)]
+def _jade_jobs(reps, seed, n=1000, method="all_cumulant"):
+    """A Monte Carlo run's settings and its replications' seeds as
+    monte_carlo_experiment makes them: JADE (or ``method``) at alpha 0.8
+    on the identity-mixed GAMMA3, one spawned seed each."""
+    return ((GAMMA3, method, 0.8, None, n, SolverOptions(restarts=1)),
+            np.random.SeedSequence(seed).spawn(reps))
 
 
-def _alone(job):
-    """The outcome of a job's sample fitted by all_cumulant alone."""
-    model, _, alpha, _, n, child, opts = job
+def _alone(run, child):
+    """The outcome of a replication's sample fitted by all_cumulant
+    alone."""
+    model, _, alpha, _, n, opts = run
     X, omega, _ = generate_ic_sample(
         model, n, np.random.default_rng(child.spawn(2)[0]))
     est = all_cumulant(X, alpha, opts)
@@ -391,8 +406,9 @@ class TestJadeBlocks:
                                      opts=SolverOptions(restarts=1),
                                      threads=1)
         assert res.failures == 0 and len(seen) == 20
-        for (status, _, aligned, score), job in zip(seen, _jade_jobs(20, 9)):
-            alone, alone_score = _alone(job)
+        run, seqs = _jade_jobs(20, 9)
+        for (status, _, aligned, score), child in zip(seen, seqs):
+            alone, alone_score = _alone(run, child)
             assert status == "ok"
             assert aligned.tobytes() == alone.tobytes()
             assert score == alone_score
@@ -414,7 +430,7 @@ class TestJadeBlocks:
         bound = 2 * X.nbytes + 3 * 8 * _BLOCK_ENTRIES
         tracemalloc.start()
         try:
-            fits = _all_cumulant_block([X.copy] * 8, 0.8,
+            fits = _all_cumulant_block([lambda: (X.copy(), 0)] * 8, 0.8,
                                        SolverOptions(restarts=1))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -425,7 +441,7 @@ class TestJadeBlocks:
 
     def test_a_failed_preparation_fails_only_its_replication(
             self, monkeypatch):
-        good = cumica.simulation._run_block(_jade_jobs(8, 12))
+        good = cumica.simulation._run_block(*_jade_jobs(8, 12))
         standardize = cumica.estimators.standardize
         calls = []
 
@@ -435,12 +451,53 @@ class TestJadeBlocks:
                 raise NotPositiveDefinite("singular sample")
             return standardize(X, *args, **kwargs)
         monkeypatch.setattr(cumica.estimators, "standardize", third_fails)
-        bad = cumica.simulation._run_block(_jade_jobs(8, 12))
+        bad = cumica.simulation._run_block(*_jade_jobs(8, 12))
         assert bad[2] == ("error", "NotPositiveDefinite", None, None)
         for i in (0, 1, 3, 4, 5, 6, 7):
             assert bad[i][0] == good[i][0] == "ok"
             assert bad[i][2].tobytes() == good[i][2].tobytes()
             assert bad[i][3] == good[i][3]
+
+
+class TestFitBlocks:
+    """A block of any other method runs through the loop that a JADE
+    block's preparations run through, one fit at a time."""
+
+    def test_a_failed_fit_fails_only_its_replication(self, monkeypatch):
+        good = cumica.simulation._run_block(
+            *_jade_jobs(8, 12, method="symmetric"))
+        symmetric = cumica.simulation._ESTIMATORS["symmetric"]
+        calls = []
+
+        def third_fails(X, alpha, opts=None):
+            calls.append(None)
+            if len(calls) == 3:
+                raise NotPositiveDefinite("singular sample")
+            return symmetric(X, alpha, opts)
+        monkeypatch.setitem(cumica.simulation._ESTIMATORS, "symmetric",
+                            third_fails)
+        bad = cumica.simulation._run_block(
+            *_jade_jobs(8, 12, method="symmetric"))
+        assert bad[2] == ("error", "NotPositiveDefinite", None, None)
+        for i in (0, 1, 3, 4, 5, 6, 7):
+            assert bad[i][0] == good[i][0] == "ok"
+            assert bad[i][2].tobytes() == good[i][2].tobytes()
+            assert bad[i][3] == good[i][3]
+
+    def test_a_block_holds_one_sample_at_a_time(self):
+        # a draw holds the sources beside the sample, and a fit the
+        # sample beside its whitened copy; holding all 8 reads ~45 MB
+        run, seqs = _jade_jobs(8, 13, n=200_000, method="symmetric")
+        bound = 2 * 200_000 * GAMMA3.p * 8 + 3 * 8 * _BLOCK_ENTRIES
+        tracemalloc.start()
+        try:
+            outcomes = cumica.simulation._run_block(run, seqs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [status for status, *_ in outcomes] == ["ok"] * 8
+        assert peak <= bound, (f"peak {peak / 1e6:.2f} MB, bound "
+                               f"{bound / 1e6:.2f} MB")
 
 
 class TestContour:
