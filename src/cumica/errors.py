@@ -1,7 +1,8 @@
-"""Exception and warning types shared across the package, and the check
-of the cumulant weight alpha that every entry point applies."""
+"""Exception and warning types shared across the package, and the checks
+of alpha and of integer arguments that the entry points apply."""
 
 import math
+import numbers
 
 
 class CumicaError(Exception):
@@ -54,6 +55,13 @@ def _check_alpha(alpha):
     if not (0.0 <= alpha <= 1.0) or not math.isfinite(alpha):
         raise InvalidParams(f"alpha must be in [0, 1], got {alpha!r}")
     return float(alpha)
+
+
+def _check_int(name, value, kind="an integer", error=InvalidSpec):
+    """Raise ``error``, saying that ``name`` must be ``kind``, unless
+    ``value`` is an integer (NumPy's included); a bool is not."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise error(f"{name} must be {kind}, got {value!r}")
 
 
 class ZeroDenominator(CumicaError):

@@ -59,7 +59,8 @@ from .cumulants import (_cumulant_stacks, _MomentTensors, _pairs, _row_sums,
                         _rowdot, _RowMoments, _TensorMoments,
                         compound_matrices, fobi_matrix, standardize)
 from .errors import (CumicaError, DegenerateObjective, InvalidParams,
-                     NearDegenerateSpectrum, RankDeficient, _check_alpha)
+                     NearDegenerateSpectrum, RankDeficient, _check_alpha,
+                     _check_int)
 from .linalg import (EIG_FLOOR, _joint_diagonalize_stacks, joint_diagonalize,
                      random_orthogonal, sym_eig)
 
@@ -82,9 +83,7 @@ class SolverOptions:
             raise InvalidParams(f"tol must be positive, got {self.tol!r}")
         for name in ("max_iter", "restarts"):
             value = getattr(self, name)
-            if type(value) is bool or not isinstance(value, (int, np.integer)):
-                raise InvalidParams(
-                    f"{name} must be an integer, got {value!r}")
+            _check_int(name, value, error=InvalidParams)
             if value < 1:
                 raise InvalidParams(f"{name} must be >= 1, got {value!r}")
         if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:

@@ -32,7 +32,7 @@ from . import asymptotics
 from .distributions import SourceSpec, moment_profile, sample_source
 from .errors import (AssumptionViolated, CumicaError, InvalidParams,
                      InvalidSpec, SingularInput, TooManyFailures,
-                     _check_alpha)
+                     _check_alpha, _check_int)
 from .estimators import (SolverOptions, _all_cumulant_block, _fit_each,
                          all_cumulant, compound_cumulant, deflation_pp,
                          symmetric_pp)
@@ -78,13 +78,6 @@ def resolve_method(method, alpha):
     if raw == "fobi":
         return name, 0.0, "fobi"
     return name, None if alpha is None else _check_alpha(alpha), None
-
-
-def _check_int(name, value, kind="an integer"):
-    """Raise InvalidSpec, saying that ``name`` must be ``kind``, unless
-    ``value`` is an integer; a bool is not."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise InvalidSpec(f"{name} must be {kind}, got {value!r}")
 
 
 def _seed_sequence(seed):
@@ -425,8 +418,7 @@ class McResult:
         """Serialize as CSV (one row per matrix entry); returns the text."""
         seed = self.master_seed
         if isinstance(seed, np.random.SeedSequence):
-            # one line, and the seed as given, not as the run's spawning
-            # left it
+            # its repr spans lines and counts the children spawned from it
             seed = (f"SeedSequence(entropy={seed.entropy}, "
                     f"spawn_key={seed.spawn_key})")
         comments = [
@@ -481,15 +473,16 @@ def _outcome(est, Omega):
         return ("error", type(est).__name__, None, None)
     if not est.converged:
         return ("unconverged", None, None, None)
-    return ("ok", None, align_signed_permutation(est.W @ Omega),
-            mdi(est.W, Omega))
+    aligned = align_signed_permutation(est.W @ Omega)
+    score = mdi(est.W, Omega)
+    return ("ok", None, aligned, score)
 
 
 def _run_block(run, seqs):
     """The outcomes of one block of Monte Carlo replications, from the
     run's settings ``run`` and the block's SeedSequences ``seqs``; must
-    stay a top-level function so the process pool can pickle it.  JADE
-    runs ``_fit_each`` through its batch, every other method directly."""
+    stay a top-level function so the process pool can pickle it.  Every
+    method's samples go through ``_fit_each``, JADE's inside its batch."""
     model, method, alpha, standardizer, n, opts = run
     draws = [partial(_replication_sample, model, n, seq) for seq in seqs]
     with warnings.catch_warnings():
