@@ -20,7 +20,7 @@ import pytest
 import cumica.estimators
 import cumica.simulation
 from cumica.cumulants import _BLOCK_ENTRIES
-from cumica.distributions import moment_profile
+from cumica.distributions import SourceSpec, moment_profile
 from cumica.errors import (AssumptionViolated, InvalidParams, InvalidSpec,
                            NotPositiveDefinite, SingularInput,
                            TooManyFailures)
@@ -165,6 +165,17 @@ class TestIcModelSpec:
             IcModelSpec(sources=("gamma:1", "gamma:2"),
                         mixing=("random", seed))
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"sources": ()}, "at least one source"),
+        ({"sources": ("gamma:1",), "mixing": "random"},
+         "unknown mixing: 'random'"),
+        ({"sources": ("gamma:1", "gamma:2"), "shift": (1.0, 2.0, 3.0)},
+         "shift must have length 2"),
+    ], ids=["no-sources", "mixing-string", "shift-length"])
+    def test_model_validation(self, kwargs, message):
+        with pytest.raises(InvalidSpec, match=message):
+            IcModelSpec(**kwargs)
+
     def test_given_matrix_validation(self):
         good = np.array([[2.0, 1.0], [0.0, 1.0]])
         m = IcModelSpec(sources=("gamma:1", "gamma:2"), mixing=good)
@@ -182,6 +193,16 @@ class TestIcModelSpec:
         np.testing.assert_allclose(X, Z @ Om.T + [1.0, -2.0], atol=1e-12)
         with pytest.raises(InvalidSpec):
             generate_ic_sample(m, 2, np.random.default_rng(0))
+
+    def test_a_source_sequence_is_the_identity_mixed_model(self):
+        sources = ("gamma:1", SourceSpec.parse("ep:4"))
+        got = generate_ic_sample(list(sources), 200,
+                                 np.random.default_rng(4))
+        want = generate_ic_sample(IcModelSpec(sources=sources), 200,
+                                  np.random.default_rng(4))
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()
+        np.testing.assert_array_equal(got[1], np.eye(2))
 
     @pytest.mark.parametrize("n", [100.5, 1e3, True, "100"])
     def test_sample_size_must_be_an_integer(self, n):
@@ -207,6 +228,18 @@ class TestCheckAssumptions:
     def test_missing_weight_rejected(self, method):
         with pytest.raises(InvalidParams, match="needs a weight alpha"):
             check_assumptions(GAMMA3, method, None)
+
+    def test_a_source_sequence(self):
+        # spec strings, parsed specs and profiles, in a plain list
+        mixed = ["gamma:1", SourceSpec.parse("gamma:2"),
+                 moment_profile("gamma:4")]
+        for method, alpha in [("jade", 0.5), ("compound", 0.0),
+                              ("deflation", 1.0)]:
+            assert (check_assumptions(mixed, method, alpha)
+                    == check_assumptions(GAMMA3, method, alpha))
+        with pytest.raises(AssumptionViolated) as info:
+            check_assumptions(["normal", "ep:2"], "symmetric", 0.0)
+        assert info.value.number == 4
 
     def test_fobi_needs_no_weight(self):
         assert check_assumptions(GAMMA3, "fobi", None) == 6
@@ -603,6 +636,12 @@ class TestConfigAndThreads:
         assert resolve_threads(None) == 2
         monkeypatch.delenv("CUMICA_THREADS")
         assert resolve_threads(None) >= 1
+
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_resolve_threads_floor(self, threads):
+        with pytest.raises(InvalidSpec,
+                           match=f"threads must be >= 1, got {threads}"):
+            resolve_threads(threads)
 
     @pytest.mark.parametrize("threads", [2.5, 2.0, True, "2"])
     def test_resolve_threads_rejects_non_integers(self, threads):
