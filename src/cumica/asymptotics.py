@@ -386,8 +386,7 @@ def stat_covariance_table(profile_k, profile_l, profile_m):
     q, r, s are the sqrt(n)-scaled sample fourth, third and second
     cross-moments of the standardized sources.
     """
-    pk, pl, pm = (moment_profile(pr) if isinstance(pr, (str, SourceSpec))
-                  else pr for pr in (profile_k, profile_l, profile_m))
+    pk, pl, pm = _as_profiles((profile_k, profile_l, profile_m))
     C = np.zeros((7, 7))
     upper = {
         (0, 0): pk.omega, (0, 1): pk.beta * pl.beta, (0, 2): pk.eta,

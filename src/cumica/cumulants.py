@@ -40,7 +40,7 @@ import numpy as np
 
 from .errors import (NonFiniteInput, NotPositiveDefinite, NotUnit,
                      SingularCustomWhitener)
-from .linalg import inv_sqrt_sym
+from .linalg import _rowdot, inv_sqrt_sym
 
 
 @dataclass
@@ -223,12 +223,6 @@ class _Kernel:
         stack with those of the one rotation ``other``."""
         self.U[i], self.h3[i], self.m4[i], self.h4[i] = (
             other.U, other.h3, other.m4, other.h4)
-
-
-def _rowdot(a, b):
-    """Dot products along the last axis, each summed as ``a @ b`` sums
-    it for one row, so a stack's rotations score as they would alone."""
-    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
 class _RowMoments(_Kernel):

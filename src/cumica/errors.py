@@ -57,11 +57,16 @@ def _check_alpha(alpha):
     return float(alpha)
 
 
-def _check_int(name, value, kind="an integer", error=InvalidSpec):
-    """Raise ``error``, saying that ``name`` must be ``kind``, unless
-    ``value`` is an integer (NumPy's included); a bool is not."""
+def _check_int(name, value, low=None, kind=None, error=InvalidSpec):
+    """``value`` as an int, if it is an integer (NumPy's included, a bool
+    not) no less than ``low``, where given.  Otherwise raise ``error``,
+    saying that ``name`` must be ``kind``: by default an integer, or
+    ``>= low`` for one below the floor."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise error(f"{name} must be {kind}, got {value!r}")
+        raise error(f"{name} must be {kind or 'an integer'}, got {value!r}")
+    if low is not None and value < low:
+        raise error(f"{name} must be {kind or f'>= {low}'}, got {value!r}")
+    return int(value)
 
 
 class ZeroDenominator(CumicaError):

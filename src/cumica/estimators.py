@@ -56,13 +56,13 @@ from functools import partial
 import numpy as np
 
 from .cumulants import (_cumulant_stacks, _MomentTensors, _pairs, _row_sums,
-                        _rowdot, _RowMoments, _TensorMoments,
-                        compound_matrices, fobi_matrix, standardize)
+                        _RowMoments, _TensorMoments, compound_matrices,
+                        fobi_matrix, standardize)
 from .errors import (CumicaError, DegenerateObjective, InvalidParams,
                      NearDegenerateSpectrum, RankDeficient, _check_alpha,
                      _check_int)
-from .linalg import (EIG_FLOOR, _joint_diagonalize_stacks, joint_diagonalize,
-                     random_orthogonal, sym_eig)
+from .linalg import (_joint_diagonalize_stacks, _polar_step, _rowdot,
+                     joint_diagonalize, random_orthogonal, sym_eig)
 
 #: Objective floor (times p) below which the estimate cannot be trusted
 #: to separate anything; triggers the DegenerateObjective warning.
@@ -82,13 +82,9 @@ class SolverOptions:
         if not self.tol > 0:
             raise InvalidParams(f"tol must be positive, got {self.tol!r}")
         for name in ("max_iter", "restarts"):
-            value = getattr(self, name)
-            _check_int(name, value, error=InvalidParams)
-            if value < 1:
-                raise InvalidParams(f"{name} must be >= 1, got {value!r}")
-        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
-            raise InvalidParams(
-                f"seed must be a non-negative integer, got {self.seed!r}")
+            _check_int(name, getattr(self, name), 1, error=InvalidParams)
+        _check_int("seed", self.seed, 0, "a non-negative integer",
+                   InvalidParams)
 
 
 @dataclass
@@ -400,19 +396,6 @@ def _symmetric_solve(xst, alpha, opts):
         alpha, _moment_kernel(xst), _stage_starts(xst.shape[1], opts), opts,
         _polar_step, _cayley_path))
     return mom, obj, [iters], converged, opts.restarts, hist
-
-
-def _polar_step(T):
-    """The symmetric fit's fixed-point steps: the polar factor P Q^T of
-    each T = P diag(sv) Q^T of the stack, from one SVD call, which
-    factors each T as it would alone.  A T whose smallest singular value
-    is at or below ``EIG_FLOOR`` times its largest, one that vanishes
-    included, has no step: its NaN loses, and the fit backtracks along
-    the gradient or finds the objective stationary."""
-    P, sv, Qt = np.linalg.svd(T)
-    U = P @ Qt
-    U[sv[:, -1] <= EIG_FLOOR * sv[:, 0]] = np.nan
-    return U
 
 
 def _cayley_path(U, T):

@@ -123,22 +123,23 @@ def _rotate(stacks, U, sel, k, l, c, s):
     U[sel, k], U[sel, l] = c2 * a + s2 * b, c2 * b - s2 * a
 
 
-def _weighted(values, w):
-    """``w @ v`` for each row v of the ``(..., m)`` array: one dot product
-    per row, summed as ``w @ v`` sums it alone, so a stack's angle does
-    not depend on the other stacks of its batch."""
-    return (values[..., None, :] @ w[:, None])[..., 0, 0]
+def _rowdot(a, b):
+    """Dot products along the last axis, each summed as ``a @ b`` sums
+    it for one row, so no row's result depends on the others of its
+    stack: a rotation scores, and a Jacobi stack (with ``b`` the weights)
+    turns, as it would alone."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
 def _objectives(stacks, w):
     """Weighted squared diagonal mass of each matrix-last stack."""
     d = stacks.diagonal(axis1=1, axis2=2)  # (B, m, p)
-    return _weighted(np.multiply(d, d, order="C").sum(axis=-1), w).tolist()
+    return _rowdot(np.multiply(d, d, order="C").sum(axis=-1), w).tolist()
 
 
 def _masses(stacks, w):
     """Weighted squared Frobenius mass of each matrix-last stack."""
-    return _weighted(np.einsum("bijs,bijs->bs", stacks, stacks), w).tolist()
+    return _rowdot(np.einsum("bijs,bijs->bs", stacks, stacks), w).tolist()
 
 
 @dataclass
@@ -263,7 +264,7 @@ def _jacobi(stacks, w, tol, max_sweeps):
                 np.multiply(h1, h2, out=g[:, 1])
                 np.multiply(h2, h2, out=g[:, 2])
                 sel, cs = [], []
-                for i, sums in enumerate(_weighted(g, w).tolist()):
+                for i, sums in enumerate(_rowdot(g, w).tolist()):
                     theta = _optimal_angle(*sums)
                     biggest[i] = max(biggest[i], abs(theta))
                     if abs(theta) >= tol:
@@ -324,18 +325,33 @@ def inv_sqrt_sym(S):
 
 
 def polar_orthogonal(T):
-    """Orthogonal polar factor U = T (T^T T)^{-1/2}, computed as P Q^T from
-    the SVD T = P diag(sv) Q^T.
+    """Orthogonal polar factor U = T (T^T T)^{-1/2}: ``_polar_step`` on a
+    stack of one.
 
     Among all orthogonal matrices, U maximizes trace(U T^T).  Requires the
-    smallest singular value to exceed ``1e-12`` times the largest.
+    smallest singular value to exceed ``1e-12`` times the largest, and
+    raises RankDeficient otherwise.
     """
-    P, sv, Qt = np.linalg.svd(_require_square(T, "matrix"))
-    if sv[-1] <= EIG_FLOOR * sv[0]:
+    U = _polar_step(_require_square(T, "matrix")[None])[0]
+    if np.isnan(U[0, 0]):
         raise RankDeficient(
-            f"matrix is numerically rank deficient (singular value range "
-            f"[{sv[-1]:.3e}, {sv[0]:.3e}])")
-    return P @ Qt
+            f"matrix is numerically rank deficient (smallest singular "
+            f"value at or below {EIG_FLOOR} times the largest)")
+    return U
+
+
+def _polar_step(T):
+    """The polar factor P Q^T of each T = P diag(sv) Q^T of the stack,
+    from one SVD call, which factors each T as it would alone.  A T whose
+    smallest singular value is at or below ``EIG_FLOOR`` times its
+    largest, one that vanishes included, has no factor: it reads NaN.
+    This is the symmetric fit's fixed-point step, where a NaN loses, and
+    the fit backtracks along the gradient or finds the objective
+    stationary."""
+    P, sv, Qt = np.linalg.svd(T)
+    U = P @ Qt
+    U[sv[:, -1] <= EIG_FLOOR * sv[:, 0]] = np.nan
+    return U
 
 
 def random_orthogonal(p, rng):

@@ -81,16 +81,15 @@ def resolve_method(method, alpha):
 
 
 def _seed_sequence(seed):
-    """``seed`` as a SeedSequence: one passes through, a non-negative
-    integer seeds a new one, and anything else (a bool included) raises
+    """``seed`` as a new SeedSequence: a fresh copy of one, so what is
+    spawned from it leaves the caller's unspawned, or one seeded by a
+    non-negative integer; anything else (a bool included) raises
     InvalidSpec."""
     if isinstance(seed, np.random.SeedSequence):
-        return seed
-    kind = "a non-negative integer"
-    _check_int("seed", seed, kind)
-    if seed < 0:
-        raise InvalidSpec(f"seed must be {kind}, got {seed!r}")
-    return np.random.SeedSequence(seed)
+        return np.random.SeedSequence(seed.entropy, spawn_key=seed.spawn_key,
+                                      pool_size=seed.pool_size)
+    return np.random.SeedSequence(
+        _check_int("seed", seed, 0, "a non-negative integer"))
 
 
 @dataclass
@@ -121,9 +120,14 @@ class IcModelSpec:
         if isinstance(self.mixing, str):
             if self.mixing != "identity":
                 raise InvalidSpec(f"unknown mixing: {self.mixing!r}")
+            M = np.eye(p)
         elif (isinstance(self.mixing, tuple) and len(self.mixing) == 2
               and self.mixing[0] == "random"):
-            _seed_sequence(self.mixing[1])  # fail here, not at the first draw
+            rng = np.random.default_rng(_seed_sequence(self.mixing[1]))
+            while True:
+                M = rng.standard_normal((p, p))
+                if np.linalg.cond(M) < _MAX_CONDITION:
+                    break
         else:
             M = np.asarray(self.mixing, dtype=float)
             if M.shape != (p, p):
@@ -132,6 +136,7 @@ class IcModelSpec:
             if not np.all(np.isfinite(M)) or np.linalg.cond(M) >= _MAX_CONDITION:
                 raise InvalidSpec("mixing matrix is not numerically full rank")
             self.mixing = M
+        self._omega = M
         if self.shift is not None:
             b = np.asarray(self.shift, dtype=float)
             if b.shape != (p,):
@@ -143,20 +148,19 @@ class IcModelSpec:
         return len(self.sources)
 
     def mixing_matrix(self):
-        """Resolve the mixing recipe to a concrete matrix."""
-        p = self.p
-        if isinstance(self.mixing, str):
-            return np.eye(p)
-        if isinstance(self.mixing, tuple):
-            rng = np.random.default_rng(self.mixing[1])
-            while True:
-                M = rng.standard_normal((p, p))
-                if np.linalg.cond(M) < _MAX_CONDITION:
-                    return M
-        return np.array(self.mixing, dtype=float)
+        """A copy of the mixing matrix, which the model resolved from its
+        recipe (and drew, for a random one) once, when it was made."""
+        return self._omega.copy()
 
     def profiles(self):
         return [moment_profile(s) for s in self.sources]
+
+
+def _as_model(model):
+    """``model``, or the identity-mixed model of a sequence of sources."""
+    if not isinstance(model, IcModelSpec):
+        model = IcModelSpec(sources=tuple(model))
+    return model
 
 
 def generate_ic_sample(model, n, stream):
@@ -166,8 +170,7 @@ def generate_ic_sample(model, n, stream):
     Source columns are drawn sequentially from ``stream``, so a fixed
     seed pins the whole sample.
     """
-    if not isinstance(model, IcModelSpec):
-        model = IcModelSpec(sources=tuple(model))
+    model = _as_model(model)
     p = model.p
     _check_int("n", n)
     if n <= p:
@@ -323,11 +326,8 @@ def check_assumptions(model, method, alpha, tol=1e-12):
     the compound method needs every pair of sources to differ in one
     (assumptions 5, 6, 8).
     """
-    if isinstance(model, IcModelSpec):
-        profs = model.profiles()
-    else:
-        profs = [moment_profile(s) if isinstance(s, (str, SourceSpec)) else s
-                 for s in model]
+    profs = asymptotics._as_profiles(
+        model.sources if isinstance(model, IcModelSpec) else model)
     method, alpha, _ = resolve_method(method, alpha)
     if alpha is None:
         raise InvalidParams(f"method {method!r} needs a weight alpha")
@@ -446,10 +446,7 @@ def resolve_threads(threads=None):
                                   f"got {env!r}") from None
         else:
             threads = os.cpu_count() or 1
-    _check_int("threads", threads)
-    if threads < 1:
-        raise InvalidSpec(f"threads must be >= 1, got {threads}")
-    return int(threads)
+    return _check_int("threads", threads, 1)
 
 
 def _estimate_once(method, X, alpha, opts, standardizer=None):
@@ -525,14 +522,11 @@ def monte_carlo_experiment(model, method, alpha, n, replications,
         When more than 1% of replications fail or do not converge.
     """
     t0 = time.perf_counter()
-    if not isinstance(model, IcModelSpec):
-        model = IcModelSpec(sources=tuple(model))
+    model = _as_model(model)
     method, alpha, standardizer = resolve_method(method, alpha)
-    _check_int("replications", replications)
-    if replications < 2:
-        raise InvalidSpec("need at least two replications")
+    replications = _check_int("replications", replications, 2)
     check_assumptions(model, method, alpha)
-    table = _ASV_TABLES[method](model.profiles(), alpha)
+    table = _ASV_TABLES[method](model.sources, alpha)
     asv = table.offdiag + np.diag(table.diag)
 
     opts = opts or SolverOptions()
@@ -564,7 +558,7 @@ def monte_carlo_experiment(model, method, alpha, n, replications,
     with np.errstate(divide="ignore", invalid="ignore"):
         rel = np.where(asv != 0.0, (n_var - asv) / asv, np.nan)
     return McResult(
-        method=method, alpha=alpha, n=int(n), replications=int(replications),
+        method=method, alpha=alpha, n=int(n), replications=replications,
         sources=tuple(str(s) for s in model.sources),
         n_var=n_var, asv=asv, rel_err=rel,
         mdi_mean=float(scores.mean()), mdi_median=float(np.median(scores)),
@@ -613,8 +607,7 @@ def contour_grid(family_x, range_x, family_y, range_y, method, alpha,
                               f"got {family!r}")
     lo_x, hi_x = map(float, range_x)
     lo_y, hi_y = map(float, range_y)
-    if steps < 2:
-        raise InvalidSpec("need at least 2 grid steps")
+    steps = _check_int("steps", steps, 2)
     xs = np.linspace(lo_x, hi_x, steps)
     ys = np.linspace(lo_y, hi_y, steps)
     vals = np.full((steps, steps), np.nan)

@@ -247,6 +247,18 @@ class TestClusterObjective:
 
 
 class TestStatCovarianceTable:
+    def test_specs_and_a_non_profile(self):
+        # spec strings read as their profiles; anything else is the
+        # TypeError the variance tables raise for it
+        V = stat_covariance_table("gamma:1", "ep:4", moment_profile("gamma:4"))
+        W = stat_covariance_table(*map(moment_profile,
+                                       ("gamma:1", "ep:4", "gamma:4")))
+        assert V.tobytes() == W.tobytes()
+        with pytest.raises(TypeError, match="expected a MomentProfile"):
+            stat_covariance_table(1, "gamma:2", "gamma:3")
+        with pytest.raises(TypeError, match="expected a MomentProfile"):
+            asv_symmetric([1, "gamma:2"], 0.5)
+
     def test_symmetry_and_psd(self):
         V = stat_covariance_table(moment_profile("gamma:1"),
                                   moment_profile("ep:4"),

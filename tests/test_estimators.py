@@ -272,6 +272,15 @@ class TestDiagnostics:
             SolverOptions(**{field: value})
         assert getattr(SolverOptions(**{field: np.int64(2)}), field) == 2
 
+    @pytest.mark.parametrize("value", [True, 0.5, -1])
+    def test_seed_follows_the_master_seed_rule(self, value):
+        # a bool seed is rejected, as monte_carlo_experiment rejects it
+        with pytest.raises(InvalidParams) as info:
+            SolverOptions(seed=value)
+        assert str(info.value) == (f"seed must be a non-negative integer, "
+                                   f"got {value!r}")
+        assert SolverOptions(seed=np.int64(3)).seed == 3
+
 
 @pytest.mark.parametrize("fit", [deflation_pp, symmetric_pp,
                                  compound_cumulant, all_cumulant])

@@ -159,6 +159,16 @@ class TestIcModelSpec:
         assert np.array_equal(A, mr.mixing_matrix())
         assert np.linalg.cond(A) < 1e8
 
+    @pytest.mark.parametrize("mixing", ["identity", ("random", 42),
+                                        [[2.0, 1.0], [0.0, 1.0]]],
+                             ids=["identity", "random", "given"])
+    def test_mixing_matrix_is_a_copy(self, mixing):
+        m = IcModelSpec(sources=("gamma:1", "gamma:2"), mixing=mixing)
+        A = m.mixing_matrix()
+        want = A.copy()
+        A[:] = 0.0
+        assert m.mixing_matrix().tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("seed", [-1, "x", 1.5, None])
     def test_random_mixing_seed_validation(self, seed):
         with pytest.raises(InvalidSpec, match="non-negative integer"):
@@ -240,6 +250,12 @@ class TestCheckAssumptions:
         with pytest.raises(AssumptionViolated) as info:
             check_assumptions(["normal", "ep:2"], "symmetric", 0.0)
         assert info.value.number == 4
+
+    @pytest.mark.parametrize("model", [[1, 2], ["gamma:1", None]])
+    def test_a_non_profile_entry_is_a_type_error(self, model):
+        # as the variance tables reject it
+        with pytest.raises(TypeError, match="expected a MomentProfile"):
+            check_assumptions(model, "symmetric", 0.5)
 
     def test_fobi_needs_no_weight(self):
         assert check_assumptions(GAMMA3, "fobi", None) == 6
@@ -368,6 +384,17 @@ class TestMonteCarlo:
         with pytest.raises(InvalidSpec, match="non-negative integer, got -1"):
             monte_carlo_experiment(GAMMA3, "symmetric", 0.8, 1000, 8,
                                    master_seed=-1, threads=1)
+
+    def test_a_seed_sequence_can_be_reused(self):
+        # each run spawns from its own copy of the caller's SeedSequence,
+        # so a second run fits the same samples as the first
+        seq = np.random.SeedSequence(5)
+        runs = [monte_carlo_experiment(GAMMA3, "jade", 0.8, 1000, 4,
+                                       master_seed=s, threads=1)
+                for s in (seq, seq, 5)]
+        assert seq.n_children_spawned == 0
+        for res in runs[1:]:
+            assert res.n_var.tobytes() == runs[0].n_var.tobytes()
 
     @pytest.mark.parametrize("seed", [5, np.random.SeedSequence(5)],
                              ids=["int", "SeedSequence"])
@@ -519,9 +546,12 @@ class TestFitBlocks:
 
     def test_a_block_holds_one_sample_at_a_time(self):
         # a draw holds the sources beside the sample, and a fit the
-        # sample beside its whitened copy; holding all 8 reads ~45 MB
+        # sample beside its whitened copy and its row blocks: ~11.7 MB.
+        # Holding all 8 reads ~45 MB, and keeping the previous sample
+        # while the next is drawn ~14.4 MB (the JADE block test cannot
+        # see that: its peak is the standardizing copy either way)
         run, seqs = _jade_jobs(8, 13, n=200_000, method="symmetric")
-        bound = 2 * 200_000 * GAMMA3.p * 8 + 3 * 8 * _BLOCK_ENTRIES
+        bound = 2 * 200_000 * GAMMA3.p * 8 + 1.5 * 8 * _BLOCK_ENTRIES
         tracemalloc.start()
         try:
             outcomes = cumica.simulation._run_block(run, seqs)
@@ -534,6 +564,19 @@ class TestFitBlocks:
 
 
 class TestContour:
+    @pytest.mark.parametrize("steps, message", [
+        (2.5, "steps must be an integer, got 2.5"),
+        (True, "steps must be an integer, got True"),
+        (1, "steps must be >= 2, got 1"),
+    ])
+    def test_steps_must_be_an_integer_of_at_least_two(self, steps, message):
+        with pytest.raises(InvalidSpec, match=message):
+            contour_grid("gamma", (1.0, 4.0), "gamma", (1.0, 4.0),
+                         "symmetric", 0.5, steps=steps)
+        g = contour_grid("gamma", (1.0, 4.0), "gamma", (1.0, 4.0),
+                         "symmetric", 0.5, steps=np.int64(3))
+        assert g.values.shape == (3, 3)
+
     def test_identical_family_diagonal_is_nan(self):
         g = contour_grid("gamma", (0.5, 8.0), "gamma", (0.5, 8.0),
                          "compound", 0.0, steps=7)
