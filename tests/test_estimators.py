@@ -170,6 +170,8 @@ class TestClassicalLimits:
         for std in (None, "symmetric", "fobi", np.eye(3)):
             est = compound_cumulant(X, 0.5, standardizer=std, opts=OPTS)
             assert mdi(est.W, omega) < 0.2, std
+        with pytest.raises(ValueError, match=r"unknown standardizer: 'jade'"):
+            compound_cumulant(X, 0.5, standardizer="jade")
 
 
 class TestDiagnostics:
@@ -596,6 +598,58 @@ class TestLockstep:
         finally:
             tracemalloc.stop()
         assert peak <= 12e6, f"peak {peak / 1e6:.1f} MB"
+
+
+class TestNewtonStep:
+    """The fixed-point step is taken on the estimating equations less
+    their Gaussian part, ``T - 12 (1 - alpha) h4 U``: it has the fixed
+    points of the step on T, and reaches them in fewer iterations."""
+
+    def test_mixed_sources_converge(self):
+        # the step on T alone ran out of its 500 iterations here
+        model = IcModelSpec(sources=(
+            "gamma:2", "ep:4", "mix:0.3:5", "ep:1", "gamma:8", "ep:8",
+            "mix:0.1:3", "gamma:0.5", "ep:6", "mix:0.4:2"),
+            mixing=("random", 5))
+        X, _, _ = generate_ic_sample(model, 10_000, np.random.default_rng(0))
+        est = symmetric_pp(X, 0.8, SolverOptions(seed=0))
+        assert est.converged and est.iterations[0] <= 50, est.iterations
+
+    @pytest.mark.parametrize("rows", [False, True], ids=["symmetric",
+                                                        "deflation"])
+    def test_a_converged_rotation_is_a_fixed_point(self, rows):
+        # one step from where a fit converged moves it by less than ten
+        # times its tolerance; the default tolerance, since the symmetric
+        # fit's best restart ends by the stationarity rule, where the
+        # objective's rounding hides a step of about 1e-8
+        opts = SolverOptions(restarts=3, seed=0)
+        xst = standardize(make_sample()[0]).xst
+        kernel = estimators._moment_kernel(xst)
+        solve = estimators._deflation_solve if rows else \
+            estimators._symmetric_solve
+        mom, _, _, converged = solve(xst, 0.8, opts)[:4]
+        assert converged
+        if rows:
+            stages = []
+            for k in range(len(mom.U)):
+                def project(V, prev=mom.U[:k]):
+                    return V - (V @ prev.T) @ prev
+                stages.append((mom.U[None, k:k + 1],
+                               partial(estimators._sphere_step, project),
+                               partial(estimators._sphere_path, project)))
+        else:
+            stages = [(mom.U[None], estimators._polar_step,
+                       estimators._cayley_path)]
+        for U0, step, path in stages:
+            steps = []
+
+            def recording(T):
+                steps.append(step(T))
+                return steps[-1]
+            estimators._ascend(0.8, kernel, U0, SolverOptions(max_iter=1),
+                               recording, path)
+            delta = estimators._sign_blind_row_delta(steps[0], U0)[0]
+            assert delta < 10 * opts.tol
 
 
 class TestMemory:
