@@ -24,7 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonFiniteInput, NotPositiveDefinite, RankDeficient
+from .errors import (InvalidParams, NonFiniteInput, NotPositiveDefinite,
+                     RankDeficient)
 
 # Relative eigenvalue/singular-value floor below which a matrix is treated
 # as not positive definite / rank deficient.
@@ -32,10 +33,13 @@ EIG_FLOOR = 1e-12
 
 
 def _require_square(A, name):
-    """Validate that ``A`` is a finite square matrix."""
+    """Validate that ``A`` is a finite square matrix of at least one
+    row."""
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"{name} must be square, got shape {A.shape}")
+    if not A.size:
+        raise InvalidParams(f"{name} must not be empty, got shape {A.shape}")
     if not np.isfinite(A).all():
         raise NonFiniteInput(f"{name} has non-finite entries")
     return A
@@ -45,7 +49,7 @@ def require_symmetric(S, tol=1e-12, name="matrix"):
     """Validate that ``S`` is finite, square and symmetric to relative
     tolerance."""
     S = _require_square(S, name)
-    scale = max(1.0, np.abs(S).max()) if S.size else 1.0
+    scale = max(1.0, np.abs(S).max())
     if np.abs(S - S.T).max() > tol * scale:
         raise ValueError(f"{name} is not symmetric (relative tol {tol})")
     return S
@@ -57,12 +61,10 @@ _CHECK_ENTRIES = 1 << 16
 
 
 def _require_symmetric_stack(stack, tol=1e-12):
-    """``require_symmetric`` on every matrix of the ``(m, p, q)`` stack,
+    """``require_symmetric`` on every matrix of the ``(m, p, p)`` stack,
     each to its own relative scale, vectorized over blocks of matrices;
     the error names the first matrix that fails as ``matrices[i]``."""
-    m, p, q = stack.shape
-    if p != q:
-        raise ValueError(f"matrices[0] must be square, got shape {(p, q)}")
+    m, p, _ = stack.shape
     rows = max(1, _CHECK_ENTRIES // max(1, p * p))
     for s in range(0, m, rows):
         B = stack[s:s + rows]

@@ -144,6 +144,11 @@ class TestWeightEquivalence:
 
 
 class TestDegeneracies:
+    @pytest.mark.parametrize("table", [asv_symmetric, asv_deflation])
+    def test_no_sources(self, table):
+        with pytest.raises(ValueError, match=r"at least one source profile"):
+            table([], 0.5)
+
     def test_zero_denominator_reports_components(self):
         with pytest.raises(ZeroDenominator) as info:
             asv_symmetric(["normal", "normal"], 1.0)

@@ -131,6 +131,21 @@ class TestUsageErrors:
         code, _, err = run(["estimate", "--in", "x.csv", "--method",
                             "fastica", "--alpha", "1"])
         assert code == 1
+        code, _, err = run(["contour", "--family-x", "gamma", "--range-x",
+                            "a:b", "--family-y", "gamma", "--range-y",
+                            "1:2", "--method", "compound", "--alpha", "0.5"])
+        assert code == 1
+        assert err.endswith("error: argument --range-x: expected numeric "
+                            "LO:HI, got 'a:b'\n")
+
+    @pytest.mark.parametrize("flags", [["asv"], ["simulate", "--n", "100",
+                                                 "--reps", "2"]])
+    def test_empty_sources(self, flags):
+        code, out, err = run([*flags, "--sources", " , ", "--method", "jade",
+                              "--alpha", "0.8"])
+        assert (code, out) == (1, "")
+        assert err.endswith(
+            "error: --sources needs at least one distribution spec\n")
 
     def test_missing_input_file(self):
         code, _, err = run(["estimate", "--in", "/nonexistent/data.csv",
@@ -219,6 +234,16 @@ class TestUsageErrors:
                               "jade", "--alpha", "0.8"])
         assert (code, out) == (2, "")
         assert err == f"MalformedInput: {path}: {where}\n"
+
+    def test_unreadable_number_exit_2(self, tmp_path):
+        # "1_0" is a Python float but not a number of the CSV reader
+        path = tmp_path / "x.csv"
+        path.write_text("1_0,2\n3,4\n")
+        code, out, err = run(["estimate", "--in", str(path), "--method",
+                              "jade", "--alpha", "0.8"])
+        assert (code, out) == (2, "")
+        assert err == (f"MalformedInput: {path}: not a comma-separated "
+                       f"matrix of numbers\n")
 
     @pytest.mark.parametrize("method", ["symmetric", "jade", "fobi"])
     def test_degenerate_data_exit_2(self, tmp_path, method):

@@ -195,6 +195,13 @@ class TestProjectionCumulants:
             with pytest.raises(NotUnit):
                 projection_cumulants(X, np.array(u))
 
+    def test_rejects_bad_shapes(self):
+        X = small_sample()
+        with pytest.raises(ValueError, match=r"u has length 2, expected 3"):
+            projection_cumulants(X, [1.0, 0.0])
+        with pytest.raises(ValueError, match=r"expected a 2-d data matrix"):
+            projection_cumulants(X[:, 0], [1.0])
+
 
 class TestSourceMoments:
     """The moment kernels against moments written out here."""

@@ -177,8 +177,23 @@ class TestSourceSpec:
     @pytest.mark.parametrize("bad", [
         "gamma:0", "gamma:-1", "gamma", "ep:0", "ep:-2", "mix:0:1",
         "mix:1:1", "mix:0.5:0", "mix:0.5", "normal:1", "cauchy:3", "",
-        "gamma:abc", "mix:0.5:1:2",
+        "gamma:abc", "mix:0.5:1:2", "ep", "ep:1:2", "gamma:nan", "ep:inf",
     ])
     def test_rejects_malformed(self, bad):
         with pytest.raises(InvalidSpec):
             SourceSpec.parse(bad)
+
+    def test_messages_name_the_fault(self):
+        with pytest.raises(InvalidSpec, match=r"ep takes exactly one"):
+            SourceSpec.parse("ep:1:2")
+        with pytest.raises(InvalidSpec, match=r"non-finite parameter"):
+            SourceSpec.parse("gamma:inf")
+
+    def test_unknown_family_of_a_built_spec(self):
+        # parse() rejects an unknown family; a spec built directly is
+        # rejected where it is used
+        spec = SourceSpec("cauchy", (3.0,))
+        with pytest.raises(InvalidSpec, match=r"unknown source family"):
+            moment_profile(spec)
+        with pytest.raises(InvalidSpec, match=r"unknown source family"):
+            sample_source(spec, 10, np.random.default_rng(0))

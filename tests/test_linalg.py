@@ -14,7 +14,8 @@ import pytest
 
 import cumica.linalg
 from cumica.cumulants import cum3_stack, cum4_stack, standardize
-from cumica.errors import NonFiniteInput, NotPositiveDefinite, RankDeficient
+from cumica.errors import (CumicaError, InvalidParams, NonFiniteInput,
+                           NotPositiveDefinite, RankDeficient)
 from cumica.linalg import (EIG_FLOOR, inv_sqrt_sym, is_orthogonal,
                            joint_diagonalize, polar_orthogonal,
                            random_orthogonal, sym_eig)
@@ -93,6 +94,13 @@ class TestSymEig:
             with pytest.raises(NonFiniteInput):
                 joint_diagonalize([S])
 
+    @pytest.mark.parametrize("fn", [sym_eig, inv_sqrt_sym, polar_orthogonal])
+    def test_rejects_empty_matrix(self, fn):
+        with pytest.raises(InvalidParams, match=r"must not be empty") as info:
+            fn(np.zeros((0, 0)))
+        assert isinstance(info.value, CumicaError)
+        assert isinstance(info.value, ValueError)
+
 
 class TestInvSqrt:
     def test_whitening_identity(self):
@@ -162,6 +170,10 @@ class TestPolar:
     def test_rejects_non_finite(self):
         with pytest.raises(NonFiniteInput):
             polar_orthogonal(np.array([[1.0, np.nan], [0.0, 1.0]]))
+
+    def test_rejects_non_square(self):
+        with pytest.raises(ValueError, match=r"must be square"):
+            polar_orthogonal(np.ones((2, 3)))
 
 
 class TestRandomOrthogonal:
@@ -250,6 +262,22 @@ class TestJointDiagonalize:
         mats = np.array([np.eye(3), np.eye(3)])
         with pytest.raises(ValueError):
             joint_diagonalize(mats, weights=[1.0])
+
+    def test_rejects_negative_weights(self):
+        mats = np.array([np.eye(3), np.eye(3)])
+        with pytest.raises(ValueError, match=r"weights must be nonnegative"):
+            joint_diagonalize(mats, weights=[1.0, -0.5])
+
+    def test_rejects_a_member_of_another_shape(self):
+        # the first matrix sets the shape the others are copied into
+        with pytest.raises(ValueError, match=r"shape"):
+            joint_diagonalize([np.eye(3), np.eye(2)])
+
+    def test_a_diagonal_stack_takes_no_rotation(self):
+        # every pair's gain is zero, so every angle is zero
+        res = joint_diagonalize([np.eye(3), np.diag([2.0, 2.0, 2.0])])
+        assert res.converged and res.sweeps == 1
+        assert np.array_equal(res.U, np.eye(3))
 
     def test_rejects_non_symmetric_member(self):
         mats = np.array([np.eye(3)] * 3)

@@ -67,6 +67,19 @@ class TestMdi:
         with pytest.raises(SingularInput):
             mdi(np.eye(2), np.outer([1.0, 2.0], [1.0, 2.0]))
 
+    def test_non_finite_gain(self):
+        # finite factors whose product overflows
+        with np.errstate(over="ignore"), \
+                pytest.raises(SingularInput, match=r"non-finite entries"):
+            mdi(1e200 * np.eye(2), 1e200 * np.eye(2))
+
+    @pytest.mark.parametrize("W,Omega", [
+        (np.ones((2, 3)), np.eye(3)), (np.eye(2), np.eye(3)),
+        (np.eye(3), np.ones((3, 2)))])
+    def test_rejects_non_square_or_unequal(self, W, Omega):
+        with pytest.raises(ValueError, match=r"two square matrices"):
+            mdi(W, Omega)
+
 
 class TestAlignment:
     def test_recovers_signed_permutation(self):
@@ -123,6 +136,10 @@ class TestMaxAssignment:
             want_rows, want_cols = linear_sum_assignment(-S)
             assert np.array_equal(rows, want_rows)
             assert np.array_equal(cols, want_cols)
+
+    def test_rejects_non_square(self):
+        with pytest.raises(ValueError, match=r"needs a square matrix"):
+            _max_assignment(np.ones((2, 3)))
 
     def test_non_finite_scores_are_named(self):
         S = np.eye(3)
@@ -410,7 +427,7 @@ class TestMonteCarlo:
             " seed=5" if isinstance(seed, int)
             else " seed=SeedSequence(entropy=5, spawn_key=())")
 
-    def test_csv_round_trip(self):
+    def test_csv_round_trip(self, tmp_path):
         res = monte_carlo_experiment(GAMMA3, "symmetric", 0.8, 1200, 8,
                                      master_seed=5,
                                      opts=SolverOptions(restarts=1),
@@ -428,6 +445,9 @@ class TestMonteCarlo:
         buf = io.StringIO()
         res.to_csv(buf)
         assert buf.getvalue() == text
+        path = tmp_path / "mc.csv"
+        assert res.to_csv(path) == text
+        assert path.read_text() == text
 
 
 def _jade_jobs(reps, seed, n=1000, method="all_cumulant"):
