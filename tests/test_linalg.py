@@ -273,8 +273,9 @@ class TestJointDiagonalize:
         with pytest.raises(ValueError, match=r"shape"):
             joint_diagonalize([np.eye(3), np.eye(2)])
 
-    def test_a_diagonal_stack_takes_no_rotation(self):
-        # every pair's gain is zero, so every angle is zero
+    def test_a_scalar_stack_takes_no_rotation(self):
+        # equal diagonals and no off-diagonal mass: every pair's gain is
+        # zero, so every angle is zero
         res = joint_diagonalize([np.eye(3), np.diag([2.0, 2.0, 2.0])])
         assert res.converged and res.sweeps == 1
         assert np.array_equal(res.U, np.eye(3))
