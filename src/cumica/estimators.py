@@ -435,7 +435,7 @@ def _cayley_path(U, T):
     eye = np.eye(U.shape[0])
 
     def point(t):
-        # I - M is never singular: M is skew, so its singular values
+        # never singular: for a skew M, the singular values of I - M
         # are at least 1
         M = (0.5 * t) * A
         return np.linalg.solve(eye - M, (eye + M) @ U)
