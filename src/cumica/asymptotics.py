@@ -273,7 +273,7 @@ def _mixture_profile_snapped(pi, mu):
         raise InvalidParams(f"mixing weight must be in (0, 1), got {pi!r}")
     if mu == 0.0 or not math.isfinite(mu):
         raise InvalidParams(f"location shift must be nonzero, got {mu!r}")
-    pr = moment_profile(SourceSpec("mix", (float(pi), float(mu))))
+    pr = moment_profile(SourceSpec("mix", (pi, mu)))
     # Snap skewness/kurtosis that are zero in exact arithmetic (pi = 1/2,
     # or pi at the kurtosis root) so pole detection is not at the mercy
     # of rounding in the moment recursion.

@@ -12,25 +12,26 @@ of a rotation U through a moment kernel: their skewness, excess
 kurtosis, projection index and estimating equations ``E[y^2 x]`` and
 ``E[y^3 x]`` (the fixed-point form of Hyvarinen 1999; Miettinen,
 Taskinen, Nordhausen & Oja 2015).  ``_RowMoments`` reads them from the
-rows, at O(n p k) per rotation of k rows; it also ends the compound
-fit.  They are multilinear in U, so ``_TensorMoments`` reads them
-instead from the sample moment tensors ``E[x x x]`` and ``E[x x x x]``,
-formed once per sample, at O(k p^4) per rotation whatever n is; JADE
-works the same way (Cardoso & Souloumiac 1993), and ends by reading its
-rotation from the tensors.  Both kernels read a stack of rotations in
-one build, each rotation independently of the others.  One
-accumulator, ``_pair_moments``, serves the tensors and the cumulant
-stacks, and one pass of it gives a JADE fit both: it sums the third and
-fourth moments of the pair products ``x_i x_j`` over row blocks,
-filling each block once, transposed, from the sample's columns.
+rows, at O(n p k) per rotation of k rows.  They are multilinear in U, so
+``_TensorMoments`` reads them instead from the sample moment tensors
+``E[x x x]`` and ``E[x x x x]``, formed once per sample, at O(k p^4) per
+rotation whatever n is; JADE works the same way (Cardoso & Souloumiac
+1993), and ends by reading its rotation from the tensors.  Both kernels
+read a stack of rotations in one build, each rotation independently of
+the others.  One accumulator, ``_pair_moments``, serves the tensors and
+the cumulant stacks, and one pass of it gives a JADE fit both: it sums
+the third and fourth moments of the pair products ``x_i x_j`` over row
+blocks, filling each block once, transposed, from the sample's columns.
 ``standardize`` keeps its one centered copy column-major, so those
 columns are contiguous, and whitens it in place.  Every pass over the
 sample walks the same row blocks of a fixed number of entries
 (``_row_blocks``): the pair moments, the whitening, the FOBI and
-compound scatters, and ``_row_sums``, the one reader of the rows behind
-``_RowMoments`` and the compound fit's spectrum check.  Their memory is
-a few blocks plus the output whatever n is, and where the sample fits
-in one block they run exactly the unblocked operations.
+compound scatters, and ``_row_sums``, the one reader of the rows.  It
+reads a rotation once: its kernel read serves ``_RowMoments``, and its
+end read gives the compound fit's final rotation its skewness and
+kurtosis, and the sixth and eighth moments of its spectrum check.  Their
+memory is a few blocks plus the output whatever n is, and where the
+sample fits in one block they run exactly the unblocked operations.
 """
 
 import functools
@@ -185,13 +186,18 @@ def projection_cumulants(xst, u, tol=1e-10):
 class _Kernel:
     """Per-row skewness ``h3``, fourth moment ``m4`` and excess kurtosis
     ``h4`` of the candidate sources ``Y = xst @ U.T``, where the rows of
-    ``U`` are unit directions, with the index and estimating equations
-    they define.  ``U`` is one rotation of k rows, ``(k, p)``, or a stack
+    ``U`` are unit directions, with the index they define and, where the
+    read gave them, the estimating equations ``T3 = E[y^2 x]`` and ``T4 =
+    E[y^3 x]``.  ``U`` is one rotation of k rows, ``(k, p)``, or a stack
     of them, ``(b, k, p)``: every attribute then carries the stack's
     leading axis, and the rotations are read independently of one
-    another.  Subclasses compute the moments and ``_equations``."""
+    another."""
 
-    __slots__ = ("U", "h3", "m4", "h4")
+    __slots__ = ("U", "h3", "m4", "h4", "T3", "T4")
+
+    def __init__(self, U, h3, m4, T3=None, T4=None):
+        self.U, self.h3, self.m4, self.T3, self.T4 = U, h3, m4, T3, T4
+        self.h4 = m4 - 3.0
 
     def objective(self, alpha):
         """The index ``alpha * sum h3^2 + (1 - alpha) * sum h4^2`` of the
@@ -206,17 +212,13 @@ class _Kernel:
         """The stacked estimating equations, one row per source:
         ``T = 3 alpha h3 E[y^2 x] + 4 (1 - alpha) h4 E[y^3 x]``, half the
         Euclidean gradient of the objective at ``U``."""
-        T3, T4 = self._equations()
-        return ((3.0 * alpha) * (T3 * self.h3[..., None])
-                + (4.0 * (1.0 - alpha)) * (T4 * self.h4[..., None]))
+        return ((3.0 * alpha) * (self.T3 * self.h3[..., None])
+                + (4.0 * (1.0 - alpha)) * (self.T4 * self.h4[..., None]))
 
     def take(self, i):
         """The moments, not the equations, of rotation(s) ``i`` of a
         stack."""
-        part = _Kernel()
-        part.U, part.h3, part.m4, part.h4 = (
-            self.U[i], self.h3[i], self.m4[i], self.h4[i])
-        return part
+        return _Kernel(self.U[i], self.h3[i], self.m4[i])
 
     def put(self, i, other):
         """Overwrite the moments, not the equations, of rotation ``i`` of a
@@ -226,40 +228,27 @@ class _Kernel:
 
 
 class _RowMoments(_Kernel):
-    """The moment kernel read from the rows by ``_row_sums``, so it holds
-    no more than a row block of Y whatever n is.  A stack is read one
-    rotation at a time, equations included.  One rotation is read
-    without its equations, and a second pass adds them only if
-    ``gradient`` asks: that lets the reads that never ask (the final read
-    of a diagonalization fit, ``projection_cumulants``, a rejected
-    backtracking candidate) share this kernel at the cost of one pass."""
+    """The moment kernel read from the rows by ``_row_sums``, one
+    rotation at a time, equations included, so it holds no more than a
+    row block of Y whatever n is."""
 
-    __slots__ = ("xst", "_T")
+    __slots__ = ()
 
     def __init__(self, xst, U):
-        self.U, self.xst = U, xst
         if U.ndim == 2:
-            self.h3, self.m4 = _row_sums(xst, U)
-            self._T = None
+            sums = _row_sums(xst, U)
         else:
-            self.h3, self.m4, *self._T = (
-                np.array(a) for a in zip(*(_row_sums(xst, u, "equations")
-                                           for u in U)))
-        self.h4 = self.m4 - 3.0
-
-    def _equations(self):
-        if self._T is None:
-            self._T = _row_sums(self.xst, self.U, "equations")[2:]
-        return self._T
+            sums = (np.array(a) for a in zip(*(_row_sums(xst, u) for u in U)))
+        super().__init__(U, *sums)
 
 
-def _row_sums(xst, U, read="moments"):
-    """``[E[y^3], E[y^4]]`` of the sources ``Y = xst @ U.T`` of one
-    rotation U, followed by ``E[y^2 x]`` and ``E[y^3 x]`` if ``read`` is
-    "equations"; ``[E[y^6], E[y^8]]`` alone if it is "high", since only
-    the compound fit's spectrum check needs those slow four-way sums.
-    The sums are added over row blocks, so no more than a block of Y and
-    of its powers is held; one block (``n p <= _BLOCK_ENTRIES``) runs the
+def _row_sums(xst, U, high=False):
+    """The kernel read ``[E[y^3], E[y^4], E[y^2 x], E[y^3 x]]`` of the
+    sources ``Y = xst @ U.T`` of one rotation U, or with ``high`` the end
+    read ``[E[y^3], E[y^4], E[y^6], E[y^8]]``, which gives the compound
+    fit's canonical form and spectrum check in one pass.  The sums are
+    added over row blocks, so no more than a block of Y and of its
+    powers is held; one block (``n p <= _BLOCK_ENTRIES``) runs the
     unblocked operations."""
     n, p = xst.shape
     # a contiguous right operand gives the same product by a faster path
@@ -268,17 +257,13 @@ def _row_sums(xst, U, read="moments"):
     for b in _row_blocks(n, p):
         Xb = xst[b]
         Y = Xb @ Ut
-        # in place where no odd power is read: a second block-sized array
-        # costs more in page faults than the product itself
-        Y2 = np.multiply(Y, Y, out=Y if read == "high" else None)
+        Y2 = Y * Y
         # einsum adds the rows without a temporary of the block's size
-        if read == "high":
-            part = [np.einsum("ij,ij,ij->j", Y2, Y2, Y2),
-                    np.einsum("ij,ij,ij,ij->j", Y2, Y2, Y2, Y2)]
+        part = [np.einsum("ij,ij->j", Y2, Y), np.einsum("ij,ij->j", Y2, Y2)]
+        if high:
+            part += [np.einsum("ij,ij,ij->j", Y2, Y2, Y2),
+                     np.einsum("ij,ij,ij,ij->j", Y2, Y2, Y2, Y2)]
         else:
-            part = [np.einsum("ij,ij->j", Y2, Y),
-                    np.einsum("ij,ij->j", Y2, Y2)]
-        if read == "equations":
             part.append(Y2.T @ Xb)
             Y2 *= Y
             part.append(Y2.T @ Xb)
@@ -315,24 +300,18 @@ class _TensorMoments(_Kernel):
     most ``_GATHER_ENTRIES`` entries together, so a large fit's batch of
     restarts needs no more memory than one restart."""
 
-    __slots__ = ("T3", "T4")
+    __slots__ = ()
 
     def __init__(self, tensors, U):
-        self.U = U
         k, p = U.shape[-2:]
         group = max(1, _GATHER_ENTRIES // (k * p * p))
         if U.ndim == 2 or len(U) <= group:
-            self.T3, self.T4 = _tensor_equations(tensors, U)
+            T3, T4 = _tensor_equations(tensors, U)
         else:
-            self.T3, self.T4 = (np.concatenate(a) for a in zip(*(
+            T3, T4 = (np.concatenate(a) for a in zip(*(
                 _tensor_equations(tensors, U[s:s + group])
                 for s in range(0, len(U), group))))
-        self.h3 = _rowdot(self.T3, U)
-        self.m4 = _rowdot(self.T4, U)
-        self.h4 = self.m4 - 3.0
-
-    def _equations(self):
-        return self.T3, self.T4
+        super().__init__(U, _rowdot(T3, U), _rowdot(T4, U), T3, T4)
 
 
 # The tensor kernel gathers ``E[y^2 x x^T]`` for at most this many

@@ -42,31 +42,32 @@ class MomentProfile:
 
 @dataclass(frozen=True)
 class SourceSpec:
-    """A parsed source distribution.
+    """A source distribution, checked when it is built, parsed or not.
 
     Attributes
     ----------
     family : str
         One of ``"gamma"``, ``"ep"``, ``"mix"``, ``"normal"``.
     params : tuple of float
-        Family parameters (empty for ``"normal"``).
+        Family parameters (empty for ``"normal"``), coerced to floats.
     """
 
     family: str
     params: tuple
 
-    @staticmethod
-    def parse(text):
-        """Parse a spec string like ``"gamma:2.0"`` or ``"mix:0.3:5"``."""
-        parts = str(text).strip().split(":")
-        family = parts[0].lower()
-        raw = parts[1:]
+    def __post_init__(self):
         try:
-            params = tuple(float(v) for v in raw)
-        except ValueError:
-            raise InvalidSpec(f"non-numeric parameter in source spec {text!r}")
+            params = tuple(float(v) for v in self.params)
+        except (TypeError, ValueError):
+            raise InvalidSpec(f"non-numeric parameter in source spec "
+                              f"{self.family}:{self.params!r}") from None
+        object.__setattr__(self, "params", params)
+        family = self.family
+        if family not in ("normal", "gamma", "ep", "mix"):
+            raise InvalidSpec(f"unknown source family {family!r}")
         if not all(math.isfinite(v) for v in params):
-            raise InvalidSpec(f"non-finite parameter in source spec {text!r}")
+            raise InvalidSpec(f"non-finite parameter in source spec "
+                              f"{str(self)!r}")
         if family == "normal":
             if params:
                 raise InvalidSpec("normal takes no parameters")
@@ -80,16 +81,23 @@ class SourceSpec:
                 raise InvalidSpec("ep takes exactly one parameter (exponent)")
             if params[0] <= 0:
                 raise InvalidSpec(f"ep exponent must be positive, got {params[0]}")
-        elif family == "mix":
+        else:  # mix
             if len(params) != 2:
                 raise InvalidSpec("mix takes exactly two parameters (pi, mu)")
             if not (0.0 < params[0] < 1.0):
                 raise InvalidSpec(f"mix weight must be in (0, 1), got {params[0]}")
             if params[1] == 0.0:
                 raise InvalidSpec("mix location shift must be nonzero")
-        else:
-            raise InvalidSpec(f"unknown source family {family!r}")
-        return SourceSpec(family=family, params=params)
+
+    @staticmethod
+    def parse(text):
+        """Parse a spec string like ``"gamma:2.0"`` or ``"mix:0.3:5"``."""
+        family, *raw = str(text).strip().split(":")
+        try:
+            params = tuple(float(v) for v in raw)
+        except ValueError:
+            raise InvalidSpec(f"non-numeric parameter in source spec {text!r}")
+        return SourceSpec(family=family.lower(), params=params)
 
     def __str__(self):
         if not self.params:
@@ -159,10 +167,8 @@ def _standardized_moments(spec):
                       + (r / 2.0 - 1.0) * math.lgamma(1.0 / alpha)
                       - (r / 2.0) * math.lgamma(3.0 / alpha))
             m.append(math.exp(log_mr))
-    elif spec.family == "mix":
+    else:  # mix
         m = _standardized_from_cumulants(_mix_cumulants(*spec.params))
-    else:  # pragma: no cover - parse() already rejects unknown families
-        raise InvalidSpec(f"unknown source family {spec.family!r}")
     return m
 
 
@@ -230,11 +236,9 @@ def sample_source(spec, n, rng):
         scale = math.exp(0.5 * (math.lgamma(1.0 / alpha)
                                 - math.lgamma(3.0 / alpha)))
         return signs * g ** (1.0 / alpha) * scale
-    if spec.family == "mix":
-        pi, mu = spec.params
-        z = rng.standard_normal(n)
-        shifted = rng.random(n) >= pi
-        mean = (1.0 - pi) * mu
-        sd = math.sqrt(1.0 + pi * (1.0 - pi) * mu * mu)
-        return (z + np.where(shifted, mu, 0.0) - mean) / sd
-    raise InvalidSpec(f"unknown source family {spec.family!r}")
+    pi, mu = spec.params  # mix
+    z = rng.standard_normal(n)
+    shifted = rng.random(n) >= pi
+    mean = (1.0 - pi) * mu
+    sd = math.sqrt(1.0 + pi * (1.0 - pi) * mu * mu)
+    return (z + np.where(shifted, mu, 0.0) - mean) / sd

@@ -1,8 +1,9 @@
 """Exception and warning types shared across the package, and the checks
 of alpha and of integer arguments that the entry points apply."""
 
-import math
 import numbers
+
+import numpy as np
 
 
 class CumicaError(Exception):
@@ -51,8 +52,9 @@ class InvalidParams(CumicaError, ValueError):
 
 
 def _check_alpha(alpha):
-    """Return alpha as a float, or raise InvalidParams outside [0, 1]."""
-    if not (0.0 <= alpha <= 1.0) or not math.isfinite(alpha):
+    """Return alpha as a float, or raise InvalidParams outside [0, 1] or
+    for a bool (NumPy's included)."""
+    if isinstance(alpha, (bool, np.bool_)) or not 0.0 <= alpha <= 1.0:
         raise InvalidParams(f"alpha must be in [0, 1], got {alpha!r}")
     return float(alpha)
 

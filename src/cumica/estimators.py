@@ -68,9 +68,9 @@ from functools import partial
 
 import numpy as np
 
-from .cumulants import (_cumulant_stacks, _MomentTensors, _pairs, _row_sums,
-                        _RowMoments, _TensorMoments, compound_matrices,
-                        fobi_matrix, standardize)
+from .cumulants import (_cumulant_stacks, _Kernel, _MomentTensors, _pairs,
+                        _row_sums, _RowMoments, _TensorMoments,
+                        compound_matrices, fobi_matrix, standardize)
 from .errors import (CumicaError, DegenerateObjective, InvalidParams,
                      NearDegenerateSpectrum, RankDeficient, _check_alpha,
                      _check_int)
@@ -84,7 +84,16 @@ _DEGENERATE_FLOOR = 1e-3
 
 @dataclass
 class SolverOptions:
-    """Iteration controls shared by all estimators."""
+    """Iteration controls shared by all estimators.
+
+    A fixed-point restart has converged when its rotation moves less
+    than ``tol`` (sign-blind, per row); the diagonalization methods sweep
+    to ``min(tol, 1e-10)``.  A ``tol`` below about 1e-9 is not honoured:
+    the objective's rounding noise hides steps below about 1e-8, so a
+    restart can stop, as numerically stationary, at a rotation that one
+    more step would move by more than ``tol``.  ``tol`` must be a
+    positive finite float.
+    """
 
     tol: float = 1e-9
     max_iter: int = 500
@@ -92,6 +101,9 @@ class SolverOptions:
     seed: int = 0
 
     def __post_init__(self):
+        if (isinstance(self.tol, (bool, np.bool_))
+                or not math.isfinite(self.tol)):
+            raise InvalidParams(f"tol must be a finite float, got {self.tol!r}")
         if not self.tol > 0:
             raise InvalidParams(f"tol must be positive, got {self.tol!r}")
         for name in ("max_iter", "restarts"):
@@ -442,19 +454,17 @@ def _cayley_path(U, T):
     return point, 0.5 * float(np.sum(A * A))
 
 
-def _spectrum_warning(alpha, xst, mom):
+def _spectrum_warning(alpha, n, mom, m6, m8):
     """Warn when the eigenvalue gaps identifying the rotation behind the
-    moments ``mom`` (a ``_RowMoments`` read of ``xst``) are within
-    sampling noise (three standard errors, from a ``_row_sums`` read of
-    the sixth and eighth moments) of zero for some pair."""
-    n, p = xst.shape
+    moments ``mom`` of n rows are within sampling noise (three standard
+    errors, from the sixth and eighth moments ``m6`` and ``m8``) of zero
+    for some pair."""
     g, k4, m4 = mom.h3, mom.h4, mom.m4
-    m6, m8 = _row_sums(xst, mom.U, "high")
     var3 = m6 - g * g
     var4 = m8 - m4 * m4
     se3 = np.sqrt(np.maximum(var3, 0.0) / n)
     se4 = np.sqrt(np.maximum(var4, 0.0) / n)
-    a, b = np.triu_indices(p, 1)
+    a, b = np.triu_indices(len(g), 1)
     gap2 = alpha * (g[a] - g[b]) ** 2 + (1.0 - alpha) * (k4[a] - k4[b]) ** 2
     se2 = (alpha * (se3[a] ** 2 + se3[b] ** 2)
            + (1.0 - alpha) * (se4[a] ** 2 + se4[b] ** 2))
@@ -520,8 +530,9 @@ def _compound_solve(xst, alpha, opts):
     mats, w = zip(*((A, w) for A, w in zip(compound_matrices(xst),
                                             (alpha, 1.0 - alpha)) if w > 0.0))
     res = joint_diagonalize(mats, weights=w, **_sweep_limits(opts))
-    mom = _RowMoments(xst, res.U)
-    _spectrum_warning(alpha, xst, mom)
+    h3, m4, m6, m8 = _row_sums(xst, res.U, high=True)
+    mom = _Kernel(res.U, h3, m4)
+    _spectrum_warning(alpha, len(xst), mom, m6, m8)
     return (mom, res.objective, [res.sweeps], res.converged, 1,
             res.objective_history)
 

@@ -183,7 +183,7 @@ class TestDegeneracies:
         assert str(info.value) == message
 
     def test_alpha_domain(self):
-        for bad in (-0.1, 1.0001, float("nan")):
+        for bad in (-0.1, 1.0001, float("nan"), True):
             with pytest.raises(InvalidParams):
                 asv_symmetric(["gamma:1", "gamma:2"], bad)
 

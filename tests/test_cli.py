@@ -174,6 +174,8 @@ class TestUsageErrors:
                            "integer, got -2"),
         (["--tol", "-1"], "InvalidParams: tol must be positive, got -1.0"),
         (["--restarts", "0"], "InvalidParams: restarts must be >= 1, got 0"),
+        (["--tol", "inf"], "InvalidParams: tol must be a finite float, "
+                           "got inf"),
     ])
     def test_bad_solver_values_exit_2(self, tmp_path, flags, message):
         path = tmp_path / "x.csv"

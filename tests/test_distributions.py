@@ -184,10 +184,29 @@ class TestSourceSpec:
             SourceSpec.parse(bad)
 
     def test_unknown_family_of_a_built_spec(self):
-        # parse() rejects an unknown family; a spec built directly is
-        # rejected where it is used
-        spec = SourceSpec("cauchy", (3.0,))
+        # a spec built directly is checked as parse() checks it
         with pytest.raises(InvalidSpec, match=r"unknown source family"):
-            moment_profile(spec)
-        with pytest.raises(InvalidSpec, match=r"unknown source family"):
-            sample_source(spec, 10, np.random.default_rng(0))
+            SourceSpec("cauchy", (3.0,))
+
+    @pytest.mark.parametrize("family,params,message", [
+        ("gamma", (-1.0,), "gamma shape must be positive, got -1.0"),
+        ("ep", (0.0,), "ep exponent must be positive, got 0.0"),
+        ("normal", (3.0,), "normal takes no parameters"),
+        ("mix", (0.5,), r"mix takes exactly two parameters \(pi, mu\)"),
+        ("gamma", (math.inf,), "non-finite parameter in source spec "
+                               "'gamma:inf'"),
+        ("gamma", ("abc",), "non-numeric parameter"),
+        ("gamma", 2.0, "non-numeric parameter"),
+    ])
+    def test_a_built_spec_is_checked(self, family, params, message):
+        # checked when built, before the moment formulas or the sampler
+        # can see it
+        with pytest.raises(InvalidSpec, match=message):
+            SourceSpec(family, params)
+
+    def test_a_built_spec_has_float_params(self):
+        spec = SourceSpec("mix", [1 / 4, 5])
+        assert spec.params == (0.25, 5.0)
+        assert all(type(v) is float for v in spec.params)
+        assert spec == SourceSpec.parse("mix:0.25:5")
+        assert moment_profile(spec) == moment_profile("mix:0.25:5")

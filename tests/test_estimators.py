@@ -14,9 +14,10 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from cumica import estimators
-from cumica.cumulants import (_BLOCK_ENTRIES, _MomentTensors, _RowMoments,
-                              _TensorMoments, sample_cov, standardize)
+from cumica import cumulants, estimators
+from cumica.cumulants import (_BLOCK_ENTRIES, _Kernel, _MomentTensors,
+                              _row_sums, _RowMoments, _TensorMoments,
+                              sample_cov, standardize)
 from cumica.errors import (DegenerateObjective, InvalidParams,
                            NearDegenerateSpectrum, NonFiniteInput,
                            NotPositiveDefinite, RankDeficient)
@@ -208,7 +209,8 @@ class TestDiagnostics:
         model = IcModelSpec(sources=("gamma:2", "gamma:2", "gamma:8",
                                      "gamma:8", "ep:4"))
         X, _, _ = generate_ic_sample(model, 3000, np.random.default_rng(9))
-        mom = _RowMoments(X, np.eye(5))
+        h3, m4, m6, m8 = _row_sums(X, np.eye(5), high=True)
+        mom = _Kernel(np.eye(5), h3, m4)
         Y, alpha = X, 0.4
         n, p = Y.shape
         se3 = [np.sqrt(max(np.mean(y ** 6) - np.mean(y ** 3) ** 2, 0) / n)
@@ -222,14 +224,15 @@ class TestDiagnostics:
                       + (1 - alpha) * (se4[a] ** 2 + se4[b] ** 2))]
         assert ref and len(ref) < p * (p - 1) // 2
         with pytest.warns(NearDegenerateSpectrum) as rec:
-            estimators._spectrum_warning(alpha, X, mom)
+            estimators._spectrum_warning(alpha, n, mom, m6, m8)
         assert f"pair(s) {ref} are" in str(rec[0].message)
 
     @pytest.mark.parametrize("fit", [deflation_pp, symmetric_pp,
                                      compound_cumulant, all_cumulant])
     def test_weight_outside_unit_interval(self, fit):
         X, _ = make_sample(n=500)
-        for bad in (-0.1, 1.5, float("nan")):
+        # a bool would be taken as alpha 0 or 1
+        for bad in (-0.1, 1.5, float("nan"), True, np.True_):
             with pytest.raises(InvalidParams):
                 fit(X, bad)
         # InvalidParams is a ValueError, so older handlers still catch it
@@ -258,7 +261,11 @@ class TestDiagnostics:
 
     def test_solver_options_validation(self):
         # InvalidParams is a ValueError, so callers catching that still work
+        # an infinite or bool tol would stop a symmetric fit after one
+        # iteration reported converged
         for field, value in [("tol", 0.0), ("tol", -1.0), ("tol", float("nan")),
+                             ("tol", float("inf")), ("tol", -float("inf")),
+                             ("tol", True), ("tol", np.True_),
                              ("max_iter", 0), ("restarts", 0), ("seed", -2),
                              ("seed", 0.5), ("seed", None)]:
             with pytest.raises(InvalidParams, match=field):
@@ -359,6 +366,33 @@ class TestMomentKernel:
         X, _ = make_sample()
         all_cumulant(X, 0.8, OPTS)
         assert len(seen) == 1
+
+    @pytest.mark.filterwarnings(
+        "ignore::cumica.errors.NearDegenerateSpectrum")
+    @pytest.mark.parametrize("alpha", [0.0, 0.5])
+    def test_compound_reads_its_rotation_once(self, monkeypatch, alpha):
+        # one pass over the rows gives the Jacobi rotation's canonical
+        # form and its spectrum check; the pilot at p = 3 reads tensors
+        reads, rotations = [], []
+        row_sums = cumulants._row_sums
+        diagonalize = estimators.joint_diagonalize
+
+        def recording_sums(xst, U, *args, **kwargs):
+            reads.append(U)
+            return row_sums(xst, U, *args, **kwargs)
+
+        def recording_diagonalize(*args, **kwargs):
+            res = diagonalize(*args, **kwargs)
+            rotations.append(res.U)
+            return res
+        for module in (cumulants, estimators):
+            monkeypatch.setattr(module, "_row_sums", recording_sums)
+        monkeypatch.setattr(estimators, "joint_diagonalize",
+                            recording_diagonalize)
+        X, _ = make_sample()
+        compound_cumulant(X, alpha, OPTS)
+        assert len(rotations) == 1
+        assert len(reads) == 1 and reads[0] is rotations[0]
 
     # Kernel builds of one symmetric fit (restarts 1 and 10) at alpha 0,
     # 0.8 and 1, bounded by the measured builds plus a quarter (33, 444;
