@@ -27,9 +27,8 @@ from .asymptotics import optimal_alpha
 from .errors import CumicaError, MalformedInput
 from .estimators import SolverOptions
 from .simulation import (_ALIASES, _ASV_TABLES, _ESTIMATORS, IcModelSpec,
-                         _csv_rows, _csv_table, _estimate_once, _fmt,
-                         _replication_sample, _seed_sequence,
-                         check_assumptions, contour_grid,
+                         _csv_rows, _csv_table, _fmt, _replication_sample,
+                         _seed_sequence, check_assumptions, contour_grid,
                          monte_carlo_experiment, read_config, resolve_method)
 
 _METHODS = (*_ESTIMATORS, *_ALIASES)
@@ -162,18 +161,20 @@ def _write_output(text, out):
 
 
 def _cmd_estimate(args):
-    name, standardizer = _resolve_flags(args)
-    if args.standardizer not in (None, standardizer):
-        if name != "compound":
-            raise UsageError(
-                "--standardizer applies to the compound method only")
-        if standardizer:
-            raise UsageError("method fobi takes --standardizer fobi only")
-        standardizer = args.standardizer
+    name = _resolve_flags(args)
+    standardizer = args.standardizer
+    if standardizer and name != "compound":
+        raise UsageError("--standardizer applies to the compound method only")
+    if args.method == "fobi" and standardizer not in (None, "fobi"):
+        raise UsageError("method fobi takes --standardizer fobi only")
     opts = SolverOptions(tol=args.tol, restarts=args.restarts, seed=args.seed)
     X = _load_matrix(args.infile)
-    est = _estimate_once(name, X, args.alpha, opts, standardizer)
+    extra = {"standardizer": standardizer} if standardizer else {}
+    est = _ESTIMATORS[name](X, args.alpha, opts=opts, **extra)
     iters = ",".join(str(i) for i in est.iterations)
+    # compound_cumulant takes the FOBI standardizer at alpha 0
+    if args.method == "fobi":
+        standardizer = "fobi"
     return (_echo("estimate", method=name, alpha=args.alpha,
                   standardizer=standardizer, tol=opts.tol,
                   restarts=opts.restarts, seed=opts.seed, infile=args.infile)
@@ -209,11 +210,11 @@ def _require(args, *names):
 
 
 def _resolve_flags(args):
-    """(canonical method, standardizer) of --method; sets args.alpha to
-    the effective weight, which is required unless the method fixes it."""
-    name, args.alpha, standardizer = resolve_method(args.method, args.alpha)
+    """The canonical method of --method; sets args.alpha to the effective
+    weight, which is required unless the method fixes it."""
+    name, args.alpha = resolve_method(args.method, args.alpha)
     _require(args, "alpha")
-    return name, standardizer
+    return name
 
 
 def _build_model(sources, mixing, seed):
@@ -258,7 +259,7 @@ def _cmd_simulate(args):
 
 
 def _cmd_asv(args):
-    name, _ = _resolve_flags(args)
+    name = _resolve_flags(args)
     specs = _split_sources(args.sources)
     table = _ASV_TABLES[name](list(specs), args.alpha)
     return (_echo("asv", method=name, alpha=args.alpha,

@@ -49,7 +49,8 @@ class SourceSpec:
     family : str
         One of ``"gamma"``, ``"ep"``, ``"mix"``, ``"normal"``.
     params : tuple of float
-        Family parameters (empty for ``"normal"``), coerced to floats.
+        Family parameters (empty for ``"normal"``), coerced to floats
+        (from numbers or their strings).
     """
 
     family: str
@@ -59,8 +60,10 @@ class SourceSpec:
         try:
             params = tuple(float(v) for v in self.params)
         except (TypeError, ValueError):
+            raw = self.params if np.iterable(self.params) else [self.params]
+            text = ":".join(map(str, [self.family, *raw]))
             raise InvalidSpec(f"non-numeric parameter in source spec "
-                              f"{self.family}:{self.params!r}") from None
+                              f"{text!r}") from None
         object.__setattr__(self, "params", params)
         family = self.family
         if family not in ("normal", "gamma", "ep", "mix"):
@@ -91,13 +94,10 @@ class SourceSpec:
 
     @staticmethod
     def parse(text):
-        """Parse a spec string like ``"gamma:2.0"`` or ``"mix:0.3:5"``."""
-        family, *raw = str(text).strip().split(":")
-        try:
-            params = tuple(float(v) for v in raw)
-        except ValueError:
-            raise InvalidSpec(f"non-numeric parameter in source spec {text!r}")
-        return SourceSpec(family=family.lower(), params=params)
+        """Parse a spec string like ``"gamma:2.0"`` or ``"mix:0.3:5"``;
+        the parameters are converted and checked when the spec is built."""
+        family, *params = str(text).strip().split(":")
+        return SourceSpec(family=family.lower(), params=tuple(params))
 
     def __str__(self):
         if not self.params:

@@ -32,27 +32,15 @@ from .errors import (InvalidParams, NonFiniteInput, NotPositiveDefinite,
 EIG_FLOOR = 1e-12
 
 
-def _require_square(A, name):
-    """Validate that ``A`` is a finite square matrix of at least one
+def _require_square(A):
+    """``A`` as a float array, if it is a square matrix of at least one
     row."""
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError(f"{name} must be square, got shape {A.shape}")
+        raise ValueError(f"matrix must be square, got shape {A.shape}")
     if not A.size:
-        raise InvalidParams(f"{name} must not be empty, got shape {A.shape}")
-    if not np.isfinite(A).all():
-        raise NonFiniteInput(f"{name} has non-finite entries")
+        raise InvalidParams(f"matrix must not be empty, got shape {A.shape}")
     return A
-
-
-def require_symmetric(S, tol=1e-12, name="matrix"):
-    """Validate that ``S`` is finite, square and symmetric to relative
-    tolerance."""
-    S = _require_square(S, name)
-    scale = max(1.0, np.abs(S).max())
-    if np.abs(S - S.T).max() > tol * scale:
-        raise ValueError(f"{name} is not symmetric (relative tol {tol})")
-    return S
 
 
 # The stack check reads its matrices in blocks of at most this many
@@ -60,10 +48,11 @@ def require_symmetric(S, tol=1e-12, name="matrix"):
 _CHECK_ENTRIES = 1 << 16
 
 
-def _require_symmetric_stack(stack, tol=1e-12):
-    """``require_symmetric`` on every matrix of the ``(m, p, p)`` stack,
-    each to its own relative scale, vectorized over blocks of matrices;
-    the error names the first matrix that fails as ``matrices[i]``."""
+def _require_symmetric_stack(stack, tol=1e-12, name="matrices[{}]"):
+    """Check that every matrix of the ``(m, p, p)`` stack is finite and
+    symmetric, each to its own relative scale, vectorized over blocks of
+    matrices; the error names the first matrix that fails as ``name``
+    formatted with its index."""
     m, p, _ = stack.shape
     rows = max(1, _CHECK_ENTRIES // max(1, p * p))
     for s in range(0, m, rows):
@@ -76,11 +65,10 @@ def _require_symmetric_stack(stack, tol=1e-12):
         bad = ~finite | (asym > tol * scale)
         if bad.any():
             i = int(np.argmax(bad))
+            what = name.format(s + i)
             if not finite[i]:
-                raise NonFiniteInput(
-                    f"matrices[{s + i}] has non-finite entries")
-            raise ValueError(
-                f"matrices[{s + i}] is not symmetric (relative tol {tol})")
+                raise NonFiniteInput(f"{what} has non-finite entries")
+            raise ValueError(f"{what} is not symmetric (relative tol {tol})")
 
 
 def is_orthogonal(U, tol=1e-10):
@@ -295,13 +283,16 @@ def _jacobi(stacks, w, tol, max_sweeps):
 
 
 def sym_eig(S):
-    """Eigendecomposition of a symmetric matrix.
+    """Eigendecomposition of a symmetric matrix, checked as
+    ``_require_symmetric_stack`` checks a stack of one.
 
     Returns ``(values, vectors)`` with eigenvalues sorted in descending
     order, eigenvectors in the columns of ``vectors``, and each column's
     largest-magnitude entry made positive.
     """
-    values, vectors = np.linalg.eigh(require_symmetric(S))
+    S = _require_square(S)
+    _require_symmetric_stack(S[None], name="matrix")
+    values, vectors = np.linalg.eigh(S)
     values = values[::-1]
     vectors = vectors[:, ::-1]
     flip = vectors[np.abs(vectors).argmax(axis=0), np.arange(len(values))] < 0
@@ -334,7 +325,10 @@ def polar_orthogonal(T):
     smallest singular value to exceed ``1e-12`` times the largest, and
     raises RankDeficient otherwise.
     """
-    U = _polar_step(_require_square(T, "matrix")[None])[0]
+    T = _require_square(T)
+    if not np.isfinite(T).all():
+        raise NonFiniteInput("matrix has non-finite entries")
+    U = _polar_step(T[None])[0]
     if np.isnan(U[0, 0]):
         raise RankDeficient(
             f"matrix is numerically rank deficient (smallest singular "

@@ -63,11 +63,11 @@ _ALIASES = {"jade": "all_cumulant", "fobi": "compound"}
 
 
 def resolve_method(method, alpha):
-    """Map a method name and weight to ``(name, alpha, standardizer)``.
+    """Map a method name and weight to ``(name, alpha)``.
 
     "jade" is the all-cumulant estimator; "fobi" is the compound one with
-    alpha forced to 0 and the FOBI standardizer.  Otherwise the
-    standardizer is None and alpha is checked (None passes through).
+    alpha forced to 0, where ``compound_cumulant`` takes the FOBI
+    standardizer.  Otherwise alpha is checked (None passes through).
     """
     raw = str(method).lower().replace("-", "_")
     name = _ALIASES.get(raw, raw)
@@ -76,8 +76,8 @@ def resolve_method(method, alpha):
             f"unknown method {method!r}; expected one of "
             f"{sorted(_ESTIMATORS)} or aliases {sorted(_ALIASES)}")
     if raw == "fobi":
-        return name, 0.0, "fobi"
-    return name, None if alpha is None else _check_alpha(alpha), None
+        return name, 0.0
+    return name, None if alpha is None else _check_alpha(alpha)
 
 
 def _seed_sequence(seed):
@@ -328,7 +328,7 @@ def check_assumptions(model, method, alpha, tol=1e-12):
     """
     profs = asymptotics._as_profiles(
         model.sources if isinstance(model, IcModelSpec) else model)
-    method, alpha, _ = resolve_method(method, alpha)
+    method, alpha = resolve_method(method, alpha)
     if alpha is None:
         raise InvalidParams(f"method {method!r} needs a weight alpha")
     # alpha = 1, 0 or interior: skewness, excess kurtosis or both in use
@@ -449,11 +449,6 @@ def resolve_threads(threads=None):
     return _check_int("threads", threads, 1)
 
 
-def _estimate_once(method, X, alpha, opts, standardizer=None):
-    extra = {"standardizer": standardizer} if standardizer else {}
-    return _ESTIMATORS[method](X, alpha, opts=opts, **extra)
-
-
 def _replication_sample(model, n, seq):
     """The sample and solver seed of the Monte Carlo replication whose
     SeedSequence is ``seq``: it spawns two, the first drawing the sample
@@ -480,16 +475,15 @@ def _run_block(run, seqs):
     run's settings ``run`` and the block's SeedSequences ``seqs``; must
     stay a top-level function so the process pool can pickle it.  Every
     method's samples go through ``_fit_each``, JADE's inside its batch."""
-    model, method, alpha, standardizer, n, opts = run
+    model, method, alpha, n, opts = run
     draws = [partial(_replication_sample, model, n, seq) for seq in seqs]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         if method == "all_cumulant":
             fits = _all_cumulant_block(draws, alpha, opts)
         else:
-            fits = _fit_each(lambda X, seed: _estimate_once(
-                method, X, alpha, replace(opts, seed=seed), standardizer),
-                draws)
+            fits = _fit_each(lambda X, seed: _ESTIMATORS[method](
+                X, alpha, opts=replace(opts, seed=seed)), draws)
     Omega = model.mixing_matrix()
     return [_outcome(est, Omega) for est in fits]
 
@@ -523,7 +517,7 @@ def monte_carlo_experiment(model, method, alpha, n, replications,
     """
     t0 = time.perf_counter()
     model = _as_model(model)
-    method, alpha, standardizer = resolve_method(method, alpha)
+    method, alpha = resolve_method(method, alpha)
     replications = _check_int("replications", replications, 2)
     check_assumptions(model, method, alpha)
     table = _ASV_TABLES[method](model.sources, alpha)
@@ -531,7 +525,7 @@ def monte_carlo_experiment(model, method, alpha, n, replications,
 
     opts = opts or SolverOptions()
     replica = IcModelSpec(sources=model.sources)  # identity mixing, no shift
-    run = (replica, method, alpha, standardizer, n, opts)
+    run = (replica, method, alpha, n, opts)
     seqs = _seed_sequence(master_seed).spawn(replications)
     blocks = [seqs[i:i + _BLOCK] for i in range(0, replications, _BLOCK)]
     threads = min(resolve_threads(threads), replications)
@@ -599,7 +593,7 @@ def contour_grid(family_x, range_x, family_y, range_y, method, alpha,
     whose profiles do not exist or whose ASV denominators vanish are
     recorded as NaN rather than failing the whole grid.
     """
-    method, alpha, _ = resolve_method(method, alpha)
+    method, alpha = resolve_method(method, alpha)
     table_fn = _ASV_TABLES[method]
     for family in (family_x, family_y):
         if str(family).lower() not in ("gamma", "ep"):

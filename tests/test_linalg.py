@@ -55,7 +55,9 @@ class TestSymEig:
         np.testing.assert_allclose(vals, [3.0, 2.0, 1.0], atol=1e-14)
 
     def test_rejects_nonsymmetric(self):
-        with pytest.raises(Exception):
+        # the message of a matrix alone, not of a stack's matrices[i]
+        with pytest.raises(ValueError, match=r"^matrix is not symmetric "
+                                             r"\(relative tol 1e-12\)$"):
             sym_eig(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
     @pytest.mark.parametrize("p", [10, 30, 50])
@@ -87,10 +89,10 @@ class TestSymEig:
         for bad in (np.nan, np.inf):
             S = np.eye(3)
             S[1, 1] = bad
-            with pytest.raises(NonFiniteInput):
-                sym_eig(S)
-            with pytest.raises(NonFiniteInput):
-                inv_sqrt_sym(S)
+            for fn in (sym_eig, inv_sqrt_sym):
+                with pytest.raises(NonFiniteInput,
+                                   match=r"^matrix has non-finite entries$"):
+                    fn(S)
             with pytest.raises(NonFiniteInput):
                 joint_diagonalize([S])
 

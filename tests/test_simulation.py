@@ -454,14 +454,14 @@ def _jade_jobs(reps, seed, n=1000, method="all_cumulant"):
     """A Monte Carlo run's settings and its replications' seeds as
     monte_carlo_experiment makes them: JADE (or ``method``) at alpha 0.8
     on the identity-mixed GAMMA3, one spawned seed each."""
-    return ((GAMMA3, method, 0.8, None, n, SolverOptions(restarts=1)),
+    return ((GAMMA3, method, 0.8, n, SolverOptions(restarts=1)),
             np.random.SeedSequence(seed).spawn(reps))
 
 
 def _alone(run, child):
     """The outcome of a replication's sample fitted by all_cumulant
     alone."""
-    model, _, alpha, _, n, opts = run
+    model, _, alpha, n, opts = run
     X, omega, _ = generate_ic_sample(
         model, n, np.random.default_rng(child.spawn(2)[0]))
     est = all_cumulant(X, alpha, opts)
