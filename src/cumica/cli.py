@@ -24,7 +24,7 @@ import warnings
 import numpy as np
 
 from .asymptotics import optimal_alpha
-from .errors import CumicaError, MalformedInput
+from .errors import CumicaError, InvalidSpec, MalformedInput
 from .estimators import SolverOptions
 from .simulation import (_ALIASES, _ASV_TABLES, _ESTIMATORS, IcModelSpec,
                          _csv_rows, _csv_table, _fmt, _replication_sample,
@@ -189,15 +189,22 @@ _SIMULATE_KEYS = ("sources", "method", "alpha", "n", "reps", "seed",
 
 def _config_argv(path):
     """The simulate config file ``path`` as '--key=value' tokens, for the
-    parser to check as it checks the command line's own flags."""
-    cfg = read_config(path)
+    parser to check as it checks the command line's own flags; any fault
+    of the file is a usage error."""
+    try:
+        cfg = read_config(path)
+    except InvalidSpec as exc:
+        raise UsageError(str(exc)) from None
     unknown = set(cfg) - set(_SIMULATE_KEYS)
     if unknown:
         raise UsageError(f"unknown config keys: {sorted(unknown)}; "
                          f"expected a subset of {list(_SIMULATE_KEYS)}")
-    argv = [f"--{key}={value}" for key, value in cfg.items()
-            if key != "emit_data"]
-    if cfg.get("emit_data", "").lower() in ("1", "true", "yes"):
+    emit = cfg.pop("emit_data", "no")
+    if emit.lower() not in ("1", "true", "yes", "0", "false", "no"):
+        raise UsageError(f"{path}: emit_data must be yes, no, true, false, "
+                         f"1 or 0, got {emit!r}")
+    argv = [f"--{key}={value}" for key, value in cfg.items()]
+    if emit.lower() in ("1", "true", "yes"):
         argv.append("--emit-data")
     return argv
 

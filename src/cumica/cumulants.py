@@ -89,7 +89,9 @@ def standardize(X, whitener="symmetric"):
 
     Singular data raise ``NotPositiveDefinite``, which names the cause
     when it is ``n <= p`` or a constant column; NaN or inf entries raise
-    ``NonFiniteInput``.
+    ``NonFiniteInput``.  So do finite data at a scale where the sample
+    covariance overflows (``NonFiniteInput``) or has a subnormal
+    diagonal entry (``NotPositiveDefinite``); both name the data's scale.
 
     Returns
     -------
@@ -130,7 +132,18 @@ def standardize(X, whitener="symmetric"):
     # the one sample-sized copy, column-major: centered here, whitened in
     # place below
     Xc = np.subtract(X, mean, order="F")
-    S = (Xc.T @ Xc) / n
+    # finite data can still overflow S, or leave it subnormal, where its
+    # eigenvalues lose their precision: the checks below name both
+    with np.errstate(over="ignore", invalid="ignore"):
+        S = (Xc.T @ Xc) / n
+    if not np.isfinite(S).all():
+        raise NonFiniteInput(
+            f"sample covariance overflows: the data reach |x| = "
+            f"{np.abs(X).max():.3e}; rescale the data")
+    if S.diagonal().min() < np.finfo(float).tiny:
+        raise NotPositiveDefinite(
+            f"sample covariance is subnormal: the centered data reach only "
+            f"|x - mean| = {np.abs(Xc).max():.3e}; rescale the data")
 
     if not custom:
         G = inv_sqrt_sym(S)

@@ -283,6 +283,9 @@ def mdi(W, Omega):
         raise SingularInput("gain matrix W @ Omega is numerically singular")
     if p == 1:
         return 0.0
+    # each row scaled by a power of two, which is exact, so its squares
+    # neither overflow nor underflow whatever the scale of W
+    G = np.ldexp(G, -np.frexp(np.abs(G).max(axis=1, keepdims=True))[1])
     H = (G * G) / (G * G).sum(axis=1, keepdims=True)
     # H[j, i]: fraction of row j's energy in column i; the best one-
     # nonzero-per-row-and-column C keeps, for each matched pair, exactly
@@ -589,9 +592,10 @@ def contour_grid(family_x, range_x, family_y, range_y, method, alpha,
                  steps=40):
     """Pair criterion over a parameter grid of two one-parameter families.
 
-    The families must be one-parameter ones ("gamma" or "ep").  Cells
-    whose profiles do not exist or whose ASV denominators vanish are
-    recorded as NaN rather than failing the whole grid.
+    The families must be one-parameter ones ("gamma" or "ep"), and the
+    range bounds finite.  Cells whose profiles do not exist or whose ASV
+    denominators vanish are recorded as NaN rather than failing the
+    whole grid.
     """
     method, alpha = resolve_method(method, alpha)
     table_fn = _ASV_TABLES[method]
@@ -601,6 +605,10 @@ def contour_grid(family_x, range_x, family_y, range_y, method, alpha,
                               f"got {family!r}")
     lo_x, hi_x = map(float, range_x)
     lo_y, hi_y = map(float, range_y)
+    for name, bounds in (("range_x", (lo_x, hi_x)),
+                         ("range_y", (lo_y, hi_y))):
+        if not all(map(math.isfinite, bounds)):
+            raise InvalidParams(f"{name} must be finite, got {bounds!r}")
     steps = _check_int("steps", steps, 2)
     xs = np.linspace(lo_x, hi_x, steps)
     ys = np.linspace(lo_y, hi_y, steps)
@@ -632,7 +640,8 @@ def read_config(path):
     """Parse a plain-text ``key = value`` experiment config file.
 
     Blank lines and '#' comments are ignored; values stay strings for
-    the caller to coerce.
+    the caller to coerce.  A line without '=' or a repeated key raises
+    InvalidSpec naming the line.
     """
     out = {}
     with open(path) as fh:
@@ -643,6 +652,8 @@ def read_config(path):
             if "=" not in line:
                 raise InvalidSpec(
                     f"{path}:{lineno}: expected 'key = value', got {line!r}")
-            key, value = line.split("=", 1)
-            out[key.strip()] = value.strip()
+            key, value = (part.strip() for part in line.split("=", 1))
+            if key in out:
+                raise InvalidSpec(f"{path}:{lineno}: repeated key {key!r}")
+            out[key] = value
     return out

@@ -249,6 +249,10 @@ class TestClusterObjective:
             optimal_alpha(0.3, 5.0, grid_tol=0.0)
         with pytest.raises(InvalidParams):
             optimal_alpha(0.3, 5.0, grid_tol=0.7)
+        # finer steps gain nothing and build grids of over 1e6 points
+        for tiny in (9e-7, 1e-300):
+            with pytest.raises(InvalidParams, match=r"\[1e-6, 0\.5\]"):
+                optimal_alpha(0.3, 5.0, grid_tol=tiny)
 
 
 class TestStatCovarianceTable:

@@ -101,6 +101,11 @@ class TestOptimalAlpha:
         star = float(data_rows(out)[-1].split(",")[0])
         assert 0.6 < star < 0.8
 
+    def test_grid_step_below_the_floor_exit_2(self):
+        assert run(["optimal-alpha", "--pi", "0.3", "--mu", "5", "--grid",
+                    "1e-300"]) == (2, "", "InvalidParams: grid_tol must be "
+                                          "in [1e-6, 0.5], got 1e-300\n")
+
 
 class TestCheckAssumptions:
     def test_pass_and_fail(self):
@@ -204,6 +209,16 @@ class TestUsageErrors:
         argv[argv.index("--family-x") + 1] = "foo"
         code, out, err = run(argv)
         assert (code, out) == (2, "") and err.startswith("InvalidSpec")
+
+    @pytest.mark.parametrize("axis, text, bounds", [
+        ("x", "1:inf", "(1.0, inf)"), ("y", "nan:8", "(nan, 8.0)")])
+    def test_contour_range_must_be_finite(self, axis, text, bounds):
+        argv = CONTOUR + ["--method", "symmetric", "--alpha", "0.5"]
+        argv[argv.index(f"--range-{axis}") + 1] = text
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(argv) == (2, "", f"InvalidParams: range_{axis} must "
+                                        f"be finite, got {bounds}\n")
 
     def test_non_finite_data_exit_2(self, tmp_path):
         path = tmp_path / "x.csv"
@@ -422,6 +437,21 @@ class TestSimulateAndEstimate:
         cfg.write_text("bogus = 1\n")
         code, _, err = run(["simulate", "--config", str(cfg)])
         assert code == 1 and "unknown config keys" in err
+
+    @pytest.mark.parametrize("line, message", [
+        ("emit_data = maybe", ": emit_data must be yes, no, true, false, 1 "
+                              "or 0, got 'maybe'"),
+        ("just words", ":6: expected 'key = value', got 'just words'"),
+        ("reps = 5", ":6: repeated key 'reps'")])
+    def test_config_file_fault_is_a_usage_error(self, tmp_path, line,
+                                                 message):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("sources = gamma:1,gamma:2\nmethod = jade\n"
+                       f"alpha = 0.8\nn = 500\nreps = 4\n{line}\n")
+        code, out, err = run(["simulate", "--config", str(cfg),
+                              "--threads", "1"])
+        assert (code, out) == (1, "")
+        assert err.endswith(f"\nerror: {cfg}{message}\n")
 
     def test_config_keys_are_the_simulate_flags(self):
         parser = _build_parser()

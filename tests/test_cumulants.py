@@ -21,12 +21,19 @@ from cumica.cumulants import (_BLOCK_ENTRIES, _cumulant_stacks,
                               cum4_stack, fobi_matrix, projection_cumulants,
                               sample_cov, standardize)
 from cumica.distributions import sample_source
-from cumica.errors import (NotPositiveDefinite, NotUnit,
+from cumica.errors import (NonFiniteInput, NotPositiveDefinite, NotUnit,
                            SingularCustomWhitener)
 from cumica.linalg import inv_sqrt_sym, random_orthogonal
 from oracles import cum3_matrix, cum4_matrix, standardize_rows
 
 EPS = np.finfo(float).eps
+
+
+def _gamma_sample(n=2000):
+    """An (n, 3) sample of standardized gamma:1, gamma:2, gamma:4."""
+    rng = np.random.default_rng(0)
+    return np.column_stack([sample_source(f"gamma:{a}", n, rng)
+                            for a in (1, 2, 4)])
 
 
 def blocked_rows(p):
@@ -164,6 +171,32 @@ class TestStandardize:
         X[:, 2] = X[:, 0] - 2.0 * X[:, 1]
         with pytest.raises(NotPositiveDefinite, match="eigenvalue range"):
             standardize(X)
+
+    @pytest.mark.parametrize("scale, error, message", [
+        (1e153, NonFiniteInput, r"overflows: the data reach \|x\| = "
+                                r"\d\.\d{3}e\+153; rescale the data$"),
+        (1e-160, NotPositiveDefinite, r"is subnormal: the centered data "
+                                      r"reach only \|x - mean\| = "
+                                      r"\d\.\d{3}e-160; rescale the data$"),
+        (1e-162, NotPositiveDefinite, r"is subnormal: .* = \d\.\d{3}e-162;"),
+    ])
+    def test_covariance_out_of_range_names_the_scale(self, scale, error,
+                                                     message):
+        # finite data whose covariance overflows, or underflows to where
+        # a fit at 1e-160 was off by 2.5e-2 relative
+        X = _gamma_sample() * scale
+        for whitener in ("symmetric", np.eye(3)):
+            with pytest.raises(error, match="^sample covariance " + message):
+                standardize(X, whitener=whitener)
+
+    @pytest.mark.parametrize("scale", [1e152, 1e-150])
+    def test_covariance_in_range_whitens_at_any_scale(self, scale):
+        X = _gamma_sample()
+        ref = standardize(X)
+        st = standardize(X * scale)
+        np.testing.assert_allclose(st.whitener * scale, ref.whitener,
+                                   rtol=1e-12, atol=1e-14)
+        np.testing.assert_allclose(st.xst, ref.xst, rtol=1e-12, atol=1e-12)
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):

@@ -67,6 +67,16 @@ class TestMdi:
         with pytest.raises(SingularInput):
             mdi(np.eye(2), np.outer([1.0, 2.0], [1.0, 2.0]))
 
+    @pytest.mark.parametrize("scale", [1e155, 1e-160, 1e-170, 2.0**-600])
+    def test_does_not_depend_on_the_scale_of_w(self, scale):
+        # G * G of the raw gain overflows or underflows at these scales
+        W = np.eye(3) + 0.02 * np.random.default_rng(3).normal(size=(3, 3))
+        with np.errstate(all="raise"):
+            got = mdi(scale * W, np.eye(3))
+        assert got == pytest.approx(mdi(W, np.eye(3)), rel=1e-13, abs=0.0)
+        if math.frexp(scale)[0] == 0.5:  # a power of two scales exactly
+            assert got == mdi(W, np.eye(3))
+
     def test_non_finite_gain(self):
         # finite factors whose product overflows
         with np.errstate(over="ignore"), \
