@@ -165,18 +165,17 @@ def _cmd_estimate(args):
     standardizer = args.standardizer
     if standardizer and name != "compound":
         raise UsageError("--standardizer applies to the compound method only")
-    if args.method == "fobi" and standardizer not in (None, "fobi"):
+    # fobi is compound at alpha 0, which takes the FOBI standardizer
+    fobi = args.method == "fobi"
+    if fobi and standardizer not in (None, "fobi"):
         raise UsageError("method fobi takes --standardizer fobi only")
     opts = SolverOptions(tol=args.tol, restarts=args.restarts, seed=args.seed)
     X = _load_matrix(args.infile)
     extra = {"standardizer": standardizer} if standardizer else {}
     est = _ESTIMATORS[name](X, args.alpha, opts=opts, **extra)
     iters = ",".join(str(i) for i in est.iterations)
-    # compound_cumulant takes the FOBI standardizer at alpha 0
-    if args.method == "fobi":
-        standardizer = "fobi"
     return (_echo("estimate", method=name, alpha=args.alpha,
-                  standardizer=standardizer, tol=opts.tol,
+                  standardizer="fobi" if fobi else standardizer, tol=opts.tol,
                   restarts=opts.restarts, seed=opts.seed, infile=args.infile)
             + f"# converged={est.converged} iterations={iters} "
             f"objective={est.objective!r} restarts_used={est.restarts_used}\n"

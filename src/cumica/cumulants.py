@@ -113,7 +113,8 @@ def standardize(X, whitener="symmetric"):
         raise NotPositiveDefinite(
             f"sample covariance is singular: {n} observations of {p} "
             f"variables (need more observations than variables)")
-    mean = X.mean(axis=0)
+    with np.errstate(over="ignore"):  # then S overflows, and says so
+        mean = X.mean(axis=0)
     # a NaN or inf makes its column mean non-finite, so finite data cost
     # no full scan
     if not np.isfinite(mean).all():

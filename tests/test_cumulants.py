@@ -9,6 +9,7 @@ definition.
 
 import itertools
 import tracemalloc
+import warnings
 from functools import partial
 
 import numpy as np
@@ -175,6 +176,7 @@ class TestStandardize:
     @pytest.mark.parametrize("scale, error, message", [
         (1e153, NonFiniteInput, r"overflows: the data reach \|x\| = "
                                 r"\d\.\d{3}e\+153; rescale the data$"),
+        (1e306, NonFiniteInput, r"overflows: .* = \d\.\d{3}e\+306;"),
         (1e-160, NotPositiveDefinite, r"is subnormal: the centered data "
                                       r"reach only \|x - mean\| = "
                                       r"\d\.\d{3}e-160; rescale the data$"),
@@ -184,9 +186,12 @@ class TestStandardize:
                                                      message):
         # finite data whose covariance overflows, or underflows to where
         # a fit at 1e-160 was off by 2.5e-2 relative
-        X = _gamma_sample() * scale
+        # positive, so at 1e306 the column sums of the mean overflow too
+        X = np.abs(_gamma_sample()) * scale
         for whitener in ("symmetric", np.eye(3)):
-            with pytest.raises(error, match="^sample covariance " + message):
+            with warnings.catch_warnings(), pytest.raises(
+                    error, match="^sample covariance " + message):
+                warnings.simplefilter("error")  # none leaks
                 standardize(X, whitener=whitener)
 
     @pytest.mark.parametrize("scale", [1e152, 1e-150])
