@@ -166,20 +166,24 @@ def _as_model(model):
 def generate_ic_sample(model, n, stream):
     """Draw one sample from the model.
 
-    Returns ``(X, Omega, Z)`` with ``X = shift + Z @ Omega.T`` rowwise.
-    Source columns are drawn sequentially from ``stream``, so a fixed
-    seed pins the whole sample.
+    Returns ``(X, Omega, Z)`` with ``X = shift + Z @ Omega.T`` rowwise,
+    X and Z both column-major, so each variable's observations are
+    contiguous.  Source columns are drawn sequentially from ``stream``,
+    so a fixed seed pins the whole sample; each is written into its
+    column of Z as it is drawn, so no drawn column is held beside Z.
     """
     model = _as_model(model)
     p = model.p
     _check_int("n", n)
     if n <= p:
         raise InvalidSpec(f"need n > p, got n={n}, p={p}")
-    Z = np.column_stack([sample_source(s, n, stream) for s in model.sources])
+    Z = np.empty((n, p), order="F")
+    for j, spec in enumerate(model.sources):
+        Z[:, j] = sample_source(spec, n, stream)
     Omega = model.mixing_matrix()
-    X = Z @ Omega.T
+    X = (Omega @ Z.T).T
     if model.shift is not None:
-        X = X + model.shift
+        X += model.shift
     return X, Omega, Z
 
 
