@@ -19,9 +19,12 @@ rotation whatever n is; JADE works the same way (Cardoso & Souloumiac
 1993), and ends by reading its rotation from the tensors.  Both kernels
 read a stack of rotations in one build, each rotation independently of
 the others.  One accumulator, ``_pair_moments``, serves the tensors and
-the cumulant stacks, and one pass of it gives a JADE fit both: it sums
-the third and fourth moments of the pair products ``x_i x_j`` over row
-blocks, filling each block once, transposed, from the sample's columns.
+the cumulant stacks, and one pass of it gives a JADE fit both: it writes
+each row block of the sample's columns, transposed, below a row of ones
+and above the block's pair products ``x_i x_j``, and one matrix product
+of the pair rows with that buffer sums their second, third and fourth
+moments, so the covariance in the fourth cumulants costs no pass of its
+own.  ``generate_ic_sample`` draws column-major samples and
 ``standardize`` keeps its one centered copy column-major, so those
 columns are contiguous, and whitens it in place.  Every pass over the
 sample walks the same row blocks of a fixed number of entries
@@ -290,15 +293,16 @@ class _MomentTensors:
     """The third and fourth sample moments of standardized rows in pair
     storage, from one ``_pair_moments`` pass: ``M3[q, a] = E[x_i x_j
     x_a]`` and ``M4[q, r] = E[x_i x_j x_k x_l]`` for the pairs ``q = (i,
-    j)``, ``r = (k, l)`` with ``i <= j``, ``k <= l``.  They take
-    ``m^2 + m p`` floats, ``m = p(p + 1)/2``, whatever n is."""
+    j)``, ``r = (k, l)`` with ``i <= j``, ``k <= l``.  They are views
+    of that pass's sums, ``m^2 + m p + m`` floats, ``m = p(p + 1)/2``,
+    whatever n is."""
 
     __slots__ = ("M3", "M4", "iu", "ju", "twice", "idx")
 
     def __init__(self, xst, moments=None):
         """The tensors of ``xst``; ``moments``, if given, are the ``(M3,
         M4)`` of a ``_pair_moments`` pass over it already made."""
-        self.M3, self.M4 = moments or _pair_moments(xst, True, True)
+        self.M3, self.M4 = moments or _pair_moments(xst)[1:]
         self.iu, self.ju, self.idx, self.twice = _pairs(xst.shape[1])
 
 
@@ -389,49 +393,48 @@ def _pairs(p):
     return iu, ju, idx, twice
 
 
-def _pair_moments(X, third, fourth):
-    """Third moments ``Z^T X / n`` (``(m, p)``) if ``third`` and fourth
-    moments ``Z^T Z / n`` (``(m, m)``) if ``fourth``, else None, of the
-    pair products ``Z[r, q] = X[r, i_q] X[r, j_q]`` over the ``m`` pairs
-    ``i <= j`` in row-major order.  Z is never held whole: each block of
-    rows is written, transposed, into one buffer once, from the columns
-    of X (contiguous in a column-major sample), and its products
-    summed."""
+def _pair_moments(X):
+    """The means over the rows of X of the pair products ``Z[r, q] = X[r,
+    i_q] X[r, j_q]``, over the ``m`` pairs ``i <= j`` in row-major order,
+    and of their products with X and with each other: ``S = X^T X / n``
+    (``(p, p)``), read from ``Z^T 1 / n`` since the column of the pair
+    ``(i, j)`` sums to ``n S[i, j]``, ``M3 = Z^T X / n`` (``(m, p)``) and
+    ``M4 = Z^T Z / n`` (``(m, m)``).  Z is never held whole: each block of
+    rows is written, transposed, into one buffer ``[1; X^T; Z^T]``, its
+    columns of X (contiguous in a column-major sample) below a row of
+    ones and above the pair rows filled from them, and one matrix product
+    of the pair rows with the whole buffer sums ``Z^T [1 | X | Z]``."""
     n, p = X.shape
     m = p * (p + 1) // 2
-    blocks = _row_blocks(n, m)
-    buf = np.empty(m * blocks[0].stop)
-    acc3 = np.zeros((m, p)) if third else None
-    acc4 = np.zeros((m, m)) if fourth else None
+    rows = 1 + p + m
+    blocks = _row_blocks(n, rows)
+    buf = np.empty(rows * blocks[0].stop)
+    acc = np.zeros((m, rows))
     for b in blocks:
-        Xb = X[b]
-        Xt = Xb.T
-        Zt = buf[:m * len(Xb)].reshape(m, len(Xb))
+        B = buf[:rows * (b.stop - b.start)].reshape(rows, -1)
+        B[0] = 1.0
+        B[1:1 + p] = X[b].T
+        Xt, Zt = B[1:1 + p], B[1 + p:]
         for i in range(p):
             c = i * p - i * (i - 1) // 2
             np.multiply(Xt[i], Xt[i:], out=Zt[c:c + p - i])
-        if third:
-            acc3 += Zt @ Xb
-        if fourth:
-            acc4 += Zt @ Zt.T
-    for acc in (acc3, acc4):
-        if acc is not None:
-            acc /= n
-    return acc3, acc4
+        acc += Zt @ B.T
+    acc /= n
+    S = acc[:, 0][_pairs(p)[2]]
+    return S, acc[:, 1:1 + p], acc[:, 1 + p:]
 
 
 def _cumulant_stacks(xst, third, fourth, tensors=False):
     """``cum3_stack(xst)`` if ``third`` and ``cum4_stack(xst)[0]`` if
-    ``fourth``, else None, from one pass over the pair products; with
+    ``fourth``, else None, from one pass over the pair products, which
+    also gives the covariance of the fourth-cumulant correction; with
     ``tensors``, the ``_MomentTensors`` of that pass follow them."""
     X = _as_xst(xst)
-    p = X.shape[1]
-    M3, M4 = _pair_moments(X, third or tensors, fourth or tensors)
-    iu, ju, idx, _ = _pairs(p)
+    S, M3, M4 = _pair_moments(X)
+    iu, ju, idx, _ = _pairs(X.shape[1])
     c3 = M3.T[:, idx] if third else None
     c4 = None
     if fourth:
-        S = (X.T @ X) / X.shape[0]
         G = S[iu][:, :, None] * S[ju][:, None, :]
         G = G + G.transpose(0, 2, 1)
         G += S[iu, ju][:, None, None] * S
@@ -445,7 +448,8 @@ def _cumulant_stacks(xst, third, fourth, tensors=False):
 def cum3_stack(xst):
     """All ``p`` third-cumulant matrices ``E[x_i x x^T]`` as a ``(p, p, p)``
     stack, gathered from the block-summed third moments of the pair
-    products (see ``cum4_stack``).  Memory is one block plus the output.
+    products (see ``cum4_stack``), which come with their fourth moments.
+    Memory is one block plus ``m^2 + m p`` floats, ``m = p(p + 1)/2``.
     """
     return _cumulant_stacks(xst, True, False)[0]
 
@@ -462,9 +466,11 @@ def cum4_stack(xst):
     the identity), which keeps finite-sample identities exact when the
     input is standardized.  The fourth moments come from the Gram matrix
     ``Z^T Z / n`` of the pair products ``Z[r, (i, j)] = x_ri x_rj``,
-    summed over row blocks of a fixed number of entries, and the
-    corrections are broadcast over all pairs, so memory is one block plus
-    a few arrays of the output's size, whatever n is.
+    summed over row blocks of a fixed number of entries, and S from the
+    column sums of Z in the same product (the column of ``(i, j)`` sums
+    to ``n S[i, j]``); the corrections are broadcast over all pairs, so
+    memory is one block plus a few arrays of the output's size, whatever
+    n is.
     """
     stack = _cumulant_stacks(xst, False, True)[1]
     iu, ju = _pairs(stack.shape[1])[:2]

@@ -547,7 +547,8 @@ class TestRowBlockMemory:
 
 
 def _rows_per_block(p):
-    return _BLOCK_ENTRIES // (p * (p + 1) // 2)
+    # the pair buffer holds a row of ones, the p columns and the m pairs
+    return _BLOCK_ENTRIES // (1 + p + p * (p + 1) // 2)
 
 
 class TestPairAccumulator:
@@ -599,6 +600,17 @@ class TestPairAccumulator:
             assert np.array_equal(c3, cum3_stack(X))
         if fourth:
             assert np.array_equal(c4, cum4_stack(X)[0])
+
+    @pytest.mark.parametrize("p", [3, 10])
+    def test_covariance_comes_from_the_pair_sums(self, p):
+        # the fourth-cumulant correction reads S from the pair pass, with
+        # no Gram pass of its own; p = 10 spans three blocks
+        X = small_sample(seed=16, n=10_000, p=p)
+        S = cumulants._pair_moments(X)[0]
+        ref = X.T @ X / len(X)
+        assert np.array_equal(S, S.T)
+        np.testing.assert_allclose(S, ref, rtol=0,
+                                   atol=1e-14 * np.abs(ref).max())
 
     def test_cum4_stack_memory_is_bounded(self):
         # the n x p^2 pair-product matrix alone would be 144 MB here
