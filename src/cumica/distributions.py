@@ -57,6 +57,9 @@ class SourceSpec:
     params: tuple
 
     def __post_init__(self):
+        if isinstance(self.params, str):  # else read character by character
+            raise InvalidSpec(f"source spec parameters must be a sequence, "
+                              f"got the string {self.params!r}")
         try:
             params = tuple(float(v) for v in self.params)
         except (TypeError, ValueError):

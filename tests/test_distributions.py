@@ -196,7 +196,11 @@ class TestSourceSpec:
         ("gamma", (math.inf,), "non-finite parameter in source spec "
                                "'gamma:inf'"),
         ("gamma", ("abc",), "non-numeric parameter"),
-        ("gamma", 2.0, "non-numeric parameter"),
+        ("gamma", 2.0, "non-numeric parameter in source spec 'gamma:2.0'"),
+        # a string is not read character by character
+        ("gamma", "2", "^source spec parameters must be a sequence, got "
+                       "the string '2'$"),
+        ("mix", "35", "got the string '35'$"),
     ])
     def test_a_built_spec_is_checked(self, family, params, message):
         # checked when built, before the moment formulas or the sampler
