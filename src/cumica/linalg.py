@@ -46,6 +46,8 @@ def _require_square(A):
 # The stack check reads its matrices in blocks of at most this many
 # entries, so its temporaries stay small beside the stack itself.
 _CHECK_ENTRIES = 1 << 16
+# the reductions as ufunc methods, without the ndarray methods' wrappers
+_MAX, _ALL = np.maximum.reduce, np.logical_and.reduce
 
 
 def _require_symmetric_stack(stack, tol=1e-12, name="matrices[{}]"):
@@ -57,16 +59,18 @@ def _require_symmetric_stack(stack, tol=1e-12, name="matrices[{}]"):
     rows = max(1, _CHECK_ENTRIES // max(1, p * p))
     for s in range(0, m, rows):
         B = stack[s:s + rows]
-        finite = np.isfinite(B).all(axis=(1, 2))
+        # max(1, max |B|): inf or NaN in a matrix with a non-finite entry
+        scale = _MAX(np.abs(B), axis=(1, 2), initial=1.0)
         with np.errstate(invalid="ignore"):  # inf - inf in a non-finite one
-            scale = np.maximum(1.0, np.abs(B).max(axis=(1, 2), initial=0.0))
-            asym = np.abs(B - B.transpose(0, 2, 1)).max(axis=(1, 2),
-                                                         initial=0.0)
-        bad = ~finite | (asym > tol * scale)
-        if bad.any():
-            i = int(np.argmax(bad))
+            # B - B^T is antisymmetric: its largest entry is its largest
+            # magnitude
+            asym = _MAX(B - B.transpose(0, 2, 1), axis=(1, 2), initial=0.0)
+            # NaN, so false, wherever the scale is not finite
+            ok = tol * scale - asym >= 0.0
+        if not _ALL(ok):
+            i = int(np.argmin(ok))
             what = name.format(s + i)
-            if not finite[i]:
+            if not scale[i] < math.inf:
                 raise NonFiniteInput(f"{what} has non-finite entries")
             raise ValueError(f"{what} is not symmetric (relative tol {tol})")
 

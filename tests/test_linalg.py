@@ -7,6 +7,7 @@ factor is the nearest orthogonal matrix, and a planted commuting family
 is jointly diagonalizable to machine precision.
 """
 
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -86,9 +87,12 @@ class TestSymEig:
         assert (vecs[np.abs(vecs).argmax(axis=0), np.arange(6)] > 0).all()
 
     def test_rejects_non_finite(self):
-        for bad in (np.nan, np.inf):
+        # off the diagonal with a finite mirror entry too, where the
+        # asymmetry and the scale are both infinite
+        for bad, at in itertools.product((np.nan, np.inf, -np.inf),
+                                         ((1, 1), (0, 2))):
             S = np.eye(3)
-            S[1, 1] = bad
+            S[at] = bad
             for fn in (sym_eig, inv_sqrt_sym):
                 with pytest.raises(NonFiniteInput,
                                    match=r"^matrix has non-finite entries$"):
