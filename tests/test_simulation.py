@@ -20,7 +20,7 @@ import pytest
 import cumica.estimators
 import cumica.simulation
 from cumica.cumulants import _BLOCK_ENTRIES
-from cumica.distributions import SourceSpec, moment_profile
+from cumica.distributions import SourceSpec, moment_profile, sample_source
 from cumica.errors import (AssumptionViolated, InvalidParams, InvalidSpec,
                            NotPositiveDefinite, SingularInput,
                            TooManyFailures)
@@ -230,6 +230,26 @@ class TestIcModelSpec:
         np.testing.assert_allclose(X, Z @ Om.T + [1.0, -2.0], atol=1e-12)
         with pytest.raises(InvalidSpec):
             generate_ic_sample(m, 2, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("mixing,shift", [
+        (("random", 7), [1.0, -2.0, 0.5, 3.0, 0.0, 1.5, -1.0, 2.0, 0.25, 4.0]),
+        ("identity", None)])
+    def test_sample_is_column_major_and_the_row_product(self, mixing, shift):
+        # each source drawn into its own column, X from (Omega Z^T)^T:
+        # the bits of stacking the columns and mixing them row by row
+        p = 10 if shift else 3
+        model = IcModelSpec(sources=[f"gamma:{a}" for a in range(1, p + 1)],
+                            mixing=mixing, shift=shift)
+        X, Om, Z = generate_ic_sample(model, 2500, np.random.default_rng(5))
+        rng = np.random.default_rng(5)
+        cols = np.column_stack([sample_source(s, 2500, rng)
+                                for s in model.sources])
+        want = cols @ Om.T
+        if shift is not None:
+            want = want + shift
+        assert X.flags.f_contiguous and Z.flags.f_contiguous
+        assert Z.tobytes() == cols.tobytes()
+        assert X.tobytes() == want.tobytes()
 
     def test_a_source_sequence_is_the_identity_mixed_model(self):
         sources = ("gamma:1", SourceSpec.parse("ep:4"))
@@ -511,6 +531,18 @@ class TestJadeBlocks:
         assert runs[0].n_var.tobytes() == runs[1].n_var.tobytes()
         assert runs[0].n_var.tobytes() == runs[2].n_var.tobytes()
         assert runs[0].mdi_mean == runs[1].mdi_mean == runs[2].mdi_mean
+
+    @pytest.mark.parametrize("method", ["jade", "symmetric"])
+    def test_n_var_is_bitwise_equal_at_a_large_sample(self, method):
+        # at n = 1e4 a replication's sample and pair buffer are large
+        # enough to be mapped afresh, not carved from the heap, so their
+        # alignment differs from the small runs' above
+        kw = dict(model=GAMMA3, method=method, alpha=0.8, n=10_000,
+                  replications=16, master_seed=5,
+                  opts=SolverOptions(restarts=1))
+        runs = [monte_carlo_experiment(**kw, threads=t) for t in (1, 2)]
+        assert runs[0].n_var.tobytes() == runs[1].n_var.tobytes()
+        assert runs[0].mdi_mean == runs[1].mdi_mean
 
     def test_a_block_holds_one_sample_at_a_time(self):
         # each draw makes a fresh sample; the block keeps the tensors and
