@@ -231,13 +231,13 @@ class TestIcModelSpec:
         with pytest.raises(InvalidSpec):
             generate_ic_sample(m, 2, np.random.default_rng(0))
 
-    @pytest.mark.parametrize("mixing,shift", [
-        (("random", 7), [1.0, -2.0, 0.5, 3.0, 0.0, 1.5, -1.0, 2.0, 0.25, 4.0]),
-        ("identity", None)])
-    def test_sample_is_column_major_and_the_row_product(self, mixing, shift):
+    @pytest.mark.parametrize("p,mixing,shift", [
+        (10, ("random", 7), np.linspace(-2.0, 4.0, 10)),
+        (3, "identity", None)])
+    def test_sample_is_column_major_and_the_row_product(self, p, mixing,
+                                                         shift):
         # each source drawn into its own column, X from (Omega Z^T)^T:
         # the bits of stacking the columns and mixing them row by row
-        p = 10 if shift else 3
         model = IcModelSpec(sources=[f"gamma:{a}" for a in range(1, p + 1)],
                             mixing=mixing, shift=shift)
         X, Om, Z = generate_ic_sample(model, 2500, np.random.default_rng(5))
