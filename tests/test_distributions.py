@@ -196,7 +196,7 @@ class TestSourceSpec:
         ("gamma", (math.inf,), "non-finite parameter in source spec "
                                "'gamma:inf'"),
         ("gamma", ("abc",), "non-numeric parameter"),
-        ("gamma", 2.0, "non-numeric parameter in source spec 'gamma:2.0'"),
+        ("gamma", 2.0, "non-numeric parameter"),
         # a string is not read character by character
         ("gamma", "2", "^source spec parameters must be a sequence, got "
                        "the string '2'$"),
