@@ -69,7 +69,7 @@ from functools import partial
 import numpy as np
 
 from .cumulants import (_cumulant_stacks, _Kernel, _MomentTensors, _pairs,
-                        _row_sums, _RowMoments, _TensorMoments,
+                        _row_blocks, _row_sums, _RowMoments, _TensorMoments,
                         compound_matrices, fobi_matrix, standardize)
 from .errors import (CumicaError, DegenerateObjective, InvalidParams,
                      NearDegenerateSpectrum, RankDeficient, _check_alpha,
@@ -153,15 +153,14 @@ class UnmixingEstimate:
     objective_history: object = None
 
 
-def _fit(method, X, alpha, opts, solve, pilot=None):
+def _fit(method, X, alpha, opts, solve, whitener="symmetric"):
     """The fit pipeline of every estimator.  ``solve(xst, alpha, opts)``
     returns the winning (kernel, objective, iterations, converged,
-    restarts used, objective history); ``pilot(X, alpha, opts)``, if
-    given, supplies a candidate whitener in place of the symmetric one."""
+    restarts used, objective history); ``whitener`` is ``standardize``'s:
+    the symmetric one, or a candidate whitener matrix."""
     alpha = _check_alpha(alpha)
     opts = opts or SolverOptions()
-    st = standardize(X, whitener="symmetric" if pilot is None
-                     else pilot(X, alpha, opts))
+    st = standardize(X, whitener)
     return _estimate(method, st.whitener, alpha, *solve(st.xst, alpha, opts))
 
 
@@ -489,49 +488,49 @@ def _sweep_limits(opts):
 def compound_cumulant(X, alpha, opts=None, *, standardizer=None):
     """Compound cumulant-matrix estimator.
 
-    The data are first unmixed by a pilot root-n-consistent estimator
-    (the ``standardizer``), then the two compound matrices C3 and C4 are
-    formed and the remaining rotation is found by jointly diagonalizing
-    them with weights ``alpha`` and ``1 - alpha`` (Jacobi sweeps on the
-    one matrix with positive weight when ``alpha`` is 0 or 1).
+    The data are first standardized by a pilot root-n-consistent
+    estimator (the ``standardizer``), then the compound matrices C3 and
+    C4 are formed and the remaining rotation is found by jointly
+    diagonalizing them with weights ``alpha`` and ``1 - alpha`` (Jacobi
+    sweeps on the one matrix with positive weight when alpha is 0 or 1).
 
     Parameters
     ----------
     standardizer : None, "fobi", "symmetric", or (p, p) array_like
-        ``None`` picks "fobi" when ``alpha == 0`` (which reproduces the
-        classical kurtosis-scatter estimator) and "symmetric" (the
-        symmetric PP estimator with the same alpha) otherwise.
+        A named pilot rotates the symmetrically whitened sample: "fobi"
+        is the classical kurtosis-scatter estimator, "symmetric" the
+        symmetric PP estimator with the same alpha, and ``None`` picks
+        "fobi" when ``alpha == 0`` and "symmetric" otherwise.  A matrix
+        is a candidate whitener (see ``standardize``).
     """
-    return _fit("compound", X, alpha, opts, _compound_solve,
-                partial(_pilot_unmixing, standardizer))
+    named = standardizer is None or isinstance(standardizer, str)
+    if named and standardizer not in (None, "fobi", "symmetric"):
+        raise ValueError(f"unknown standardizer: {standardizer!r}")
+    return _fit("compound", X, alpha, opts,
+                partial(_compound_solve, standardizer if named else False),
+                "symmetric" if named else standardizer)
 
 
-def _pilot_unmixing(standardizer, X, alpha, opts):
-    """The compound estimator's candidate whitener; "fobi" is the
-    classical kurtosis-scatter estimator."""
-    if standardizer is None:
-        standardizer = "fobi" if alpha == 0.0 else "symmetric"
-    if not isinstance(standardizer, str):
-        return np.asarray(standardizer, dtype=float)
-    if standardizer == "fobi":
-        st = standardize(X)
-        return sym_eig(fobi_matrix(st.xst))[1].T @ st.whitener
-    if standardizer == "symmetric":
-        # compound's own fit tests the same index at the caller, so the
-        # pilot's DegenerateObjective would only repeat it from in here
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DegenerateObjective)
-            return symmetric_pp(X, alpha, opts).W
-    raise ValueError(f"unknown standardizer: {standardizer!r}")
-
-
-def _compound_solve(xst, alpha, opts):
+def _compound_solve(pilot, xst, alpha, opts):
+    """The compound fit of ``xst``.  A named ``pilot`` (None: the one
+    alpha picks) rotates ``xst``, the symmetrically whitened sample, in
+    place; False marks an ``xst`` that a matrix standardizer whitened."""
+    R = None
+    if pilot is not False:
+        if pilot == "fobi" or pilot is None and alpha == 0.0:
+            R = sym_eig(fobi_matrix(xst))[1].T
+        else:  # in canonical form, so the fit is affine equivariant
+            R = _canonical_form(_symmetric_solve(xst, alpha, opts)[0],
+                                np.eye(xst.shape[1]), alpha)
+        Xt = xst.T  # contiguous rows, one per variable
+        for b in _row_blocks(*xst.shape):
+            Xt[:, b] = R @ Xt[:, b]
     # the matrix whose weight is zero is left out
     mats, w = zip(*((A, w) for A, w in zip(compound_matrices(xst),
                                             (alpha, 1.0 - alpha)) if w > 0.0))
     res = joint_diagonalize(mats, weights=w, **_sweep_limits(opts))
     h3, m4, m6, m8 = _row_sums(xst, res.U, high=True)
-    mom = _Kernel(res.U, h3, m4)
+    mom = _Kernel(res.U if R is None else res.U @ R, h3, m4)
     _spectrum_warning(alpha, len(xst), mom, m6, m8)
     return (mom, res.objective, [res.sweeps], res.converged, 1,
             res.objective_history)

@@ -740,8 +740,8 @@ class TestLayerLookup:
     @pytest.mark.parametrize("fit,alpha,kw,expected", [
         (deflation_pp, 0.8, {}, (1, 0, 0, 0, 1)),
         (symmetric_pp, 0.8, {}, (1, 0, 0, 0, 1)),
-        (compound_cumulant, 0.5, {}, (2, 1, 0, 1, 1)),
-        (compound_cumulant, 0.0, {"standardizer": "fobi"}, (2, 1, 0, 1, 0)),
+        (compound_cumulant, 0.5, {}, (1, 1, 0, 1, 1)),
+        (compound_cumulant, 0.0, {"standardizer": "fobi"}, (1, 1, 0, 1, 0)),
         (compound_cumulant, 1.0, {"standardizer": np.eye(3)}, (1, 1, 0, 1, 0)),
         (all_cumulant, 0.0, {}, (1, 1, 1, 0, 0)),
         (all_cumulant, 0.8, {}, (1, 1, 1, 0, 0)),
@@ -752,3 +752,20 @@ class TestLayerLookup:
         X, _ = make_sample(n=2000)
         fit(X, alpha, SolverOptions(restarts=2, seed=0), **kw)
         assert tuple(calls[name] for name in self.LAYERS) == expected
+
+    @pytest.mark.filterwarnings("ignore::cumica.errors.NearDegenerateSpectrum")
+    @pytest.mark.parametrize("alpha,standardizer,passes", [
+        (0.5, None, 1), (0.0, None, 1), (0.5, "fobi", 1),
+        (0.5, "symmetric", 1), (0.5, np.eye(3), 0)])
+    def test_compound_whitens_once(self, monkeypatch, alpha, standardizer,
+                                   passes):
+        # a named pilot rotates the one whitened sample in one blocked
+        # pass; a matrix standardizer whitens it with no rotation pass
+        calls = {"standardize": 0, "_row_blocks": 0}
+        for name in calls:
+            monkeypatch.setattr(estimators, name,
+                                _recorder(calls, name, getattr(estimators, name)))
+        X, _ = make_sample(n=2000)
+        compound_cumulant(X, alpha, SolverOptions(restarts=2, seed=0),
+                          standardizer=standardizer)
+        assert calls == {"standardize": 1, "_row_blocks": passes}
