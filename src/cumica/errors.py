@@ -1,6 +1,8 @@
 """Exception and warning types shared across the package, and the checks
-of alpha and of integer arguments that the entry points apply."""
+of alpha, tolerances and integer arguments that the entry points
+apply."""
 
+import math
 import numbers
 
 import numpy as np
@@ -52,11 +54,22 @@ class InvalidParams(CumicaError, ValueError):
 
 
 def _check_alpha(alpha):
-    """Return alpha as a float, or raise InvalidParams outside [0, 1] or
-    for a bool (NumPy's included)."""
-    if isinstance(alpha, (bool, np.bool_)) or not 0.0 <= alpha <= 1.0:
+    """Return alpha as a float, or raise InvalidParams for a value that is
+    not a real number in [0, 1], or is a bool (NumPy's included)."""
+    if (isinstance(alpha, (bool, np.bool_))
+            or not isinstance(alpha, numbers.Real) or not 0.0 <= alpha <= 1.0):
         raise InvalidParams(f"alpha must be in [0, 1], got {alpha!r}")
     return float(alpha)
+
+
+def _check_tol(tol):
+    """Raise InvalidParams unless ``tol`` is a positive finite real number
+    (a bool, NumPy's included, is not)."""
+    if (isinstance(tol, (bool, np.bool_)) or not isinstance(tol, numbers.Real)
+            or not math.isfinite(tol)):
+        raise InvalidParams(f"tol must be a finite float, got {tol!r}")
+    if not tol > 0:
+        raise InvalidParams(f"tol must be positive, got {tol!r}")
 
 
 def _check_int(name, value, low=None, kind=None, error=InvalidSpec):

@@ -73,7 +73,7 @@ from .cumulants import (_cumulant_stacks, _Kernel, _MomentTensors, _pairs,
                         compound_matrices, fobi_matrix, standardize)
 from .errors import (CumicaError, DegenerateObjective, InvalidParams,
                      NearDegenerateSpectrum, RankDeficient, _check_alpha,
-                     _check_int)
+                     _check_int, _check_tol)
 from .linalg import (_joint_diagonalize_stacks, _polar_step, _rowdot,
                      joint_diagonalize, random_orthogonal, sym_eig)
 
@@ -101,11 +101,7 @@ class SolverOptions:
     seed: int = 0
 
     def __post_init__(self):
-        if (isinstance(self.tol, (bool, np.bool_))
-                or not math.isfinite(self.tol)):
-            raise InvalidParams(f"tol must be a finite float, got {self.tol!r}")
-        if not self.tol > 0:
-            raise InvalidParams(f"tol must be positive, got {self.tol!r}")
+        _check_tol(self.tol)
         for name in ("max_iter", "restarts"):
             _check_int(name, getattr(self, name), 1, error=InvalidParams)
         _check_int("seed", self.seed, 0, "a non-negative integer",

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (InvalidParams, NonFiniteInput, NotPositiveDefinite,
-                     RankDeficient)
+                     RankDeficient, _check_int, _check_tol)
 
 # Relative eigenvalue/singular-value floor below which a matrix is treated
 # as not positive definite / rank deficient.
@@ -174,18 +174,23 @@ def joint_diagonalize(matrices, weights=None, tol=1e-10, max_sweeps=100):
     ----------
     matrices : sequence of (p, p) arrays or (m, p, p) array
         Symmetric matrices to diagonalize.
-    weights : sequence of m nonnegative floats, optional
+    weights : sequence of m nonnegative finite floats, optional
         Relative weight of each matrix in the objective (default: all one).
     tol : float, optional
-        Rotation-angle tolerance: convergence is declared when the largest
-        |angle| over a full sweep falls below it.
+        Rotation-angle tolerance, positive and finite: convergence is
+        declared when the largest |angle| over a full sweep falls below it.
     max_sweeps : int, optional
         Sweep budget; exhaustion is flagged via ``converged=False``.
 
     Returns
     -------
     JointDiagResult
+
+    A bad weight, ``tol`` or ``max_sweeps`` raises ``InvalidParams``.
     """
+    _check_tol(tol)
+    _check_int("max_sweeps", max_sweeps, 0, "a non-negative integer",
+               InvalidParams)
     return _joint_diagonalize_stacks([matrices], weights, tol, max_sweeps)[0]
 
 
@@ -214,8 +219,10 @@ def _joint_diagonalize_stacks(stacks, weights, tol, max_sweeps):
         w = np.asarray(weights, dtype=float)
         if w.shape != (m,):
             raise ValueError(f"expected {m} weights, got shape {w.shape}")
+        if not np.isfinite(w).all():
+            raise InvalidParams(f"weights must be finite, got {w.tolist()}")
         if (w < 0).any():
-            raise ValueError("weights must be nonnegative")
+            raise InvalidParams("weights must be nonnegative")
     return _jacobi(buf, w, tol, max_sweeps)
 
 

@@ -103,7 +103,7 @@ class IcModelSpec:
     mixing : "identity", (p, p) array_like, or ("random", seed)
         The mixing matrix, a recipe for drawing one, or the identity.
     shift : (p,) array_like or None
-        Location vector (default zero).
+        Finite location vector (default zero).
     """
 
     sources: tuple
@@ -141,6 +141,8 @@ class IcModelSpec:
             b = np.asarray(self.shift, dtype=float)
             if b.shape != (p,):
                 raise InvalidSpec(f"shift must have length {p}, got {b.shape}")
+            if not np.all(np.isfinite(b)):
+                raise InvalidSpec(f"shift must be finite, got {b.tolist()}")
             self.shift = b
 
     @property

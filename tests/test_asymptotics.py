@@ -183,7 +183,9 @@ class TestDegeneracies:
         assert str(info.value) == message
 
     def test_alpha_domain(self):
-        for bad in (-0.1, 1.0001, float("nan"), True):
+        # not a real number: a string, None or an array
+        for bad in (-0.1, 1.0001, float("nan"), True, "0.5", None,
+                    np.array([0.5])):
             with pytest.raises(InvalidParams):
                 asv_symmetric(["gamma:1", "gamma:2"], bad)
 

@@ -9,6 +9,7 @@ import argparse
 import contextlib
 import io
 import os
+import runpy
 import subprocess
 import sys
 import warnings
@@ -570,3 +571,16 @@ def test_module_entry_point():
         env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     assert "# alpha_star = 0.0" in proc.stdout
+
+
+@pytest.mark.filterwarnings(
+    "ignore:'cumica.cli' found in sys.modules:RuntimeWarning")
+def test_module_main_in_process(monkeypatch, capsys):
+    # the subprocess run above is not traced, so this runs the __main__
+    # check in this process: its exit code is main()'s
+    monkeypatch.setattr(sys, "argv", ["cumica", "optimal-alpha", "--pi",
+                                      "0.5", "--mu", "5"])
+    with pytest.raises(SystemExit) as info:
+        runpy.run_module("cumica.cli", run_name="__main__")
+    assert info.value.code == 0
+    assert "# alpha_star = 0.0" in capsys.readouterr().out

@@ -231,8 +231,10 @@ class TestDiagnostics:
                                      compound_cumulant, all_cumulant])
     def test_weight_outside_unit_interval(self, fit):
         X, _ = make_sample(n=500)
-        # a bool would be taken as alpha 0 or 1
-        for bad in (-0.1, 1.5, float("nan"), True, np.True_):
+        # a bool would be taken as alpha 0 or 1; a string, None or an
+        # array is not a real number
+        for bad in (-0.1, 1.5, float("nan"), True, np.True_, "0.5", None,
+                    np.array([0.5])):
             with pytest.raises(InvalidParams):
                 fit(X, bad)
         # InvalidParams is a ValueError, so older handlers still catch it
@@ -266,6 +268,7 @@ class TestDiagnostics:
         for field, value in [("tol", 0.0), ("tol", -1.0), ("tol", float("nan")),
                              ("tol", float("inf")), ("tol", -float("inf")),
                              ("tol", True), ("tol", np.True_),
+                             ("tol", "x"), ("tol", None),
                              ("max_iter", 0), ("restarts", 0), ("seed", -2),
                              ("seed", 0.5), ("seed", None)]:
             with pytest.raises(InvalidParams, match=field):

@@ -274,6 +274,24 @@ class TestJointDiagonalize:
         with pytest.raises(ValueError, match=r"weights must be nonnegative"):
             joint_diagonalize(mats, weights=[1.0, -0.5])
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"weights": [np.nan, 1.0]}, "weights must be finite"),
+        ({"weights": [np.inf, 1.0]}, "weights must be finite"),
+        ({"tol": np.nan}, "tol must be a finite float"),
+        ({"tol": "x"}, "tol must be a finite float"),
+        ({"tol": True}, "tol must be a finite float"),
+        ({"tol": 0.0}, "tol must be positive"),
+        ({"max_sweeps": 0.5}, "max_sweeps must be a non-negative integer"),
+        ({"max_sweeps": True}, "max_sweeps must be a non-negative integer"),
+        ({"max_sweeps": -1}, "max_sweeps must be a non-negative integer"),
+    ])
+    def test_rejects_bad_controls(self, kwargs, message):
+        # a NaN weight would make a NaN angle, which _jacobi counts as
+        # below tol: U = I reported converged with a NaN objective
+        mats = np.array([np.diag([1.0, 2.0, 3.0]), np.ones((3, 3))])
+        with pytest.raises(InvalidParams, match=message):
+            joint_diagonalize(mats, **kwargs)
+
     def test_rejects_a_member_of_another_shape(self):
         # the first matrix sets the shape the others are copied into
         with pytest.raises(ValueError, match=r"shape"):

@@ -208,7 +208,9 @@ class TestIcModelSpec:
          "unknown mixing: 'random'"),
         ({"sources": ("gamma:1", "gamma:2"), "shift": (1.0, 2.0, 3.0)},
          "shift must have length 2"),
-    ], ids=["no-sources", "mixing-string", "shift-length"])
+        ({"sources": ("gamma:1", "gamma:2"), "shift": (float("nan"), 0.0)},
+         r"shift must be finite, got \[nan, 0.0\]"),
+    ], ids=["no-sources", "mixing-string", "shift-length", "shift-nan"])
     def test_model_validation(self, kwargs, message):
         with pytest.raises(InvalidSpec, match=message):
             IcModelSpec(**kwargs)
