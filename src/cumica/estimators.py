@@ -2,10 +2,12 @@
 
 Every estimator runs one fit pipeline, ``_fit``: check ``alpha``, center
 the data and whiten it to identity sample covariance (by the symmetric
-inverse square root, or by the compound estimator's pilot unmixing
-matrix), find the rotation of the whitened data with the method's
-solver, and end in ``_estimate``: warn if the objective is degenerate,
-and put the rows in canonical form.  ``alpha`` in [0, 1] is the
+inverse square root, or by a candidate whitener matrix given to the
+compound estimator), find the rotation of the whitened data with the
+method's solver, and end in ``_estimate``: warn if the objective is
+degenerate, and put the rows in canonical form.  The compound
+estimator's named pilots are rotations of the one symmetrically whitened
+sample, which its solver applies in place before it diagonalizes.  ``alpha`` in [0, 1] is the
 proportion of weight on squared third cumulants, ``1 - alpha`` on
 squared fourth cumulants.  The returned matrix W unmixes the raw data:
 rows of ``(X - mean(X)) @ W.T`` estimate the independent sources, and
