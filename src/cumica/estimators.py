@@ -7,11 +7,11 @@ compound estimator), find the rotation of the whitened data with the
 method's solver, and end in ``_estimate``: warn if the objective is
 degenerate, and put the rows in canonical form.  The compound
 estimator's named pilots are rotations of the one symmetrically whitened
-sample, which its solver applies in place before it diagonalizes.  ``alpha`` in [0, 1] is the
-proportion of weight on squared third cumulants, ``1 - alpha`` on
-squared fourth cumulants.  The returned matrix W unmixes the raw data:
-rows of ``(X - mean(X)) @ W.T`` estimate the independent sources, and
-``W Cov(X) W^T = I``.
+sample, which its solver applies in place before it diagonalizes.
+``alpha`` in [0, 1] is the proportion of weight on squared third
+cumulants, ``1 - alpha`` on squared fourth cumulants.  The returned
+matrix W unmixes the raw data: rows of ``(X - mean(X)) @ W.T`` estimate
+the independent sources, and ``W Cov(X) W^T = I``.
 
 Methods
 -------
