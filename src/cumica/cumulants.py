@@ -13,21 +13,21 @@ kurtosis, projection index and estimating equations ``E[y^2 x]`` and
 ``E[y^3 x]`` (the fixed-point form of Hyvarinen 1999; Miettinen,
 Taskinen, Nordhausen & Oja 2015).  ``_RowMoments`` reads them from the
 rows, at O(n p k) per rotation of k rows.  They are multilinear in U, so
-``_TensorMoments`` reads them instead from the sample moment tensors
-``E[x x x]`` and ``E[x x x x]``, formed once per sample, at O(k p^4) per
-rotation whatever n is; JADE works the same way (Cardoso & Souloumiac
-1993), and ends by reading its rotation from the tensors.  Both kernels
-read a stack of rotations in one build, each rotation independently of
-the others.  One accumulator, ``_pair_moments``, serves the tensors and
-the cumulant stacks, and one pass of it gives a JADE fit both: it writes
-each row block of the sample's columns, transposed, below a row of ones
-and above the block's pair products ``x_i x_j``, and one matrix product
-of the pair rows with that buffer sums their second, third and fourth
-moments, so the covariance in the fourth cumulants costs no pass of its
-own.  ``generate_ic_sample`` draws column-major samples and
-``standardize`` keeps its one centered copy column-major, so those
-columns are contiguous, and whitens it in place.  Every pass over the
-sample walks the same row blocks of a fixed number of entries
+``_TensorMoments`` reads them instead from the pair of sample moment
+tensors ``(E[x x x], E[x x x x])``, formed once per sample, at O(k p^4)
+per rotation whatever n is; JADE works the same way (Cardoso &
+Souloumiac 1993), and ends by reading its rotation from the tensors.
+Both kernels read a stack of rotations in one build, each rotation
+independently of the others.  One accumulator, ``_pair_moments``, serves
+the tensors and the cumulant stacks, and one pass of it gives a JADE fit
+both: it writes each row block of the sample's columns, transposed,
+below a row of ones and above the block's pair products ``x_i x_j``, and
+one matrix product of the pair rows with that buffer sums their second,
+third and fourth moments, so the covariance in the fourth cumulants
+costs no pass of its own.  ``generate_ic_sample`` draws column-major
+samples and ``standardize`` keeps its one centered copy column-major, so
+those columns are contiguous, and whitens it in place.  Every pass over
+the sample walks the same row blocks of a fixed number of entries
 (``_row_blocks``): the pair moments, the whitening, the FOBI and
 compound scatters, and ``_row_sums``, the one reader of the rows.  It
 reads a rotation once: its kernel read serves ``_RowMoments``, and its
@@ -289,34 +289,18 @@ def _row_sums(xst, U, high=False):
     return [a / n for a in sums]
 
 
-class _MomentTensors:
-    """The third and fourth sample moments of standardized rows in pair
-    storage, from one ``_pair_moments`` pass: ``M3[q, a] = E[x_i x_j
-    x_a]`` and ``M4[q, r] = E[x_i x_j x_k x_l]`` for the pairs ``q = (i,
-    j)``, ``r = (k, l)`` with ``i <= j``, ``k <= l``.  They are views
-    of that pass's sums, ``m^2 + m p + m`` floats, ``m = p(p + 1)/2``,
-    whatever n is."""
-
-    __slots__ = ("M3", "M4", "iu", "ju", "twice", "idx")
-
-    def __init__(self, xst, moments=None):
-        """The tensors of ``xst``; ``moments``, if given, are the ``(M3,
-        M4)`` of a ``_pair_moments`` pass over it already made."""
-        self.M3, self.M4 = moments or _pair_moments(xst)[1:]
-        self.iu, self.ju, self.idx, self.twice = _pairs(xst.shape[1])
-
-
 class _TensorMoments(_Kernel):
-    """The moment kernel read from ``_MomentTensors``: the moments are
-    multilinear in the rows ``u`` of ``U``, so with ``v_q = u_i u_j`` (or
-    ``2 u_i u_j`` for ``i < j``) over the pairs, ``E[y^2 x] = v M3``,
-    ``E[y^2 x_a x_b]`` is ``v M4`` at the pair ``(a, b)``, and
-    ``E[y^3 x] = E[y^2 x x^T] u``.  ``h3`` and ``m4`` are these dotted
-    with ``u``, so the estimating equations come with the moments.  A
-    build costs O(k p^4) per rotation of k rows, whatever n is.  A stack
-    is read in groups of rotations whose ``(k, p, p)`` gathers hold at
-    most ``_GATHER_ENTRIES`` entries together, so a large fit's batch of
-    restarts needs no more memory than one restart."""
+    """The moment kernel read from the moment tensors ``(M3, M4)`` of a
+    ``_pair_moments`` pass: the moments are multilinear in the rows ``u``
+    of ``U``, so with ``v_q = u_i u_j`` (or ``2 u_i u_j`` for ``i < j``)
+    over the pairs, ``E[y^2 x] = v M3``, ``E[y^2 x_a x_b]`` is ``v M4`` at
+    the pair ``(a, b)``, and ``E[y^3 x] = E[y^2 x x^T] u``.  ``h3`` and
+    ``m4`` are these dotted with ``u``, so the estimating equations come
+    with the moments.  A build costs O(k p^4) per rotation of k rows,
+    whatever n is.  A stack is read in groups of rotations whose ``(k, p,
+    p)`` gathers hold at most ``_GATHER_ENTRIES`` entries together, so a
+    large fit's batch of restarts needs no more memory than one
+    restart."""
 
     __slots__ = ()
 
@@ -337,14 +321,17 @@ class _TensorMoments(_Kernel):
 _GATHER_ENTRIES = 1 << 17
 
 
-def _tensor_equations(t, U):
+def _tensor_equations(tensors, U):
     """``E[y^2 x]`` and ``E[y^3 x]`` of the rows of U, or of each
-    rotation of a stack, from the ``_MomentTensors`` t; each rotation's
-    matrix products are its own, so it reads as it would alone."""
+    rotation of a stack, from the moment tensors ``(M3, M4)`` of
+    ``_pair_moments``; each rotation's matrix products are its own, so it
+    reads as it would alone."""
+    M3, M4 = tensors
+    iu, ju, idx, twice = _pairs(U.shape[-1])
     # take() gathers as indexing does, with a quarter of its overhead
-    V = U.take(t.iu, axis=-1) * U.take(t.ju, axis=-1) * t.twice
-    Q = (V @ t.M4).take(t.idx, axis=-1)
-    return V @ t.M3, (Q @ U[..., None])[..., 0]
+    V = U.take(iu, axis=-1) * U.take(ju, axis=-1) * twice
+    Q = (V @ M4).take(idx, axis=-1)
+    return V @ M3, (Q @ U[..., None])[..., 0]
 
 
 def compound_matrices(xst):
@@ -424,11 +411,11 @@ def _pair_moments(X):
     return S, acc[:, 1:1 + p], acc[:, 1 + p:]
 
 
-def _cumulant_stacks(xst, third, fourth, tensors=False):
+def _cumulant_stacks(xst, third, fourth):
     """``cum3_stack(xst)`` if ``third`` and ``cum4_stack(xst)[0]`` if
     ``fourth``, else None, from one pass over the pair products, which
-    also gives the covariance of the fourth-cumulant correction; with
-    ``tensors``, the ``_MomentTensors`` of that pass follow them."""
+    also gives the covariance of the fourth-cumulant correction, followed
+    by that pass's moment tensors ``(M3, M4)``."""
     X = _as_xst(xst)
     S, M3, M4 = _pair_moments(X)
     iu, ju, idx, _ = _pairs(X.shape[1])
@@ -440,9 +427,7 @@ def _cumulant_stacks(xst, third, fourth, tensors=False):
         G += S[iu, ju][:, None, None] * S
         c4 = M4[:, idx]
         c4 -= G
-    if tensors:
-        return c3, c4, _MomentTensors(X, (M3, M4))
-    return c3, c4
+    return c3, c4, (M3, M4)
 
 
 def cum3_stack(xst):

@@ -1,17 +1,18 @@
 """The four unmixing-matrix estimators.
 
-Every estimator runs one fit pipeline, ``_fit``: check ``alpha``, center
-the data and whiten it to identity sample covariance (by the symmetric
-inverse square root, or by a candidate whitener matrix given to the
-compound estimator), find the rotation of the whitened data with the
-method's solver, and end in ``_estimate``: warn if the objective is
-degenerate, and put the rows in canonical form.  The compound
-estimator's named pilots are rotations of the one symmetrically whitened
-sample, which its solver applies in place before it diagonalizes.
-``alpha`` in [0, 1] is the proportion of weight on squared third
-cumulants, ``1 - alpha`` on squared fourth cumulants.  The returned
-matrix W unmixes the raw data: rows of ``(X - mean(X)) @ W.T`` estimate
-the independent sources, and ``W Cov(X) W^T = I``.
+Every estimator runs one fit pipeline (``_fit``, or JADE's block, see
+below): check ``alpha``, center the data and whiten it to identity
+sample covariance (by the symmetric inverse square root, or by a
+candidate whitener matrix given to the compound estimator), find the
+rotation of the whitened data with the method's solver, and end in
+``_estimate``: warn if the objective is degenerate, and put the rows in
+canonical form.  The compound estimator's named pilots are rotations of
+the one symmetrically whitened sample, which its solver applies in place
+before it diagonalizes.  ``alpha`` in [0, 1] is the proportion of weight
+on squared third cumulants, ``1 - alpha`` on squared fourth cumulants.
+The returned matrix W unmixes the raw data: rows of
+``(X - mean(X)) @ W.T`` estimate the independent sources, and
+``W Cov(X) W^T = I``.
 
 Methods
 -------
@@ -57,10 +58,10 @@ sweep budget.
 A Monte Carlo block's fits run through one loop, ``_fit_each``, which
 draws each sample only when its turn comes and keeps a numerical error
 in the place of the fit it stopped.  A JADE fit needs its sample only
-for one pass that forms the cumulant matrices and moment tensors: the
-rotation is found from the matrices and its moments read from the
-tensors (Cardoso & Souloumiac 1993).  So ``_all_cumulant_block`` runs
-that pass in the loop and rotates the block's matrices in one batch.
+for one pass that forms the cumulant matrices and moment tensors: its
+rotation is found from the matrices and read from the tensors (Cardoso
+& Souloumiac 1993).  So ``_all_cumulant_block`` runs that pass in the
+loop and rotates in one batch; a single fit is its block of one.
 """
 
 import math
@@ -70,7 +71,7 @@ from functools import partial
 
 import numpy as np
 
-from .cumulants import (_cumulant_stacks, _Kernel, _MomentTensors, _pairs,
+from .cumulants import (_cumulant_stacks, _Kernel, _pair_moments, _pairs,
                         _row_blocks, _row_sums, _RowMoments, _TensorMoments,
                         compound_matrices, fobi_matrix, standardize)
 from .errors import (CumicaError, DegenerateObjective, InvalidParams,
@@ -152,7 +153,7 @@ class UnmixingEstimate:
 
 
 def _fit(method, X, alpha, opts, solve, whitener="symmetric"):
-    """The fit pipeline of every estimator.  ``solve(xst, alpha, opts)``
+    """The fit pipeline on one sample.  ``solve(xst, alpha, opts)``
     returns the winning (kernel, objective, iterations, converged,
     restarts used, objective history); ``whitener`` is ``standardize``'s:
     the symmetric one, or a candidate whitener matrix."""
@@ -211,7 +212,7 @@ def _moment_kernel(xst):
     the ``n p`` of the sample itself."""
     n, p = xst.shape
     if p ** 3 <= 4 * n:
-        return partial(_TensorMoments, _MomentTensors(xst))
+        return partial(_TensorMoments, _pair_moments(xst)[1:])
     return partial(_RowMoments, xst)
 
 
@@ -541,13 +542,11 @@ def all_cumulant(X, alpha, opts=None):
     and every fourth-cumulant matrix (weight ``1 - alpha``) of the
     standardized data.  ``alpha = 0`` reproduces classical JADE.
     """
-    return _fit("all_cumulant", X, alpha, opts, _all_cumulant_solve)
-
-
-def _all_cumulant_solve(xst, alpha, opts):
-    matrices, weights, tensors = _all_cumulant_matrices(xst, alpha)
-    return _all_cumulant_read(tensors, joint_diagonalize(
-        matrices, weights=weights, **_sweep_limits(opts)))
+    est, = _all_cumulant_block([lambda: (X, None)], _check_alpha(alpha),
+                               opts or SolverOptions())
+    if isinstance(est, Exception):
+        raise est
+    return est
 
 
 def _all_cumulant_matrices(xst, alpha):
@@ -556,8 +555,7 @@ def _all_cumulant_matrices(xst, alpha):
     from one pass over the pair products; a stack whose weight is zero
     is not built."""
     p = xst.shape[1]
-    c3, c4, tensors = _cumulant_stacks(xst, alpha > 0.0, alpha < 1.0,
-                                       tensors=True)
+    c3, c4, tensors = _cumulant_stacks(xst, alpha > 0.0, alpha < 1.0)
     matrices, weights = [], []
     if c3 is not None:
         matrices.extend(c3)
@@ -567,13 +565,6 @@ def _all_cumulant_matrices(xst, alpha):
         # pairs (i, j) with i < j stand in for both (i, j) and (j, i).
         weights.extend((1.0 - alpha) * _pairs(p)[3])
     return matrices, weights, tensors
-
-
-def _all_cumulant_read(tensors, res):
-    """What ``_estimate`` needs of a JADE fit whose joint diagonalization
-    gave ``res``: the moments of its rotation, read from the tensors."""
-    return (_TensorMoments(tensors, res.U), res.objective, [res.sweeps],
-            res.converged, 1, res.objective_history)
 
 
 def _fit_each(fit, draws):
@@ -595,14 +586,15 @@ def _fit_each(fit, draws):
 
 def _all_cumulant_block(draws, alpha, opts):
     """``all_cumulant`` of the samples of ``draws`` (see ``_fit_each``;
-    JADE has no random start, so their seeds go unused).
+    JADE has no random start, so their seeds go unused); a single fit is
+    the block of one.
 
     Each sample is reduced to its cumulant matrices and moment tensors
     before the next is drawn, so the block holds O(p^4) floats per sample
     and one sample at a time.  Then one ``_joint_diagonalize_stacks`` call
-    rotates every sample's stack (``joint_diagonalize`` is its batch of
-    one), and each fit ends as ``all_cumulant`` ends it, to the bit; the
-    error that stopped a preparation stands in the place of its fit.
+    rotates every sample's stack, each as it would alone, and each fit
+    reads its rotation's moments from its tensors; the error that stopped
+    a preparation stands in the place of its fit.
     """
     def prepare(X, _):
         st = standardize(X)  # its whitened copy is dropped on return
@@ -612,6 +604,13 @@ def _all_cumulant_block(draws, alpha, opts):
     results = iter(_joint_diagonalize_stacks(
         [matrices for _, matrices, _, _ in ready], ready[0][2],
         **_sweep_limits(opts)) if ready else ())
-    return [prep if isinstance(prep, Exception) else _estimate(
-        "all_cumulant", prep[0], alpha,
-        *_all_cumulant_read(prep[3], next(results))) for prep in preps]
+    fits = []
+    for prep in preps:  # no comprehension, whose frame would move warnings
+        if not isinstance(prep, Exception):
+            res = next(results)
+            prep = _estimate("all_cumulant", prep[0], alpha,
+                             _TensorMoments(prep[3], res.U), res.objective,
+                             [res.sweeps], res.converged, 1,
+                             res.objective_history)
+        fits.append(prep)
+    return fits

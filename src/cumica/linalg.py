@@ -16,7 +16,8 @@ pairs until the largest |angle| in a sweep falls below the tolerance.
 One loop, ``_jacobi``, rotates a batch of stacks held matrix index last,
 ``(B, p, p, m)``, so a rotation reads contiguous rows of m entries and
 one pass over the index pairs serves every stack of the batch, each
-with its own angle; ``joint_diagonalize`` is its batch of one.
+with its own angle (the identity below the tolerance);
+``joint_diagonalize`` is its batch of one.
 """
 
 import math
@@ -102,19 +103,19 @@ def _optimal_angle(g11, g12, g22):
     return 0.5 * math.atan2(toff, x)
 
 
-def _rotate(stacks, U, sel, k, l, c, s):
-    """Apply B <- R B R^T to every matrix of the stacks ``sel`` of the
-    matrix-last ``(B, p, p, m)`` array, and U <- R U, in place, where R is
-    the identity except R[k,k] = R[l,l] = c, R[k,l] = s, R[l,k] = -s, with
-    each stack's own c and s."""
+def _rotate(stacks, U, k, l, c, s):
+    """Apply B <- R B R^T to every matrix of the matrix-last ``(B, p, p,
+    m)`` stacks, and U <- R U, in place, where R is the identity except
+    R[k,k] = R[l,l] = c, R[k,l] = s, R[l,k] = -s, with each stack's own c
+    and s."""
     c2, s2 = c[:, None], s[:, None]
     c3, s3 = c2[..., None], s2[..., None]
-    a, b = stacks[sel, k], stacks[sel, l]
-    stacks[sel, k], stacks[sel, l] = c3 * a + s3 * b, c3 * b - s3 * a
-    a, b = stacks[sel, :, k], stacks[sel, :, l]
-    stacks[sel, :, k], stacks[sel, :, l] = c3 * a + s3 * b, c3 * b - s3 * a
-    a, b = U[sel, k], U[sel, l]
-    U[sel, k], U[sel, l] = c2 * a + s2 * b, c2 * b - s2 * a
+    a, b = stacks[:, k], stacks[:, l]
+    stacks[:, k], stacks[:, l] = c3 * a + s3 * b, c3 * b - s3 * a
+    a, b = stacks[:, :, k], stacks[:, :, l]
+    stacks[:, :, k], stacks[:, :, l] = c3 * a + s3 * b, c3 * b - s3 * a
+    a, b = U[:, k], U[:, l]
+    U[:, k], U[:, l] = c2 * a + s2 * b, c2 * b - s2 * a
 
 
 def _rowdot(a, b):
@@ -229,10 +230,10 @@ def _joint_diagonalize_stacks(stacks, weights, tol, max_sweeps):
 def _jacobi(stacks, w, tol, max_sweeps):
     """Cyclic Jacobi sweeps on each matrix-last stack of the ``(B, p, p,
     m)`` array, in place, with the weights ``w``.  Each pair's angle is
-    each stack's own, from dot products that run per stack, and a stack
-    skips a pair whose angle is below ``tol``; a stack whose largest
-    angle in a sweep is below ``tol`` has converged and leaves the batch,
-    so no stack's bits depend on the others."""
+    each stack's own, from dot products that run per stack; a stack whose
+    angle is below ``tol`` turns by ``(c, s) = (1, 0)``, and one whose
+    largest angle in a sweep is below ``tol`` has converged and leaves the
+    batch, so no stack's bits depend on the others."""
     B, p, _, m = stacks.shape
     U = np.broadcast_to(np.eye(p), (B, p, p)).copy()
     obj_hist = [[o] for o in _objectives(stacks, w)]
@@ -264,18 +265,15 @@ def _jacobi(stacks, w, tol, max_sweeps):
                 np.multiply(h1, h1, out=g[:, 0])
                 np.multiply(h1, h2, out=g[:, 1])
                 np.multiply(h2, h2, out=g[:, 2])
-                sel, cs = [], []
+                angles = []
                 for i, sums in enumerate(_rowdot(g, w).tolist()):
                     theta = _optimal_angle(*sums)
                     biggest[i] = max(biggest[i], abs(theta))
-                    if abs(theta) >= tol:
-                        sel.append(i)
-                        cs.append((math.cos(theta), math.sin(theta)))
-                if not sel:
-                    continue
-                c, s = np.array(cs).T
-                _rotate(stacks, U, slice(None) if len(sel) == len(live)
-                        else sel, k, l, c, s)
+                    angles.append(theta if abs(theta) >= tol else 0.0)
+                if any(angles):
+                    _rotate(stacks, U, k, l,
+                            np.array([math.cos(t) for t in angles]),
+                            np.array([math.sin(t) for t in angles]))
         for j, o, x in zip(live, _objectives(stacks, w), _masses(stacks, w)):
             obj_hist[j].append(o)
             mass_hist[j].append(x)

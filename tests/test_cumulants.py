@@ -17,7 +17,7 @@ import pytest
 
 from cumica import cumulants
 from cumica.cumulants import (_BLOCK_ENTRIES, _cumulant_stacks,
-                              _MomentTensors, _row_sums, _RowMoments,
+                              _pair_moments, _row_sums, _RowMoments,
                               _TensorMoments, compound_matrices, cum3_stack,
                               cum4_stack, fobi_matrix, projection_cumulants,
                               sample_cov, standardize)
@@ -256,7 +256,7 @@ class TestSourceMoments:
     def kernels(X):
         """Both kernels of the sample X, as ``U -> kernel``."""
         return (partial(_RowMoments, X),
-                partial(_TensorMoments, _MomentTensors(X)))
+                partial(_TensorMoments, _pair_moments(X)[1:]))
 
     def test_matches_written_out_moments(self):
         X = small_sample(seed=13)
@@ -286,7 +286,7 @@ class TestSourceMoments:
     def test_tensor_kernel_matches_data_kernel(self, rows):
         # p = 5 exercises more than one off-diagonal pair per row of M4
         X = small_sample(seed=19, n=999, p=5)
-        tensors = _MomentTensors(X)
+        tensors = _pair_moments(X)[1:]
         rng = np.random.default_rng(17)
         for _ in range(3):
             U = random_orthogonal(5, rng)[:rows]
@@ -305,7 +305,7 @@ class TestSourceMoments:
         # groups of two rotations over a stack of five give the bits of
         # the whole stack read at once, and of each rotation alone
         X = small_sample(seed=23, n=999, p=5)
-        tensors = _MomentTensors(X)
+        tensors = _pair_moments(X)[1:]
         rng = np.random.default_rng(29)
         U = np.array([random_orthogonal(5, rng) for _ in range(5)])
         whole = _TensorMoments(tensors, U)
@@ -322,17 +322,18 @@ class TestSourceMoments:
 
     def test_tensors_are_the_pair_moments(self):
         X = small_sample(seed=21, n=500, p=4)
-        t = _MomentTensors(X)
+        M3, M4 = _pair_moments(X)[1:]
         n, p = X.shape
+        iu, ju, idx, _ = cumulants._pairs(p)
         pairs = [(i, j) for i in range(p) for j in range(i, p)]
         Z = np.column_stack([X[:, i] * X[:, j] for i, j in pairs])
-        np.testing.assert_allclose(t.M3, Z.T @ X / n, rtol=1e-13,
+        np.testing.assert_allclose(M3, Z.T @ X / n, rtol=1e-13,
                                    atol=1e-13)
-        np.testing.assert_allclose(t.M4, Z.T @ Z / n, rtol=1e-13)
-        assert [(int(i), int(j)) for i, j in zip(t.iu, t.ju)] == pairs
+        np.testing.assert_allclose(M4, Z.T @ Z / n, rtol=1e-13)
+        assert [(int(i), int(j)) for i, j in zip(iu, ju)] == pairs
         for a in range(p):
             for b in range(p):
-                assert pairs[t.idx[a, b]] == (min(a, b), max(a, b))
+                assert pairs[idx[a, b]] == (min(a, b), max(a, b))
 
     @pytest.mark.parametrize("p", [30, 50])
     def test_tensor_setup_memory_is_bounded(self, p):
@@ -343,11 +344,11 @@ class TestSourceMoments:
         bound = 8 * (2 * (m * m + m * p) + _BLOCK_ENTRIES) * 1.1
         tracemalloc.start()
         try:
-            t = _MomentTensors(X)
+            M4 = _pair_moments(X)[2]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert t.M4.nbytes == 8 * m * m
+        assert M4.nbytes == 8 * m * m
         assert peak <= bound, (f"tensor setup peak {peak / 1e6:.1f} MB, "
                                f"bound {bound / 1e6:.1f} MB")
 
@@ -594,7 +595,7 @@ class TestPairAccumulator:
     def test_one_pass_gives_the_stacks(self, third, fourth):
         # the stacks of one pass are bitwise those of the public calls
         X = small_sample(seed=15, n=2 * _rows_per_block(4) + 3, p=4)
-        c3, c4 = _cumulant_stacks(X, third, fourth)
+        c3, c4, _ = _cumulant_stacks(X, third, fourth)
         assert (c3 is None) == (not third) and (c4 is None) == (not fourth)
         if third:
             assert np.array_equal(c3, cum3_stack(X))
