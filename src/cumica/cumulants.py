@@ -42,8 +42,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (NonFiniteInput, NotPositiveDefinite, NotUnit,
-                     SingularCustomWhitener)
+from .errors import (InvalidParams, NonFiniteInput, NotPositiveDefinite,
+                     NotUnit, SingularCustomWhitener)
 from .linalg import _rowdot, inv_sqrt_sym
 
 
@@ -67,9 +67,28 @@ class StandardizedSample:
     whitener: np.ndarray
 
 
+def _as_xst(X, empty=False):
+    """``X`` as a float array, if it is a 2-d matrix of real numbers
+    (bools and integers included) with at least one column, and one row
+    unless ``empty``; otherwise raise ``InvalidParams``.  The type is
+    checked before the cast, so complex data raise no ``ComplexWarning``
+    and str or object data no bare ``TypeError`` or ``ValueError``."""
+    X = np.asarray(X)
+    if X.dtype.kind not in "biuf":
+        raise InvalidParams(f"expected a data matrix of real numbers, got "
+                            f"dtype {X.dtype}")
+    if X.ndim != 2 or not X.shape[1]:
+        raise InvalidParams(f"expected a 2-d data matrix with at least one "
+                            f"column, got shape {X.shape}")
+    if not (len(X) or empty):
+        raise InvalidParams(f"expected a data matrix with at least one row, "
+                            f"got shape {X.shape}")
+    return X.astype(float, copy=False)
+
+
 def sample_cov(X):
     """Sample covariance with the 1/n convention, after mean removal."""
-    X = np.asarray(X, dtype=float)
+    X = _as_xst(X)
     Xc = X - X.mean(axis=0)
     return (Xc.T @ Xc) / X.shape[0]
 
@@ -90,26 +109,25 @@ def standardize(X, whitener="symmetric"):
         already whitens the sample, it is returned unchanged up to
         floating-point noise.
 
-    Singular data raise ``NotPositiveDefinite``, which names the cause
-    when it is ``n <= p`` or a constant column; NaN or inf entries raise
-    ``NonFiniteInput``.  So do finite data at a scale where the sample
-    covariance overflows (``NonFiniteInput``) or has a subnormal
-    diagonal entry (``NotPositiveDefinite``); both name the data's scale.
+    Data that are not a 2-d matrix of real numbers with a column raise
+    ``InvalidParams``.  Singular data raise ``NotPositiveDefinite``, which
+    names the cause when it is ``n <= p`` (zero rows included) or a constant
+    column; NaN or inf entries raise ``NonFiniteInput``.  So do finite data
+    at a scale where the sample covariance overflows (``NonFiniteInput``) or
+    has a subnormal diagonal entry (``NotPositiveDefinite``); both name the
+    data's scale.
 
     Returns
     -------
     StandardizedSample
     """
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[1] == 0:
-        raise ValueError(f"expected a 2-d data matrix with at least one "
-                         f"column, got shape {X.shape}")
+    X = _as_xst(X, empty=True)
     n, p = X.shape
     custom = not isinstance(whitener, str)
     if custom:
         W0 = np.asarray(whitener, dtype=float)
         if W0.shape != (p, p):
-            raise ValueError(f"whitener must be {p}x{p}, got {W0.shape}")
+            raise InvalidParams(f"whitener must be {p}x{p}, got {W0.shape}")
     elif whitener != "symmetric":
         raise ValueError(f"unknown whitener: {whitener!r}")
     if n <= p:
@@ -170,13 +188,6 @@ def standardize(X, whitener="symmetric"):
     return StandardizedSample(xst=Xc, mean=mean, whitener=G)
 
 
-def _as_xst(xst):
-    X = np.asarray(xst, dtype=float)
-    if X.ndim != 2:
-        raise ValueError(f"expected a 2-d data matrix, got shape {X.shape}")
-    return X
-
-
 def projection_cumulants(xst, u, tol=1e-10):
     """Skewness and excess kurtosis of the projection ``xst @ u``.
 
@@ -191,7 +202,8 @@ def projection_cumulants(xst, u, tol=1e-10):
     X = _as_xst(xst)
     u = np.asarray(u, dtype=float).ravel()
     if u.shape[0] != X.shape[1]:
-        raise ValueError(f"u has length {u.shape[0]}, expected {X.shape[1]}")
+        raise InvalidParams(f"u has length {u.shape[0]}, expected "
+                            f"{X.shape[1]}")
     nrm = np.linalg.norm(u)
     # written so that a NaN norm fails too
     if not abs(nrm - 1.0) <= tol:

@@ -38,7 +38,7 @@ def _require_square(A):
     row."""
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError(f"matrix must be square, got shape {A.shape}")
+        raise InvalidParams(f"matrix must be square, got shape {A.shape}")
     if not A.size:
         raise InvalidParams(f"matrix must not be empty, got shape {A.shape}")
     return A
@@ -73,7 +73,8 @@ def _require_symmetric_stack(stack, tol=1e-12, name="matrices[{}]"):
             what = name.format(s + i)
             if not scale[i] < math.inf:
                 raise NonFiniteInput(f"{what} has non-finite entries")
-            raise ValueError(f"{what} is not symmetric (relative tol {tol})")
+            raise InvalidParams(
+                f"{what} is not symmetric (relative tol {tol})")
 
 
 def is_orthogonal(U, tol=1e-10):
@@ -206,8 +207,8 @@ def _joint_diagonalize_stacks(stacks, weights, tol, max_sweeps):
     m = len(stacks[0]) if len(stacks) else 0
     shape = np.shape(stacks[0][0]) if m else ()
     if len(shape) != 2 or shape[0] != shape[1]:
-        raise ValueError(f"expected a nonempty stack of square matrices, "
-                         f"got {m} of shape {shape}")
+        raise InvalidParams(f"expected a nonempty stack of square matrices, "
+                            f"got {m} of shape {shape}")
     p = shape[0]
     buf = np.empty((len(stacks), p, p, m))
     for b, matrices in enumerate(stacks):
@@ -219,7 +220,7 @@ def _joint_diagonalize_stacks(stacks, weights, tol, max_sweeps):
     else:
         w = np.asarray(weights, dtype=float)
         if w.shape != (m,):
-            raise ValueError(f"expected {m} weights, got shape {w.shape}")
+            raise InvalidParams(f"expected {m} weights, got shape {w.shape}")
         if not np.isfinite(w).all():
             raise InvalidParams(f"weights must be finite, got {w.tolist()}")
         if (w < 0).any():

@@ -30,9 +30,9 @@ import numpy as np
 
 from . import asymptotics
 from .distributions import SourceSpec, moment_profile, sample_source
-from .errors import (AssumptionViolated, CumicaError, InvalidParams,
-                     InvalidSpec, SingularInput, TooManyFailures,
-                     _check_alpha, _check_int)
+from .errors import (AssumptionViolated, CumicaError, CumicaWarning,
+                     InvalidParams, InvalidSpec, SingularInput,
+                     TooManyFailures, _check_alpha, _check_int)
 from .estimators import (SolverOptions, _all_cumulant_block, _fit_each,
                          all_cumulant, compound_cumulant, deflation_pp,
                          symmetric_pp)
@@ -205,7 +205,7 @@ def _max_assignment(S):
     S = np.asarray(S, dtype=float)
     p = S.shape[0]
     if S.shape != (p, p):
-        raise ValueError(f"assignment needs a square matrix, got {S.shape}")
+        raise InvalidParams(f"assignment needs a square matrix, got {S.shape}")
     score = S.tolist()
     if not all(math.isfinite(x) for row in score for x in row):
         # a NaN or infinite score would leave no column ever reachable
@@ -280,7 +280,7 @@ def mdi(W, Omega):
     Omega = np.asarray(Omega, dtype=float)
     p = W.shape[0]
     if W.shape != (p, p) or Omega.shape != (p, p):
-        raise ValueError("mdi needs two square matrices of equal size")
+        raise InvalidParams("mdi needs two square matrices of equal size")
     G = W @ Omega
     if not np.all(np.isfinite(G)):
         raise SingularInput("gain matrix has non-finite entries")
@@ -487,7 +487,7 @@ def _run_block(run, seqs):
     model, method, alpha, n, opts = run
     draws = [partial(_replication_sample, model, n, seq) for seq in seqs]
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
+        warnings.simplefilter("ignore", CumicaWarning)
         if method == "all_cumulant":
             fits = _all_cumulant_block(draws, alpha, opts)
         else:

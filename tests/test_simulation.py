@@ -12,6 +12,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -21,9 +22,9 @@ import cumica.estimators
 import cumica.simulation
 from cumica.cumulants import _BLOCK_ENTRIES
 from cumica.distributions import SourceSpec, moment_profile, sample_source
-from cumica.errors import (AssumptionViolated, InvalidParams, InvalidSpec,
-                           NotPositiveDefinite, SingularInput,
-                           TooManyFailures)
+from cumica.errors import (AssumptionViolated, DegenerateObjective,
+                           InvalidParams, InvalidSpec, NotPositiveDefinite,
+                           SingularInput, TooManyFailures)
 from cumica.estimators import (SolverOptions, _all_cumulant_block,
                                all_cumulant)
 from cumica.simulation import (ContourGrid, IcModelSpec, _max_assignment,
@@ -607,6 +608,24 @@ class TestFitBlocks:
             assert bad[i][0] == good[i][0] == "ok"
             assert bad[i][2].tobytes() == good[i][2].tobytes()
             assert bad[i][3] == good[i][3]
+
+    def test_a_block_silences_only_the_package_warnings(self, monkeypatch):
+        # the package's own warnings are dropped in a run; any other
+        # module's warnings reach the caller
+        symmetric = cumica.simulation._ESTIMATORS["symmetric"]
+
+        def noisy(X, alpha, opts=None):
+            warnings.warn("from another module", UserWarning)
+            warnings.warn("from the package", DegenerateObjective)
+            return symmetric(X, alpha, opts)
+        monkeypatch.setitem(cumica.simulation._ESTIMATORS, "symmetric",
+                            noisy)
+        with warnings.catch_warnings(record=True) as rec:
+            warnings.simplefilter("always")
+            outcomes = cumica.simulation._run_block(
+                *_jade_jobs(8, 12, method="symmetric"))
+        assert [status for status, *_ in outcomes] == ["ok"] * 8
+        assert [w.category for w in rec] == [UserWarning] * 8
 
     def test_a_block_holds_one_sample_at_a_time(self):
         # a draw holds the sources beside the sample, and a fit the
