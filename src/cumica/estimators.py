@@ -53,7 +53,13 @@ iteration builds one kernel for the rows of every restart still running,
 each restart keeps its own rules, and a restart that stops leaves the
 batch; the largest finite objective wins, ties going to the earlier
 start.  The two diagonalization methods share one Jacobi tolerance and
-sweep budget.
+sweep budget (``_sweep_limits``).  Their sweeps take the closed-form
+Givens angle of each index pair (Cardoso & Souloumiac 1996): in
+round-robin rounds of disjoint pairs, one dense rotation a round, where
+the stack is small (compound's two matrices always, JADE's p + p(p +
+1)/2 up to p = 34), and otherwise in cyclic order, a pair at a time.  A
+stack stops after a sweep whose largest angle is below the tolerance, or
+that gains no more than the rounding of its objective.
 
 A Monte Carlo block's fits run through one loop, ``_fit_each``, which
 draws each sample only when its turn comes and keeps a numerical error
@@ -91,7 +97,8 @@ class SolverOptions:
 
     A fixed-point restart has converged when its rotation moves less
     than ``tol`` (sign-blind, per row); the diagonalization methods sweep
-    to ``min(tol, 1e-10)``.  A ``tol`` below about 1e-9 is not honoured:
+    to angles below ``min(tol, 1e-10)``, or to a sweep that gains no more
+    than the objective's rounding.  A ``tol`` below about 1e-9 is not honoured:
     the objective's rounding noise hides steps below about 1e-8, so a
     restart can stop, as numerically stationary, at a rotation that one
     more step would move by more than ``tol``.  ``tol`` must be a
@@ -479,7 +486,10 @@ def _spectrum_warning(alpha, n, mom, m6, m8):
 
 def _sweep_limits(opts):
     """The Jacobi tolerance and sweep budget of both diagonalization
-    methods."""
+    methods.  A stack stops after a sweep whose largest angle is below
+    the tolerance or that gains no more than its objective's rounding
+    (see ``joint_diagonalize``); one that does neither within the budget
+    is not converged."""
     return {"tol": min(opts.tol, 1e-10),
             "max_sweeps": max(opts.max_iter, 100)}
 

@@ -11,17 +11,24 @@ They share one set of conventions:
 
 Jacobi rotations back only ``joint_diagonalize``, which has no LAPACK
 equivalent (Cardoso & Souloumiac 1996): plane rotations with the
-closed-form optimal Givens angle, applied in cyclic order over index
-pairs until the largest |angle| in a sweep falls below the tolerance.
+closed-form optimal Givens angle, swept over the index pairs until the
+largest |angle| in a sweep falls below the tolerance, or the sweep
+gains no more than the rounding of the objective.  A sweep is a list of
+rounds of disjoint pairs, chosen from the stack's shape alone: a stack
+of m ``(p, p)`` matrices with p > 3 and ``m p^2`` below
+``_ROUND_ENTRIES`` takes round-robin rounds (Brent & Luk 1985), each
+turned by one dense p x p rotation in BLAS products; the others take
+the cyclic order, one pair a round, turning two rows and two columns.
 One loop, ``_jacobi``, rotates a batch of stacks held matrix index last,
 ``(B, p, p, m)``, so a rotation reads contiguous rows of m entries and
-one pass over the index pairs serves every stack of the batch, each
-with its own angle (the identity below the tolerance);
+one pass over the rounds serves every stack of the batch, each with its
+own angles (the identity below the tolerance) and its own stop;
 ``joint_diagonalize`` is its batch of one.
 """
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -119,6 +126,69 @@ def _rotate(stacks, U, k, l, c, s):
     U[:, k], U[:, l] = c2 * a + s2 * b, c2 * b - s2 * a
 
 
+# A stack of fewer entries than this, m p^2, takes its sweeps in Brent &
+# Luk's round-robin order, a dense p x p rotation per round; a larger one
+# takes them in cyclic order, where turning two rows and two columns at a
+# time costs less than the dense products.
+_ROUND_ENTRIES = 800_000
+
+
+def _rounds(p, m):
+    """A sweep's rounds of disjoint pairs ``k < l`` for a stack of m
+    ``(p, p)`` matrices, each as ``(k, l, flat)``: for p <= 3 or a stack
+    of ``_ROUND_ENTRIES`` entries or more, the cyclic order (0, 1), (0,
+    2), ..., (p - 2, p - 1), one pair a round, with ``flat`` None; else
+    ``_round_robin(p)``."""
+    if p > 3 and m * p * p < _ROUND_ENTRIES:
+        return _round_robin(p)
+    return [(k, l, None) for k in range(p - 1) for l in range(k + 1, p)]
+
+
+@lru_cache(maxsize=None)
+def _round_robin(p):
+    """A round-robin order of the pairs of p indices (Brent & Luk 1985):
+    p - 1 rounds of p/2 disjoint pairs for an even p, p rounds of (p -
+    1)/2 for an odd one, which sits one index out of each round.  Each
+    round is the index arrays ``(K, L)`` of its pairs and ``flat``, the
+    flat indices of ``R[K, K], R[L, L], R[K, L], R[L, K]`` in a ``(p,
+    p)`` rotation R."""
+    n = p + p % 2  # an odd p plays against index p, which sits out
+    ring = list(range(n))
+    rounds = []
+    for _ in range(n - 1):
+        pairs = sorted((min(a, b), max(a, b)) for a, b in
+                       zip(ring[:n // 2], ring[::-1]) if max(a, b) < p)
+        K, L = np.array(pairs, dtype=np.intp).T
+        flat = np.concatenate((K * (p + 1), L * (p + 1), K * p + L, L * p + K))
+        for a in (K, L, flat):
+            a.flags.writeable = False
+        rounds.append((K, L, flat))
+        ring = ring[:1] + ring[-1:] + ring[1:-1]  # all but index 0 move on
+    return tuple(rounds)
+
+
+def _turn(stacks, U, R):
+    """Apply B <- R B R^T to every matrix of the matrix-last ``(B, p, p,
+    m)`` stacks, and U <- R U, in place, with each stack's own ``(p, p)``
+    rotation ``R[b]``, by BLAS products over blocks of at most about
+    ``_CHECK_ENTRIES`` entries.  A product's shapes depend on p and m
+    alone, and each stack's is its own, so no stack's bits depend on the
+    others of its batch."""
+    B, p, _, m = stacks.shape
+    rows = max(1, min(p, _CHECK_ENTRIES // (p * m)))
+    group = max(1, _CHECK_ENTRIES // (rows * p * m))
+    flat = stacks.reshape(B, p, p * m)  # a view: the stacks are contiguous
+    for b in range(0, B, group):
+        Rb = R[b:b + group]
+        for r in range(0, p, rows):  # R B, on the columns of rows r...
+            cols = flat[b:b + group, :, r * m:(r + rows) * m]
+            cols[...] = Rb @ cols
+        for r in range(0, p, rows):  # then (R B) R^T, on its rows r...
+            block = stacks[b:b + group, r:r + rows]
+            block[...] = Rb[:, None] @ block
+    U[...] = R @ U
+
+
 def _rowdot(a, b):
     """Dot products along the last axis, each summed as ``a @ b`` sums
     it for one row, so no row's result depends on the others of its
@@ -162,15 +232,19 @@ class JointDiagResult:
 
 
 def joint_diagonalize(matrices, weights=None, tol=1e-10, max_sweeps=100):
-    """Jointly diagonalize symmetric matrices by cyclic Jacobi sweeps.
+    """Jointly diagonalize symmetric matrices by Jacobi sweeps.
 
     Maximizes ``sum_s w_s * ||diag(U A_s U^T)||^2`` over orthogonal U using
     plane rotations with the closed-form optimal angle per index pair.  Each
     rotation can only increase the objective, and the weighted total squared
     Frobenius mass is invariant, so the off-diagonal mass decreases
-    monotonically.  This is the batch of one of ``_joint_diagonalize_stacks``:
-    the input is checked and copied once, matrix index last, and rotated
-    in place there.
+    monotonically.  A sweep visits every index pair once, in rounds of
+    disjoint pairs: round-robin rounds, each one dense p x p rotation,
+    where p > 3 and the stack holds fewer than ``_ROUND_ENTRIES`` entries
+    (``m p^2``), and otherwise the cyclic order, a pair at a time.  This
+    is the batch of one of ``_joint_diagonalize_stacks``: the input is
+    checked and copied once, matrix index last, and rotated in place
+    there.
 
     Parameters
     ----------
@@ -179,8 +253,11 @@ def joint_diagonalize(matrices, weights=None, tol=1e-10, max_sweeps=100):
     weights : sequence of m nonnegative finite floats, optional
         Relative weight of each matrix in the objective (default: all one).
     tol : float, optional
-        Rotation-angle tolerance, positive and finite: convergence is
-        declared when the largest |angle| over a full sweep falls below it.
+        Rotation-angle tolerance, positive and finite.  Convergence is
+        declared after a sweep whose largest |angle| falls below it, or
+        whose gain in the objective is at most ``16 * ulp(objective)``,
+        its rounding: near a degenerate pair the closed-form angle can
+        stay above ``tol`` while the objective no longer moves.
     max_sweeps : int, optional
         Sweep budget; exhaustion is flagged via ``converged=False``.
 
@@ -200,8 +277,8 @@ def _joint_diagonalize_stacks(stacks, weights, tol, max_sweeps):
     """``joint_diagonalize`` of each of several stacks of m symmetric
     ``(p, p)`` matrices with the same weights, in one batch: the stacks
     are copied into one matrix-last ``(B, p, p, m)`` array, and each sweep
-    visits the index pairs once for all of them, every stack with its
-    own angle.  A stack that converges stops rotating, so each one ends
+    visits the rounds of index pairs once for all of them, every stack
+    with its own angles.  A stack that converges stops rotating, so each one ends
     as it would alone, to the bit.  Returns one ``JointDiagResult`` per
     stack, in order."""
     m = len(stacks[0]) if len(stacks) else 0
@@ -229,12 +306,18 @@ def _joint_diagonalize_stacks(stacks, weights, tol, max_sweeps):
 
 
 def _jacobi(stacks, w, tol, max_sweeps):
-    """Cyclic Jacobi sweeps on each matrix-last stack of the ``(B, p, p,
-    m)`` array, in place, with the weights ``w``.  Each pair's angle is
-    each stack's own, from dot products that run per stack; a stack whose
-    angle is below ``tol`` turns by ``(c, s) = (1, 0)``, and one whose
-    largest angle in a sweep is below ``tol`` has converged and leaves the
-    batch, so no stack's bits depend on the others."""
+    """Jacobi sweeps on each matrix-last stack of the ``(B, p, p, m)``
+    array, in place, with the weights ``w``.  A sweep is the rounds of
+    disjoint index pairs of ``_rounds(p, m)``: a round of one pair turns
+    rows and columns k and l (``_rotate``), a round of several turns each
+    stack by one p x p rotation (``_turn``).  Each pair's angle is each
+    stack's own, from dot products that run per stack; a stack whose
+    angle is below ``tol`` turns by ``(c, s) = (1, 0)``.  A stack stops,
+    converged, after a sweep whose largest angle is below ``tol``, or
+    that gains no more than the rounding of its objective, ``16 *
+    ulp(objective)``: near a degenerate pair the angle stays large while
+    the objective no longer moves.  A stack that stops leaves the batch,
+    so no stack's bits depend on the others."""
     B, p, _, m = stacks.shape
     U = np.broadcast_to(np.eye(p), (B, p, p)).copy()
     obj_hist = [[o] for o in _objectives(stacks, w)]
@@ -255,17 +338,19 @@ def _jacobi(stacks, w, tol, max_sweeps):
         for i in live:
             finish(i, i, True)
         return results
+    rounds = _rounds(p, m)
     while live and sweeps < max_sweeps:
         sweeps += 1
         biggest = [0.0] * len(live)
-        for k in range(p - 1):
-            for l in range(k + 1, p):
-                h1 = stacks[:, k, k] - stacks[:, l, l]
-                h2 = stacks[:, k, l] + stacks[:, l, k]
-                g = np.empty((len(live), 3, m))
-                np.multiply(h1, h1, out=g[:, 0])
-                np.multiply(h1, h2, out=g[:, 1])
-                np.multiply(h2, h2, out=g[:, 2])
+        for k, l, flat in rounds:
+            # k and l: one pair's indices, or index arrays of a round's
+            h1 = stacks[:, k, k] - stacks[:, l, l]
+            h2 = stacks[:, k, l] + stacks[:, l, k]
+            g = np.empty((len(live), 3) + h1.shape[1:])
+            np.multiply(h1, h1, out=g[:, 0])
+            np.multiply(h1, h2, out=g[:, 1])
+            np.multiply(h2, h2, out=g[:, 2])
+            if flat is None:
                 angles = []
                 for i, sums in enumerate(_rowdot(g, w).tolist()):
                     theta = _optimal_angle(*sums)
@@ -275,10 +360,29 @@ def _jacobi(stacks, w, tol, max_sweeps):
                     _rotate(stacks, U, k, l,
                             np.array([math.cos(t) for t in angles]),
                             np.array([math.sin(t) for t in angles]))
-        for j, o, x in zip(live, _objectives(stacks, w), _masses(stacks, w)):
+                continue
+            entries, turns = [], False
+            for i, row in enumerate(_rowdot(g, w).tolist()):
+                angles = [_optimal_angle(*sums) for sums in zip(*row)]
+                biggest[i] = max(biggest[i], *map(abs, angles))
+                angles = [t if abs(t) >= tol else 0.0 for t in angles]
+                turns = turns or any(angles)
+                c = [math.cos(t) for t in angles]
+                s = [math.sin(t) for t in angles]
+                entries.append(c + c + s + [-x for x in s])
+            if turns:
+                R = np.zeros((len(live), p * p))
+                R[:, ::p + 1] = 1.0  # an odd p's index out of the round
+                R[:, flat] = entries
+                _turn(stacks, U, R.reshape(-1, p, p))
+        done = []
+        for i, (j, o, x) in enumerate(zip(live, _objectives(stacks, w),
+                                          _masses(stacks, w))):
+            # the objective is nonnegative, so its ulp is its rounding
+            gain = o - obj_hist[j][-1]
             obj_hist[j].append(o)
             mass_hist[j].append(x)
-        done = [b < tol for b in biggest]
+            done.append(biggest[i] < tol or gain <= 16.0 * math.ulp(o))
         if any(done):
             for i, j in enumerate(live):
                 if done[i]:

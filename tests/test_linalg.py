@@ -8,6 +8,7 @@ is jointly diagonalizable to machine precision.
 """
 
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -20,6 +21,7 @@ from cumica.errors import (CumicaError, InvalidParams, NonFiniteInput,
 from cumica.linalg import (EIG_FLOOR, inv_sqrt_sym, is_orthogonal,
                            joint_diagonalize, polar_orthogonal,
                            random_orthogonal, sym_eig)
+from cumica.simulation import mdi
 
 
 def random_spd(rng, p, spread=3.0):
@@ -408,3 +410,107 @@ class TestBatchedJacobi:
         before = [S.copy() for S in stacks]
         cumica.linalg._joint_diagonalize_stacks(stacks, None, 1e-10, 100)
         assert all(np.array_equal(S, B) for S, B in zip(stacks, before))
+
+
+def _degenerate_stack(p, m, seed):
+    """m matrices sharing the eigenbasis V, the first two eigenvalues
+    equal in each: every rotation in that plane diagonalizes them."""
+    rng = np.random.default_rng(seed)
+    V = random_orthogonal(p, rng)
+    mats = []
+    for _ in range(m):
+        d = rng.uniform(1.0, 5.0, size=p)
+        d[1] = d[0]
+        mats.append(V.T @ np.diag(d) @ V)
+    return np.array(mats)
+
+
+class TestJacobiOrder:
+    """A sweep is a list of rounds of disjoint pairs: round-robin rounds
+    for small stacks, the cyclic order a pair at a time for p <= 3 and
+    for large stacks."""
+
+    @staticmethod
+    def pairs(rounds):
+        return [list(zip(np.atleast_1d(k).tolist(), np.atleast_1d(l).tolist()))
+                for k, l, _ in rounds]
+
+    @pytest.mark.parametrize("p", range(2, 13))
+    def test_every_pair_once_in_rounds_of_disjoint_pairs(self, p):
+        every = list(itertools.combinations(range(p), 2))
+        for m in (1, cumica.linalg._ROUND_ENTRIES // (p * p) + 1):
+            rounds = self.pairs(cumica.linalg._rounds(p, m))
+            swept = [pair for pairs in rounds for pair in pairs]
+            assert sorted(swept) == every
+            for pairs in rounds:
+                assert all(k < l for k, l in pairs)
+                used = [i for pair in pairs for i in pair]
+                assert len(set(used)) == len(used)
+        # round-robin: p - 1 rounds of p / 2 pairs, or p of (p - 1) / 2
+        if p > 3:
+            rounds = self.pairs(cumica.linalg._rounds(p, 1))
+            assert len(rounds) == p - 1 + p % 2
+            assert {len(pairs) for pairs in rounds} == {p // 2}
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_small_p_sweeps_in_cyclic_order(self, p):
+        for m in (1, 9, 10**6):
+            rounds = cumica.linalg._rounds(p, m)
+            assert [(k, l) for k, l, _ in rounds] == \
+                list(itertools.combinations(range(p), 2))
+            assert all(flat is None for _, _, flat in rounds)
+
+    def test_order_follows_the_stack_size(self):
+        # JADE's stack has p + p(p + 1)/2 matrices: round-robin rounds up
+        # to p = 34, the cyclic order from p = 35
+        def cyclic(p):
+            return cumica.linalg._rounds(p, p + p * (p + 1) // 2)[0][2] is None
+        assert not any(cyclic(p) for p in (4, 10, 30, 34))
+        assert cyclic(35) and cyclic(50)
+        assert not any(cumica.linalg._rounds(p, 2)[0][2] is None
+                       for p in (4, 10, 50))
+
+    @pytest.mark.parametrize("p,m,seed", [(5, 3, 19), (6, 2, 30), (5, 3, 28)])
+    def test_a_sweep_that_gains_only_rounding_stops(self, p, m, seed):
+        # the degenerate pair's closed-form angle stays large while the
+        # objective no longer moves; the angle stop alone ran out of
+        # these 100 sweeps
+        res = joint_diagonalize(_degenerate_stack(p, m, seed), max_sweeps=100)
+        assert res.converged and res.sweeps <= 10
+        gains = np.diff(res.objective_history)
+        assert gains[-1] <= 16 * math.ulp(res.objective)
+        assert (gains[:-1] > 16 * math.ulp(res.objective)).all()
+        mats = _degenerate_stack(p, m, seed)
+        rotated = res.U @ mats @ res.U.T
+        off = rotated - np.einsum("sii->si", rotated)[:, :, None] * np.eye(p)
+        assert np.abs(off).max() < 1e-8
+
+    @pytest.mark.parametrize("p", [3, 8])
+    def test_a_stack_that_still_gains_keeps_sweeping(self, p):
+        rng = np.random.default_rng(23)
+        mats, _ = planted_stack(rng, p, 2 * p, noise=0.2)
+        res = joint_diagonalize(mats)
+        gains = np.diff(res.objective_history)
+        assert res.converged and res.sweeps >= 4
+        # every sweep but the last gained more than rounding
+        assert (gains[:-1] > 16 * math.ulp(res.objective)).all()
+        short = joint_diagonalize(mats, max_sweeps=res.sweeps - 1)
+        assert not short.converged and short.sweeps == res.sweeps - 1
+
+    def test_round_robin_conserves_mass(self):
+        # criterion 9's checks on stacks that take round-robin rounds
+        rng = np.random.default_rng(5)
+        worst_mdi = worst_drift = 0.0
+        for _ in range(12):
+            p = int(rng.integers(4, 13))
+            m = int(rng.integers(1, 41))
+            assert cumica.linalg._rounds(p, m)[0][2] is not None
+            Q = random_orthogonal(p, rng)
+            stack = np.stack([Q @ np.diag(rng.standard_normal(p)) @ Q.T
+                              for _ in range(m)])
+            res = joint_diagonalize(stack)
+            assert res.converged
+            worst_mdi = max(worst_mdi, mdi(res.U, Q))
+            drift = np.abs(res.mass_history - res.mass_history[0]).max()
+            worst_drift = max(worst_drift, drift / res.mass_history[0])
+        assert worst_mdi <= 1e-8 and worst_drift <= 1e-10

@@ -483,11 +483,51 @@ class TestMonteCarlo:
         assert path.read_text() == text
 
 
-def _jade_jobs(reps, seed, n=1000, method="all_cumulant"):
+GAMMA5 = IcModelSpec(sources=("gamma:1", "gamma:2", "gamma:4", "gamma:8",
+                              "gamma:0.5"))
+
+
+class TestJadeBlocksAtP5:
+    """At p = 5 the batched Jacobi turns each stack by one dense rotation
+    per round of disjoint pairs: each replication still ends as it would
+    alone, and the run as it would on any number of workers."""
+
+    def test_every_block_position_matches_a_fit_alone(self, monkeypatch):
+        # 12 replications: a full block and one of four
+        seen = []
+        outcome = cumica.simulation._outcome
+
+        def record(est, omega):
+            seen.append(outcome(est, omega))
+            return seen[-1]
+        monkeypatch.setattr(cumica.simulation, "_outcome", record)
+        res = monte_carlo_experiment(GAMMA5, "jade", 0.8, 1000, 12,
+                                     master_seed=9,
+                                     opts=SolverOptions(restarts=1),
+                                     threads=1)
+        assert res.failures == 0 and len(seen) == 12
+        run, seqs = _jade_jobs(12, 9, model=GAMMA5)
+        for (status, _, aligned, score), child in zip(seen, seqs):
+            alone, alone_score = _alone(run, child)
+            assert status == "ok"
+            assert aligned.tobytes() == alone.tobytes()
+            assert score == alone_score
+
+    def test_n_var_is_bitwise_equal_for_any_worker_count(self):
+        kw = dict(model=GAMMA5, method="jade", alpha=0.8, n=1000,
+                  replications=20, master_seed=11,
+                  opts=SolverOptions(restarts=1))
+        runs = [monte_carlo_experiment(**kw, threads=t) for t in (1, 2, 4)]
+        assert runs[0].n_var.tobytes() == runs[1].n_var.tobytes()
+        assert runs[0].n_var.tobytes() == runs[2].n_var.tobytes()
+        assert runs[0].mdi_mean == runs[1].mdi_mean == runs[2].mdi_mean
+
+
+def _jade_jobs(reps, seed, n=1000, method="all_cumulant", model=GAMMA3):
     """A Monte Carlo run's settings and its replications' seeds as
     monte_carlo_experiment makes them: JADE (or ``method``) at alpha 0.8
-    on the identity-mixed GAMMA3, one spawned seed each."""
-    return ((GAMMA3, method, 0.8, n, SolverOptions(restarts=1)),
+    on the identity-mixed ``model``, one spawned seed each."""
+    return ((model, method, 0.8, n, SolverOptions(restarts=1)),
             np.random.SeedSequence(seed).spawn(reps))
 
 
