@@ -67,7 +67,7 @@ def _as_profiles(profiles):
                             f"got {type(pr).__name__}")
         out.append(pr)
     if not out:
-        raise ValueError("need at least one source profile")
+        raise InvalidParams("need at least one source profile")
     return out
 
 

@@ -86,6 +86,36 @@ def _as_xst(X, empty=False):
     return X.astype(float, copy=False)
 
 
+def _non_finite(X, overflow):
+    """The ``NonFiniteInput`` for the data X of which a moment is not
+    finite: it names X's non-finite entries, or where X is finite, says
+    ``overflow`` and the scale of the data."""
+    bad = np.argwhere(~np.isfinite(X))
+    if len(bad):
+        return NonFiniteInput(
+            f"data matrix has non-finite entries ({len(bad)} in all, "
+            f"first at row {bad[0][0]}, column {bad[0][1]})")
+    return NonFiniteInput(f"{overflow}: the data reach |x| = "
+                          f"{np.abs(X).max():.3e}; rescale the data")
+
+
+def _finite_moments(fn):
+    """``fn(X, ...)``, a statistic of the data X, raising ``NonFiniteInput``
+    (see ``_non_finite``) where one of the arrays or floats it returns is
+    not finite, in place of NumPy's overflow warnings."""
+    @functools.wraps(fn)
+    def checked(X, *args, **kwargs):
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = fn(X, *args, **kwargs)
+        if not all(np.isfinite(a).all() for a in
+                   (out if isinstance(out, tuple) else (out,))
+                   if isinstance(a, (np.ndarray, float))):
+            raise _non_finite(_as_xst(X), "moments overflow")
+        return out
+    return checked
+
+
+@_finite_moments
 def sample_cov(X):
     """Sample covariance with the 1/n convention, after mean removal."""
     X = _as_xst(X)
@@ -129,7 +159,7 @@ def standardize(X, whitener="symmetric"):
         if W0.shape != (p, p):
             raise InvalidParams(f"whitener must be {p}x{p}, got {W0.shape}")
     elif whitener != "symmetric":
-        raise ValueError(f"unknown whitener: {whitener!r}")
+        raise InvalidParams(f"unknown whitener: {whitener!r}")
     if n <= p:
         raise NotPositiveDefinite(
             f"sample covariance is singular: {n} observations of {p} "
@@ -138,12 +168,8 @@ def standardize(X, whitener="symmetric"):
         mean = X.mean(axis=0)
     # a NaN or inf makes its column mean non-finite, so finite data cost
     # no full scan
-    if not np.isfinite(mean).all():
-        bad = np.argwhere(~np.isfinite(X))
-        if len(bad):
-            raise NonFiniteInput(
-                f"data matrix has non-finite entries ({len(bad)} in all, "
-                f"first at row {bad[0][0]}, column {bad[0][1]})")
+    if not np.isfinite(mean).all() and not np.isfinite(X).all():
+        raise _non_finite(X, "sample covariance overflows")
     # row 1 exists since n > p >= 1; only columns equal there can be
     # constant, so only those are scanned in full
     cand = np.flatnonzero(X[1] == X[0])
@@ -159,9 +185,7 @@ def standardize(X, whitener="symmetric"):
     with np.errstate(over="ignore", invalid="ignore"):
         S = (Xc.T @ Xc) / n
     if not np.isfinite(S).all():
-        raise NonFiniteInput(
-            f"sample covariance overflows: the data reach |x| = "
-            f"{np.abs(X).max():.3e}; rescale the data")
+        raise _non_finite(X, "sample covariance overflows")
     if S.diagonal().min() < np.finfo(float).tiny:
         raise NotPositiveDefinite(
             f"sample covariance is subnormal: the centered data reach only "
@@ -188,6 +212,7 @@ def standardize(X, whitener="symmetric"):
     return StandardizedSample(xst=Xc, mean=mean, whitener=G)
 
 
+@_finite_moments
 def projection_cumulants(xst, u, tol=1e-10):
     """Skewness and excess kurtosis of the projection ``xst @ u``.
 
@@ -346,6 +371,7 @@ def _tensor_equations(tensors, U):
     return V @ M3, (Q @ U[..., None])[..., 0]
 
 
+@_finite_moments
 def compound_matrices(xst):
     """The compound cumulant matrices ``(C3, C4)``: the sums over ``i``
     of the third-cumulant matrices ``cum3_stack(xst)[i]`` and of the
@@ -442,6 +468,7 @@ def _cumulant_stacks(xst, third, fourth):
     return c3, c4, (M3, M4)
 
 
+@_finite_moments
 def cum3_stack(xst):
     """All ``p`` third-cumulant matrices ``E[x_i x x^T]`` as a ``(p, p, p)``
     stack, gathered from the block-summed third moments of the pair
@@ -451,6 +478,7 @@ def cum3_stack(xst):
     return _cumulant_stacks(xst, True, False)[0]
 
 
+@_finite_moments
 def cum4_stack(xst):
     """All distinct fourth-cumulant matrices as a ``(p*(p+1)//2, p, p)`` stack.
 
@@ -474,6 +502,7 @@ def cum4_stack(xst):
     return stack, list(zip(iu.tolist(), ju.tolist()))
 
 
+@_finite_moments
 def fobi_matrix(xst):
     """The kurtosis-weighted scatter ``mean(||x||^2 x x^T)``, summed over
     row blocks."""

@@ -514,7 +514,7 @@ def compound_cumulant(X, alpha, opts=None, *, standardizer=None):
     """
     named = standardizer is None or isinstance(standardizer, str)
     if named and standardizer not in (None, "fobi", "symmetric"):
-        raise ValueError(f"unknown standardizer: {standardizer!r}")
+        raise InvalidParams(f"unknown standardizer: {standardizer!r}")
     return _fit("compound", X, alpha, opts,
                 partial(_compound_solve, standardizer if named else False),
                 "symmetric" if named else standardizer)

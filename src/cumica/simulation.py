@@ -210,7 +210,7 @@ def _max_assignment(S):
     if not all(math.isfinite(x) for row in score for x in row):
         # a NaN or infinite score would leave no column ever reachable
         bad = [tuple(map(int, ij)) for ij in np.argwhere(~np.isfinite(S))]
-        raise ValueError(f"assignment scores have {len(bad)} non-finite "
+        raise InvalidParams(f"assignment scores have {len(bad)} non-finite "
                          f"entries, first at {bad[:3]}")
     inf = math.inf
     u = [0.0] * p  # row potentials

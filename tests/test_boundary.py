@@ -1,5 +1,6 @@
-"""Bad data and badly shaped matrices are rejected at the boundary with
-``InvalidParams``, a ``CumicaError`` that is also a ``ValueError``, and
+"""Bad data, badly shaped matrices and unknown names are rejected at the
+boundary with ``InvalidParams``, a ``CumicaError`` that is also a
+``ValueError``, and data whose moments overflow with ``NonFiniteInput``,
 with no NumPy warning on the way (warnings are errors here)."""
 
 import numpy as np
@@ -10,7 +11,9 @@ from cumica import (all_cumulant, compound_cumulant, compound_matrices,
                     inv_sqrt_sym, joint_diagonalize, mdi, polar_orthogonal,
                     projection_cumulants, sample_cov, standardize,
                     sym_eig, symmetric_pp)
-from cumica.errors import InvalidParams, NotPositiveDefinite
+from cumica.asymptotics import asv_symmetric
+from cumica.errors import (InvalidParams, NonFiniteInput,
+                           NotPositiveDefinite)
 from cumica.simulation import _max_assignment
 
 GOOD = np.random.default_rng(0).normal(size=(50, 3))
@@ -83,3 +86,41 @@ def test_shape_errors_raise_invalid_params(case):
     call, match = BAD_SHAPES[case]
     with pytest.raises(InvalidParams, match=match):
         call()
+
+
+BAD_NAMES = {
+    "standardizer": (lambda: compound_cumulant(GOOD, 0.8, standardizer="jade"),
+                     "unknown standardizer: 'jade'"),
+    "whitener": (lambda: standardize(GOOD, whitener="pca"),
+                 "unknown whitener: 'pca'"),
+    "assignment-scores": (
+        lambda: _max_assignment(np.array([[1.0, np.nan], [0.0, 1.0]])),
+        r"assignment scores have 1 non-finite entries, first at \[\(0, 1\)\]"),
+    "no-profiles": (lambda: asv_symmetric([], 0.8),
+                    "need at least one source profile"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_NAMES)
+def test_bad_names_and_values_raise_invalid_params(case):
+    call, match = BAD_NAMES[case]
+    with pytest.raises(InvalidParams, match=match):
+        call()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("name", ["sample_cov", "cum3_stack", "cum4_stack",
+                                  "compound_matrices", "fobi_matrix",
+                                  "projection_cumulants"])
+def test_overflowing_moments_raise_non_finite_input(name):
+    fn = DATA_FUNCTIONS[name]
+    with pytest.raises(NonFiniteInput,
+                       match=r"^moments overflow: the data reach \|x\| = "
+                             r"\d\.\d{3}e\+300; rescale the data$"):
+        fn(GOOD[:, :3] * 1e300)
+    bad = GOOD.copy()
+    bad[7, 2] = np.inf
+    with pytest.raises(NonFiniteInput, match=r"^data matrix has non-finite "
+                                             r"entries \(1 in all, first at "
+                                             r"row 7, column 2\)$"):
+        fn(bad)
