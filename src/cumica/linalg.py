@@ -51,8 +51,9 @@ def _require_square(A):
     return A
 
 
-# The stack check reads its matrices in blocks of at most this many
-# entries, so its temporaries stay small beside the stack itself.
+# The stack check and the dense Jacobi rotations read their matrices in
+# blocks of at most this many entries, so their temporaries stay small
+# beside the stack itself.
 _CHECK_ENTRIES = 1 << 16
 # the reductions as ufunc methods, without the ndarray methods' wrappers
 _MAX, _ALL = np.maximum.reduce, np.logical_and.reduce
@@ -278,9 +279,9 @@ def _joint_diagonalize_stacks(stacks, weights, tol, max_sweeps):
     ``(p, p)`` matrices with the same weights, in one batch: the stacks
     are copied into one matrix-last ``(B, p, p, m)`` array, and each sweep
     visits the rounds of index pairs once for all of them, every stack
-    with its own angles.  A stack that converges stops rotating, so each one ends
-    as it would alone, to the bit.  Returns one ``JointDiagResult`` per
-    stack, in order."""
+    with its own angles.  A stack that converges stops rotating, so each
+    one ends as it would alone, to the bit.  Returns one
+    ``JointDiagResult`` per stack, in order."""
     m = len(stacks[0]) if len(stacks) else 0
     shape = np.shape(stacks[0][0]) if m else ()
     if len(shape) != 2 or shape[0] != shape[1]:
