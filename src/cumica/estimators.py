@@ -58,8 +58,9 @@ Givens angle of each index pair (Cardoso & Souloumiac 1996): in
 round-robin rounds of disjoint pairs, one dense rotation a round, where
 the stack is small (compound's two matrices always, JADE's p + p(p +
 1)/2 up to p = 34), and otherwise in cyclic order, a pair at a time.  A
-stack stops after a sweep whose largest angle is below the tolerance, or
-that gains no more than the rounding of its objective.
+stack stops after a sweep that gains at most 16 ulp of its objective (a
+sweep whose angles are all below the tolerance turns nothing, so it
+gains nothing), or at its budget.
 
 A Monte Carlo block's fits run through one loop, ``_fit_each``, which
 draws each sample only when its turn comes and keeps a numerical error
@@ -96,13 +97,15 @@ class SolverOptions:
     """Iteration controls shared by all estimators.
 
     A fixed-point restart has converged when its rotation moves less
-    than ``tol`` (sign-blind, per row); the diagonalization methods sweep
-    to angles below ``min(tol, 1e-10)``, or to a sweep that gains no more
-    than the objective's rounding.  A ``tol`` below about 1e-9 is not honoured:
-    the objective's rounding noise hides steps below about 1e-8, so a
-    restart can stop, as numerically stationary, at a rotation that one
-    more step would move by more than ``tol``.  ``tol`` must be a
-    positive finite float.
+    than ``tol`` (sign-blind, per row).  The diagonalization methods turn
+    no angle below ``min(tol, 1e-10)``, and a stack stops after a sweep
+    that gains at most 16 ulp of its objective (a sweep whose angles are
+    all below that tolerance turns nothing, so it gains nothing), or at
+    its budget (``_sweep_limits``).  A ``tol`` below about 1e-9 is not
+    honoured: the objective's rounding noise hides steps below about
+    1e-8, so a restart can stop, as numerically stationary, at a rotation
+    that one more step would move by more than ``tol``.  ``tol`` must be
+    a positive finite float.
     """
 
     tol: float = 1e-9
@@ -238,11 +241,14 @@ def _ascend(alpha, kernel, U0, opts, step, path):
     objective is not finite, is replaced by the first point of
     ``path(U[i], T[i])`` that does not lose (see ``_backtrack``); a loss
     within rounding is no loss, so rounding never decides which step is
-    taken.  A rotation has converged when its sign-blind row delta falls
-    below ``opts.tol``, or when no point of its path can gain more than
-    rounding; it then leaves the batch, and its moments with it.
-    Returns one (obj, moments, iterations, converged, objective history)
-    per start, in order.
+    taken.  A rotation leaves the batch, and its moments with it, for
+    one of three reasons, decided in one place each iteration: no point
+    of its path gains more than rounding (it keeps the moments before
+    the step, converged if its objective is finite), its sign-blind row
+    delta falls below ``opts.tol`` (converged), or its budget of
+    ``opts.max_iter`` iterations runs out (not converged).  Returns one
+    (obj, moments, iterations, converged, objective history) per start,
+    in order.
     """
     runs = [None] * len(U0)
     live = list(range(len(U0)))  # the start of each rotation in the batch
@@ -256,46 +262,38 @@ def _ascend(alpha, kernel, U0, opts, step, path):
         new = kernel(step(T - gauss * (mom.h4[..., None] * mom.U)))
         obj_new = new.objective(alpha)
         T_new = new.gradient(alpha)  # the next step's, taken once
-        moved = []
+        leave = {}  # row -> (objective, moments, converged), if it stops
         for i, (o, o_new) in enumerate(zip(obj, obj_new)):
             # changes within o's rounding are no loss (o >= 0, so ulp is
             # numpy's spacing)
             floor = 16.0 * math.ulp(o)
-            ok = o_new >= o - floor
-            if not ok:
+            if not o_new >= o - floor:
                 back = _backtrack(alpha, kernel, o, floor,
                                   *path(mom.U[i], T[i]))
                 if back is None:  # numerically stationary: it ends here
-                    runs[live[i]] = (o, mom.take(i), iters, math.isfinite(o),
-                                     np.array(hists[i]))
-                else:
-                    cand, obj_new[i] = back
-                    new.put(i, cand)
-                    T_new[i] = cand.gradient(alpha)
-                    ok = True
-            if ok:
-                hists[i].append(obj_new[i])
-            moved.append(ok)
-        done = (_sign_blind_row_delta(new.U, mom.U) < opts.tol).tolist()
-        if all(moved) and not any(done):
+                    leave[i] = (o, mom, math.isfinite(o))
+                    continue
+                cand, obj_new[i] = back
+                new.put(i, cand)
+                T_new[i] = cand.gradient(alpha)
+            hists[i].append(obj_new[i])
+        small = _sign_blind_row_delta(new.U, mom.U) < opts.tol
+        for i, stop in enumerate(small.tolist()):
+            if (stop or iters == opts.max_iter) and i not in leave:
+                leave[i] = (obj_new[i], new, stop)
+        if not leave:
             mom, obj, T = new, obj_new, T_new
             continue
-        keep = []
-        for i, (ok, stop) in enumerate(zip(moved, done)):
-            keep.append(ok and not stop)
-            if ok and stop:
-                runs[live[i]] = (obj_new[i], new.take(i), iters, True,
-                                 np.array(hists[i]))
+        for i, (o, moments, converged) in leave.items():
+            runs[live[i]] = (o, moments.take(i), iters, converged,
+                             np.array(hists[i]))
+        keep = [i not in leave for i in range(len(live))]
         live = [start for start, kept in zip(live, keep) if kept]
-        hists = [hist for hist, kept in zip(hists, keep) if kept]
-        obj = [o for o, kept in zip(obj_new, keep) if kept]
         if not live:
             break
+        hists = [hist for hist, kept in zip(hists, keep) if kept]
+        obj = [o for o, kept in zip(obj_new, keep) if kept]
         mom, T = new.take(keep), T_new[keep]
-    else:
-        for i, start in enumerate(live):  # out of iterations
-            runs[start] = (obj[i], mom.take(i), opts.max_iter, False,
-                           np.array(hists[i]))
     return runs
 
 
@@ -486,10 +484,10 @@ def _spectrum_warning(alpha, n, mom, m6, m8):
 
 def _sweep_limits(opts):
     """The Jacobi tolerance and sweep budget of both diagonalization
-    methods.  A stack stops after a sweep whose largest angle is below
-    the tolerance or that gains no more than its objective's rounding
-    (see ``joint_diagonalize``); one that does neither within the budget
-    is not converged."""
+    methods.  A stack stops after a sweep that gains at most 16 ulp of
+    its objective (a sweep whose angles are all below the tolerance turns
+    nothing, so it gains nothing), or at its budget, not converged (see
+    ``joint_diagonalize``)."""
     return {"tol": min(opts.tol, 1e-10),
             "max_sweeps": max(opts.max_iter, 100)}
 

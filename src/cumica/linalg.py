@@ -11,9 +11,10 @@ They share one set of conventions:
 
 Jacobi rotations back only ``joint_diagonalize``, which has no LAPACK
 equivalent (Cardoso & Souloumiac 1996): plane rotations with the
-closed-form optimal Givens angle, swept over the index pairs until the
-largest |angle| in a sweep falls below the tolerance, or the sweep
-gains no more than the rounding of the objective.  A sweep is a list of
+closed-form optimal Givens angle, swept over the index pairs.  A stack
+stops after a sweep that gains at most 16 ulp of its objective (a sweep
+whose angles are all below the tolerance turns nothing, so it gains
+nothing), or at its sweep budget.  A sweep is a list of
 rounds of disjoint pairs, chosen from the stack's shape alone: a stack
 of m ``(p, p)`` matrices with p > 3 and ``m p^2`` below
 ``_ROUND_ENTRIES`` takes round-robin rounds (Brent & Luk 1985), each
@@ -254,10 +255,11 @@ def joint_diagonalize(matrices, weights=None, tol=1e-10, max_sweeps=100):
     weights : sequence of m nonnegative finite floats, optional
         Relative weight of each matrix in the objective (default: all one).
     tol : float, optional
-        Rotation-angle tolerance, positive and finite.  Convergence is
-        declared after a sweep whose largest |angle| falls below it, or
-        whose gain in the objective is at most ``16 * ulp(objective)``,
-        its rounding: near a degenerate pair the closed-form angle can
+        Rotation-angle tolerance, positive and finite: an angle below it
+        is not turned.  Convergence is declared after a sweep that gains
+        at most ``16 * ulp(objective)``, the objective's rounding (a
+        sweep whose angles are all below ``tol`` turns nothing, so it
+        gains nothing).  Near a degenerate pair the closed-form angle can
         stay above ``tol`` while the objective no longer moves.
     max_sweeps : int, optional
         Sweep budget; exhaustion is flagged via ``converged=False``.
@@ -313,11 +315,11 @@ def _jacobi(stacks, w, tol, max_sweeps):
     rows and columns k and l (``_rotate``), a round of several turns each
     stack by one p x p rotation (``_turn``).  Each pair's angle is each
     stack's own, from dot products that run per stack; a stack whose
-    angle is below ``tol`` turns by ``(c, s) = (1, 0)``.  A stack stops,
-    converged, after a sweep whose largest angle is below ``tol``, or
-    that gains no more than the rounding of its objective, ``16 *
-    ulp(objective)``: near a degenerate pair the angle stays large while
-    the objective no longer moves.  A stack that stops leaves the batch,
+    angle is below ``tol`` turns by ``(c, s) = (1, 0)``, which gives back
+    every entry.  A stack stops, converged, after a sweep that gains at
+    most ``16 * ulp(objective)``, the objective's rounding (a sweep whose
+    angles are all below ``tol`` turns nothing, so it gains nothing), or
+    unconverged at ``max_sweeps``.  A stack that stops leaves the batch,
     so no stack's bits depend on the others."""
     B, p, _, m = stacks.shape
     U = np.broadcast_to(np.eye(p), (B, p, p)).copy()
@@ -342,7 +344,6 @@ def _jacobi(stacks, w, tol, max_sweeps):
     rounds = _rounds(p, m)
     while live and sweeps < max_sweeps:
         sweeps += 1
-        biggest = [0.0] * len(live)
         for k, l, flat in rounds:
             # k and l: one pair's indices, or index arrays of a round's
             h1 = stacks[:, k, k] - stacks[:, l, l]
@@ -353,9 +354,8 @@ def _jacobi(stacks, w, tol, max_sweeps):
             np.multiply(h2, h2, out=g[:, 2])
             if flat is None:
                 angles = []
-                for i, sums in enumerate(_rowdot(g, w).tolist()):
+                for sums in _rowdot(g, w).tolist():
                     theta = _optimal_angle(*sums)
-                    biggest[i] = max(biggest[i], abs(theta))
                     angles.append(theta if abs(theta) >= tol else 0.0)
                 if any(angles):
                     _rotate(stacks, U, k, l,
@@ -363,10 +363,9 @@ def _jacobi(stacks, w, tol, max_sweeps):
                             np.array([math.sin(t) for t in angles]))
                 continue
             entries, turns = [], False
-            for i, row in enumerate(_rowdot(g, w).tolist()):
-                angles = [_optimal_angle(*sums) for sums in zip(*row)]
-                biggest[i] = max(biggest[i], *map(abs, angles))
-                angles = [t if abs(t) >= tol else 0.0 for t in angles]
+            for row in _rowdot(g, w).tolist():
+                angles = [t if abs(t) >= tol else 0.0
+                          for t in map(_optimal_angle, *row)]
                 turns = turns or any(angles)
                 c = [math.cos(t) for t in angles]
                 s = [math.sin(t) for t in angles]
@@ -376,19 +375,18 @@ def _jacobi(stacks, w, tol, max_sweeps):
                 R[:, ::p + 1] = 1.0  # an odd p's index out of the round
                 R[:, flat] = entries
                 _turn(stacks, U, R.reshape(-1, p, p))
-        done = []
+        keep = []
         for i, (j, o, x) in enumerate(zip(live, _objectives(stacks, w),
                                           _masses(stacks, w))):
             # the objective is nonnegative, so its ulp is its rounding
-            gain = o - obj_hist[j][-1]
+            stop = o - obj_hist[j][-1] <= 16.0 * math.ulp(o)
             obj_hist[j].append(o)
             mass_hist[j].append(x)
-            done.append(biggest[i] < tol or gain <= 16.0 * math.ulp(o))
-        if any(done):
-            for i, j in enumerate(live):
-                if done[i]:
-                    finish(i, j, True)
-            keep = [i for i, d in enumerate(done) if not d]
+            if stop:
+                finish(i, j, True)
+            else:
+                keep.append(i)
+        if len(keep) < len(live):
             live = [live[i] for i in keep]
             if live:
                 stacks, U = stacks[keep], U[keep]
