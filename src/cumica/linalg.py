@@ -268,7 +268,9 @@ def joint_diagonalize(matrices, weights=None, tol=1e-10, max_sweeps=100):
     -------
     JointDiagResult
 
-    A bad weight, ``tol`` or ``max_sweeps`` raises ``InvalidParams``.
+    A bad weight, ``tol`` or ``max_sweeps`` raises ``InvalidParams``;
+    matrices with a non-finite entry, or whose weighted squared mass
+    overflows, raise ``NonFiniteInput``.
     """
     _check_tol(tol)
     _check_int("max_sweeps", max_sweeps, 0, "a non-negative integer",
@@ -323,8 +325,14 @@ def _jacobi(stacks, w, tol, max_sweeps):
     so no stack's bits depend on the others."""
     B, p, _, m = stacks.shape
     U = np.broadcast_to(np.eye(p), (B, p, p)).copy()
-    obj_hist = [[o] for o in _objectives(stacks, w)]
-    mass_hist = [[x] for x in _masses(stacks, w)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        mass_hist = [[x] for x in _masses(stacks, w)]
+        obj_hist = [[o] for o in _objectives(stacks, w)]
+    for b, (x,) in enumerate(mass_hist):
+        if not math.isfinite(x):
+            raise NonFiniteInput(
+                f"the weighted squared mass of the matrices overflows: they "
+                f"reach |a| = {np.abs(stacks[b]).max():.3e}; rescale them")
     results = [None] * B
     live = list(range(B))  # the stack behind each row of the batch
     sweeps = 0

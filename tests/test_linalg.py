@@ -294,6 +294,23 @@ class TestJointDiagonalize:
         with pytest.raises(InvalidParams, match=message):
             joint_diagonalize(mats, **kwargs)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("p", [2, 4])
+    def test_overflowing_mass_raises_non_finite_input(self, p):
+        # squares that overflow make the objective inf and every gain
+        # NaN, so no sweep could stop; just below, the sweeps run as at
+        # unit scale
+        mats, _ = planted_stack(np.random.default_rng(17), p, 3, noise=0.3)
+        with pytest.raises(NonFiniteInput, match=(
+                r"^the weighted squared mass of the matrices overflows: "
+                r"they reach \|a\| = \d\.\d{3}e\+160; rescale them$")):
+            joint_diagonalize(mats * 1e160)
+        big, unit = joint_diagonalize(mats * 1e150), joint_diagonalize(mats)
+        assert big.converged and math.isfinite(big.objective)
+        assert big.objective == pytest.approx(1e300 * unit.objective,
+                                              rel=1e-12)
+        np.testing.assert_allclose(big.U, unit.U, atol=1e-9)
+
     def test_rejects_a_member_of_another_shape(self):
         # the first matrix sets the shape the others are copied into
         with pytest.raises(ValueError, match=r"shape"):
