@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (InvalidParams, NonFiniteInput, NotPositiveDefinite,
-                     NotUnit, SingularCustomWhitener)
+                     NotUnit, SingularCustomWhitener, _real_array)
 from .linalg import _rowdot, inv_sqrt_sym
 
 
@@ -70,20 +70,16 @@ class StandardizedSample:
 def _as_xst(X, empty=False):
     """``X`` as a float array, if it is a 2-d matrix of real numbers
     (bools and integers included) with at least one column, and one row
-    unless ``empty``; otherwise raise ``InvalidParams``.  The type is
-    checked before the cast, so complex data raise no ``ComplexWarning``
-    and str or object data no bare ``TypeError`` or ``ValueError``."""
-    X = np.asarray(X)
-    if X.dtype.kind not in "biuf":
-        raise InvalidParams(f"expected a data matrix of real numbers, got "
-                            f"dtype {X.dtype}")
+    unless ``empty``; otherwise raise ``InvalidParams`` (see
+    ``_real_array``)."""
+    X = _real_array(X, "a data matrix")
     if X.ndim != 2 or not X.shape[1]:
         raise InvalidParams(f"expected a 2-d data matrix with at least one "
                             f"column, got shape {X.shape}")
     if not (len(X) or empty):
         raise InvalidParams(f"expected a data matrix with at least one row, "
                             f"got shape {X.shape}")
-    return X.astype(float, copy=False)
+    return X
 
 
 def _non_finite(X, overflow):

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidSpec
+from .errors import InvalidSpec, _check_generator, _check_int
 
 
 @dataclass(frozen=True)
@@ -220,8 +220,12 @@ def sample_source(spec, n, rng):
     Notes
     -----
     The number and order of generator calls per family is fixed, so a
-    given seed reproduces the same sample across runs.
+    given seed reproduces the same sample across runs.  An ``n`` that is
+    not a non-negative integer, or an ``rng`` that is not a Generator,
+    raises ``InvalidSpec``.
     """
+    n = _check_int("n", n, 0)
+    _check_generator("rng", rng)
     if isinstance(spec, str):
         spec = SourceSpec.parse(spec)
     if spec.family == "normal":

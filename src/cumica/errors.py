@@ -1,6 +1,6 @@
 """Exception and warning types shared across the package, and the checks
-of alpha, tolerances and integer arguments that the entry points
-apply."""
+of alpha, tolerances, integer arguments, real arrays and generators that
+the entry points apply."""
 
 import math
 import numbers
@@ -82,6 +82,26 @@ def _check_int(name, value, low=None, kind=None, error=InvalidSpec):
     if low is not None and value < low:
         raise error(f"{name} must be {kind or f'>= {low}'}, got {value!r}")
     return int(value)
+
+
+def _real_array(A, what):
+    """``A`` as a float array, if its entries are real numbers (bools and
+    integers included); otherwise raise ``InvalidParams``, saying that
+    ``what`` must be of real numbers.  The type is checked before the
+    cast, so complex entries raise no ``ComplexWarning`` and str or
+    object ones no bare ``TypeError`` or ``ValueError``."""
+    A = np.asarray(A)
+    if A.dtype.kind not in "biuf":
+        raise InvalidParams(f"expected {what} of real numbers, got dtype "
+                            f"{A.dtype}")
+    return A.astype(float, copy=False)
+
+
+def _check_generator(name, rng):
+    """Raise InvalidSpec unless ``rng`` is a ``numpy.random.Generator``."""
+    if not isinstance(rng, np.random.Generator):
+        raise InvalidSpec(f"{name} must be a numpy.random.Generator, got "
+                          f"{type(rng).__name__}")
 
 
 class ZeroDenominator(CumicaError):

@@ -121,6 +121,17 @@ class SolverOptions:
                    InvalidParams)
 
 
+def _solver_options(opts):
+    """``opts``, or the defaults for None; anything but a
+    ``SolverOptions`` raises ``InvalidParams``."""
+    if opts is None:
+        return SolverOptions()
+    if not isinstance(opts, SolverOptions):
+        raise InvalidParams(f"opts must be a SolverOptions or None, got "
+                            f"{type(opts).__name__} {opts!r}")
+    return opts
+
+
 @dataclass
 class UnmixingEstimate:
     """Result of one estimator run.
@@ -168,7 +179,7 @@ def _fit(method, X, alpha, opts, solve, whitener="symmetric"):
     restarts used, objective history); ``whitener`` is ``standardize``'s:
     the symmetric one, or a candidate whitener matrix."""
     alpha = _check_alpha(alpha)
-    opts = opts or SolverOptions()
+    opts = _solver_options(opts)
     st = standardize(X, whitener)
     return _estimate(method, st.whitener, alpha, *solve(st.xst, alpha, opts))
 
@@ -551,7 +562,7 @@ def all_cumulant(X, alpha, opts=None):
     standardized data.  ``alpha = 0`` reproduces classical JADE.
     """
     est, = _all_cumulant_block([lambda: (X, None)], _check_alpha(alpha),
-                               opts or SolverOptions())
+                               _solver_options(opts))
     if isinstance(est, Exception):
         raise est
     return est

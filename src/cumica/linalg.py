@@ -34,7 +34,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import (InvalidParams, NonFiniteInput, NotPositiveDefinite,
-                     RankDeficient, _check_int, _check_tol)
+                     RankDeficient, _check_int, _check_tol, _real_array)
 
 # Relative eigenvalue/singular-value floor below which a matrix is treated
 # as not positive definite / rank deficient.
@@ -42,9 +42,9 @@ EIG_FLOOR = 1e-12
 
 
 def _require_square(A):
-    """``A`` as a float array, if it is a square matrix of at least one
-    row."""
-    A = np.asarray(A, dtype=float)
+    """``A`` as a float array, if it is a square matrix of real numbers
+    (see ``_real_array``) of at least one row."""
+    A = _real_array(A, "a matrix")
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise InvalidParams(f"matrix must be square, got shape {A.shape}")
     if not A.size:
@@ -472,7 +472,9 @@ def _polar_step(T):
 
 
 def random_orthogonal(p, rng):
-    """Haar-ish random orthogonal matrix: QR of a standard Gaussian draw."""
+    """Haar-ish random orthogonal matrix: QR of a standard Gaussian draw.
+    A ``p`` that is not a positive integer raises ``InvalidParams``."""
+    p = _check_int("p", p, 1, error=InvalidParams)
     Z = rng.standard_normal((p, p))
     Q, R = np.linalg.qr(Z)
     return Q * np.sign(np.diag(R))

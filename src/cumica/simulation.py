@@ -32,8 +32,9 @@ from . import asymptotics
 from .distributions import SourceSpec, moment_profile, sample_source
 from .errors import (AssumptionViolated, CumicaError, CumicaWarning,
                      InvalidParams, InvalidSpec, SingularInput,
-                     TooManyFailures, _check_alpha, _check_int)
-from .estimators import (SolverOptions, _all_cumulant_block, _fit_each,
+                     TooManyFailures, _check_alpha, _check_generator,
+                     _check_int, _real_array)
+from .estimators import (_all_cumulant_block, _fit_each, _solver_options,
                          all_cumulant, compound_cumulant, deflation_pp,
                          symmetric_pp)
 
@@ -172,13 +173,16 @@ def generate_ic_sample(model, n, stream):
     X and Z both column-major, so each variable's observations are
     contiguous.  Source columns are drawn sequentially from ``stream``,
     so a fixed seed pins the whole sample; each is written into its
-    column of Z as it is drawn, so no drawn column is held beside Z.
+    column of Z as it is drawn, so no drawn column is held beside Z.  A
+    ``stream`` that is not a ``numpy.random.Generator`` raises
+    ``InvalidSpec``.
     """
     model = _as_model(model)
     p = model.p
     _check_int("n", n)
     if n <= p:
         raise InvalidSpec(f"need n > p, got n={n}, p={p}")
+    _check_generator("stream", stream)
     Z = np.empty((n, p), order="F")
     for j, spec in enumerate(model.sources):
         Z[:, j] = sample_source(spec, n, stream)
@@ -276,12 +280,12 @@ def mdi(W, Omega):
     matched row's scale is then optimal in closed form.  The result lies
     in [0, 1]; 0 exactly when W Omega is a scaled signed permutation.
     """
-    W = np.asarray(W, dtype=float)
-    Omega = np.asarray(Omega, dtype=float)
+    W, Omega = _real_array(W, "W"), _real_array(Omega, "Omega")
     p = W.shape[0]
     if W.shape != (p, p) or Omega.shape != (p, p):
         raise InvalidParams("mdi needs two square matrices of equal size")
-    G = W @ Omega
+    with np.errstate(over="ignore", invalid="ignore"):
+        G = W @ Omega
     if not np.all(np.isfinite(G)):
         raise SingularInput("gain matrix has non-finite entries")
     sv = np.linalg.svd(G, compute_uv=False)
@@ -532,7 +536,7 @@ def monte_carlo_experiment(model, method, alpha, n, replications,
     table = _ASV_TABLES[method](model.sources, alpha)
     asv = table.offdiag + np.diag(table.diag)
 
-    opts = opts or SolverOptions()
+    opts = _solver_options(opts)
     replica = IcModelSpec(sources=model.sources)  # identity mixing, no shift
     run = (replica, method, alpha, n, opts)
     seqs = _seed_sequence(master_seed).spawn(replications)

@@ -1,19 +1,22 @@
-"""Bad data, badly shaped matrices and unknown names are rejected at the
-boundary with ``InvalidParams``, a ``CumicaError`` that is also a
-``ValueError``, and data whose moments overflow with ``NonFiniteInput``,
+"""Bad data, badly shaped matrices, bad counts, options and unknown names
+are rejected at the boundary with ``InvalidParams``, a ``CumicaError``
+that is also a ``ValueError``, bad generators and sample sizes with
+``InvalidSpec``, and data whose moments overflow with ``NonFiniteInput``,
 with no NumPy warning on the way (warnings are errors here)."""
 
 import numpy as np
 import pytest
 
-from cumica import (all_cumulant, compound_cumulant, compound_matrices,
-                    cum3_stack, cum4_stack, deflation_pp, fobi_matrix,
-                    inv_sqrt_sym, joint_diagonalize, mdi, polar_orthogonal,
-                    projection_cumulants, sample_cov, standardize,
-                    sym_eig, symmetric_pp)
+from cumica import (SolverOptions, all_cumulant, compound_cumulant,
+                    compound_matrices, cum3_stack, cum4_stack, deflation_pp,
+                    fobi_matrix, generate_ic_sample, inv_sqrt_sym,
+                    joint_diagonalize, mdi, monte_carlo_experiment,
+                    polar_orthogonal, projection_cumulants, random_orthogonal,
+                    sample_cov, sample_source, standardize, sym_eig,
+                    symmetric_pp)
 from cumica.asymptotics import asv_symmetric
-from cumica.errors import (InvalidParams, NonFiniteInput,
-                           NotPositiveDefinite)
+from cumica.errors import (InvalidParams, InvalidSpec, NonFiniteInput,
+                           NotPositiveDefinite, SingularInput)
 from cumica.simulation import _max_assignment
 
 GOOD = np.random.default_rng(0).normal(size=(50, 3))
@@ -54,6 +57,117 @@ def test_bad_data_raises_invalid_params(name, case):
         return
     with pytest.raises(InvalidParams, match=match):
         DATA_FUNCTIONS[name](X)
+
+
+MATRIX_FUNCTIONS = {
+    "sym_eig": sym_eig,
+    "inv_sqrt_sym": inv_sqrt_sym,
+    "polar_orthogonal": polar_orthogonal,
+    "mdi-W": lambda A: mdi(A, np.eye(3)),
+    "mdi-Omega": lambda A: mdi(np.eye(3), A),
+}
+BAD_MATRICES = {
+    "complex": (np.eye(3) + 1j, "real numbers, got dtype complex128"),
+    "str": (np.array([["a"] * 3] * 3), "real numbers, got dtype <U1"),
+    "numeric str": (np.eye(3).astype(str), "real numbers, got dtype <U"),
+    "object": (np.eye(3).astype(object), "real numbers, got dtype object"),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("case", BAD_MATRICES)
+@pytest.mark.parametrize("name", MATRIX_FUNCTIONS)
+def test_bad_matrices_raise_invalid_params(name, case):
+    A, match = BAD_MATRICES[case]
+    what = "a matrix" if name in ("sym_eig", "inv_sqrt_sym",
+                                  "polar_orthogonal") else name[4:]
+    with pytest.raises(InvalidParams, match=f"^expected {what} of {match}"):
+        MATRIX_FUNCTIONS[name](A)
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_non_finite_gain_raises_no_warning():
+    with pytest.raises(SingularInput, match="gain matrix has non-finite"):
+        mdi(np.eye(3), np.full((3, 3), np.inf))
+
+
+RNG = np.random.default_rng(0)
+BAD_COUNTS = {
+    "n negative": (lambda: sample_source("gamma:2", -1, RNG), InvalidSpec,
+                   r"^n must be >= 0, got -1$"),
+    "n fractional": (lambda: sample_source("gamma:2", 2.5, RNG), InvalidSpec,
+                     r"^n must be an integer, got 2\.5$"),
+    "n bool": (lambda: sample_source("normal", True, RNG), InvalidSpec,
+               r"^n must be an integer, got True$"),
+    "p negative": (lambda: random_orthogonal(-1, RNG), InvalidParams,
+                   r"^p must be >= 1, got -1$"),
+    "p zero": (lambda: random_orthogonal(0, RNG), InvalidParams,
+               r"^p must be >= 1, got 0$"),
+    "p fractional": (lambda: random_orthogonal(2.5, RNG), InvalidParams,
+                     r"^p must be an integer, got 2\.5$"),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("case", BAD_COUNTS)
+def test_bad_counts_are_named(case):
+    call, error, match = BAD_COUNTS[case]
+    with pytest.raises(error, match=match):
+        call()
+
+
+def test_counts_at_their_floors():
+    assert sample_source("gamma:2", 0, RNG).shape == (0,)
+    assert random_orthogonal(1, RNG).shape == (1, 1)
+
+
+OPTS_USERS = {
+    **{name: lambda opts, fit=fit: fit(GOOD, 0.8, opts)
+       for name, fit in ESTIMATORS.items()},
+    "monte_carlo_experiment": lambda opts: monte_carlo_experiment(
+        ("gamma:1", "gamma:4"), "symmetric", 0.8, 200, 2, opts=opts,
+        threads=1),
+}
+BAD_OPTS = {
+    "str": ("fast", "str 'fast'"),
+    "dict": ({"tol": 1e-9}, r"dict \{'tol': 1e-09\}"),
+    "empty dict": ({}, r"dict \{\}"),
+    "class": (SolverOptions, "type <class"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_OPTS)
+@pytest.mark.parametrize("name", OPTS_USERS)
+def test_bad_options_raise_invalid_params(name, case):
+    opts, match = BAD_OPTS[case]
+    with pytest.raises(InvalidParams,
+                       match=f"^opts must be a SolverOptions or None, got "
+                             f"{match}"):
+        OPTS_USERS[name](opts)
+
+
+GENERATOR_USERS = {
+    "sample_source": ("rng", lambda rng: sample_source("gamma:2", 5, rng)),
+    "generate_ic_sample": ("stream", lambda rng: generate_ic_sample(
+        ("gamma:1", "gamma:4"), 10, rng)),
+}
+BAD_GENERATORS = {
+    "None": (None, "NoneType"),
+    "int": (3, "int"),
+    "RandomState": (np.random.RandomState(0), "RandomState"),
+    "SeedSequence": (np.random.SeedSequence(0), "SeedSequence"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_GENERATORS)
+@pytest.mark.parametrize("name", GENERATOR_USERS)
+def test_bad_generators_raise_invalid_spec(name, case):
+    arg, call = GENERATOR_USERS[name]
+    rng, kind = BAD_GENERATORS[case]
+    with pytest.raises(InvalidSpec, match=f"^{arg} must be a "
+                                          f"numpy.random.Generator, got "
+                                          f"{kind}$"):
+        call(rng)
 
 
 ASYMMETRIC = np.array([[1.0, 2.0], [0.0, 1.0]])
