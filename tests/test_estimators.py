@@ -637,6 +637,59 @@ class TestLockstep:
         assert peak <= 12e6, f"peak {peak / 1e6:.1f} MB"
 
 
+class TestAscentExits:
+    """A restart leaves the lockstep batch at one of three exits:
+    stationary, a row delta below ``tol``, or the budget."""
+
+    @staticmethod
+    def exit_of(run, prev, opts):
+        """The one exit ``run``, an ascent alone, left at, checked
+        against ``prev``, the rotation before its last step."""
+        obj, mom, iters, converged, hist = run
+        assert 1 <= iters <= opts.max_iter
+        if len(hist) == iters:  # its last step was not taken
+            assert np.array_equal(mom.U, prev)
+            assert converged == np.isfinite(obj)
+            return "stationary"
+        assert len(hist) == iters + 1
+        small = estimators._sign_blind_row_delta(mom.U, prev) < opts.tol
+        assert converged == small
+        if small:
+            return "delta"
+        assert iters == opts.max_iter
+        return "budget"
+
+    @pytest.mark.parametrize("rows", [False, True], ids=["symmetric",
+                                                        "deflation"])
+    @pytest.mark.parametrize("max_iter", [1, 2, 500])
+    def test_each_restart_leaves_at_one_exit(self, rows, max_iter):
+        # the starts and their ends: a start at its end leaves at once,
+        # stationary or with a small delta, beside starts that ascend
+        xst = standardize(make_sample(n=3000)[0]).xst
+        kernel = partial(_TensorMoments, _pair_moments(xst)[1:])
+        starts, step, path = TestLockstep.ascents(xst, rows)
+        ends = estimators._ascend(0.8, kernel, starts, OPTS, step, path)
+        starts = np.concatenate([starts, [run[1].U for run in ends]])
+        opts = SolverOptions(tol=OPTS.tol, max_iter=max_iter)
+        runs = estimators._ascend(0.8, kernel, starts, opts, step, path)
+        exits = []
+        for i, run in enumerate(runs):
+            alone = estimators._ascend(0.8, kernel, starts[i:i + 1], opts,
+                                       step, path)[0]
+            assert run[2:4] == alone[2:4] and len(run[4]) == len(alone[4])
+            assert run[0] == pytest.approx(alone[0], rel=1e-12)
+            prev = starts[i] if alone[2] == 1 else estimators._ascend(
+                0.8, kernel, starts[i:i + 1], SolverOptions(
+                    tol=OPTS.tol, max_iter=alone[2] - 1), step, path)[0][1].U
+            exits.append(self.exit_of(alone, prev, opts))
+        # a short budget stops the starts that still ascend; their ends,
+        # and every start given 500 iterations, leave by another exit
+        k = len(ends) if max_iter < 500 else 0
+        assert exits[:k] == ["budget"] * k and "budget" not in exits[k:]
+        if not rows:
+            assert {"stationary", "delta"} <= set(exits)
+
+
 class TestNewtonStep:
     """The fixed-point step is taken on the estimating equations less
     their Gaussian part, ``T - 12 (1 - alpha) h4 U``: it has the fixed

@@ -514,6 +514,33 @@ class TestJacobiOrder:
         short = joint_diagonalize(mats, max_sweeps=res.sweeps - 1)
         assert not short.converged and short.sweeps == res.sweeps - 1
 
+    @pytest.mark.parametrize("p", [3, 6])
+    def test_a_sweep_below_tol_turns_nothing_and_stops(self, p):
+        # beside a stack that still turns, one whose angles are all
+        # nonzero but below tol turns by (c, s) = (1, 0), through _rotate
+        # at p = 3 and _turn at p = 6: it keeps its bits, gains exactly
+        # 0.0 and leaves after that one sweep, converged
+        rng = np.random.default_rng(24)
+        d = rng.uniform(1.0, 5.0, size=(4, p))
+        E = rng.normal(size=(4, p, p))
+        still = d[:, :, None] * np.eye(p) + 1e-14 * (E + E.transpose(0, 2, 1))
+        turning, _ = planted_stack(rng, p, 4, noise=0.3)
+        assert (cumica.linalg._rounds(p, 4)[0][2] is None) == (p == 3)
+        angles = []
+        for k, l in itertools.combinations(range(p), 2):
+            h1 = still[:, k, k] - still[:, l, l]
+            h2 = still[:, k, l] + still[:, l, k]
+            angles.append(abs(cumica.linalg._optimal_angle(
+                h1 @ h1, h1 @ h2, h2 @ h2)))
+        assert 0.0 < min(angles) and max(angles) < 1e-10
+        res, other = cumica.linalg._joint_diagonalize_stacks(
+            [still, turning], None, 1e-10, 100)
+        assert res.converged and res.sweeps == 1 and other.sweeps > 1
+        assert res.objective_history[1] - res.objective_history[0] == 0.0
+        assert res.diagonals.tobytes() == np.einsum("sii->si", still).tobytes()
+        assert np.array_equal(res.U, np.eye(p))
+        assert _same_result(res, joint_diagonalize(still))
+
     def test_round_robin_conserves_mass(self):
         # criterion 9's checks on stacks that take round-robin rounds
         rng = np.random.default_rng(5)
