@@ -34,7 +34,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import (InvalidParams, NonFiniteInput, NotPositiveDefinite,
-                     RankDeficient, _check_int, _check_tol, _real_array)
+                     RankDeficient, _check_generator, _check_int,
+                     _check_tol, _real_array)
 
 # Relative eigenvalue/singular-value floor below which a matrix is treated
 # as not positive definite / rank deficient.
@@ -87,7 +88,7 @@ def _require_symmetric_stack(stack, tol=1e-12, name="matrices[{}]"):
 
 
 def is_orthogonal(U, tol=1e-10):
-    U = np.asarray(U, dtype=float)
+    U = _real_array(U, "a matrix")
     return (U.ndim == 2 and U.shape[0] == U.shape[1]
             and np.abs(U @ U.T - np.eye(U.shape[0])).max() <= tol)
 
@@ -473,8 +474,10 @@ def _polar_step(T):
 
 def random_orthogonal(p, rng):
     """Haar-ish random orthogonal matrix: QR of a standard Gaussian draw.
-    A ``p`` that is not a positive integer raises ``InvalidParams``."""
+    A ``p`` that is not a positive integer raises ``InvalidParams``, an
+    ``rng`` that is not a Generator ``InvalidSpec``."""
     p = _check_int("p", p, 1, error=InvalidParams)
+    _check_generator("rng", rng)
     Z = rng.standard_normal((p, p))
     Q, R = np.linalg.qr(Z)
     return Q * np.sign(np.diag(R))

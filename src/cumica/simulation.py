@@ -311,13 +311,12 @@ def align_signed_permutation(W, target=None):
     Returns the aligned matrix ``P J W`` where the signed permutation
     minimizes the Frobenius distance to the target.
     """
-    W = np.asarray(W, dtype=float)
+    W = _real_array(W, "W")
     p = W.shape[0]
-    if target is None:
-        target = np.eye(p)
+    target = np.eye(p) if target is None else _real_array(target, "target")
     # Minimizing ||s_i W[j] - target[i]||^2 over the assignment j -> i
     # and signs reduces to maximizing sum |<W[j], target[i]>|.
-    M = W @ np.asarray(target, dtype=float).T  # M[j, i]
+    M = W @ target.T  # M[j, i]
     rows, cols = _max_assignment(np.abs(M))
     aligned = np.empty_like(W)
     for j, i in zip(rows, cols):

@@ -7,13 +7,13 @@ with no NumPy warning on the way (warnings are errors here)."""
 import numpy as np
 import pytest
 
-from cumica import (SolverOptions, all_cumulant, compound_cumulant,
-                    compound_matrices, cum3_stack, cum4_stack, deflation_pp,
-                    fobi_matrix, generate_ic_sample, inv_sqrt_sym,
-                    joint_diagonalize, mdi, monte_carlo_experiment,
-                    polar_orthogonal, projection_cumulants, random_orthogonal,
-                    sample_cov, sample_source, standardize, sym_eig,
-                    symmetric_pp)
+from cumica import (SolverOptions, align_signed_permutation, all_cumulant,
+                    compound_cumulant, compound_matrices, cum3_stack,
+                    cum4_stack, deflation_pp, fobi_matrix, generate_ic_sample,
+                    inv_sqrt_sym, is_orthogonal, joint_diagonalize, mdi,
+                    monte_carlo_experiment, polar_orthogonal,
+                    projection_cumulants, random_orthogonal, sample_cov,
+                    sample_source, standardize, sym_eig, symmetric_pp)
 from cumica.asymptotics import asv_symmetric
 from cumica.errors import (InvalidParams, InvalidSpec, NonFiniteInput,
                            NotPositiveDefinite, SingularInput)
@@ -63,8 +63,11 @@ MATRIX_FUNCTIONS = {
     "sym_eig": sym_eig,
     "inv_sqrt_sym": inv_sqrt_sym,
     "polar_orthogonal": polar_orthogonal,
+    "is_orthogonal": is_orthogonal,
     "mdi-W": lambda A: mdi(A, np.eye(3)),
     "mdi-Omega": lambda A: mdi(np.eye(3), A),
+    "align-W": align_signed_permutation,
+    "align-target": lambda A: align_signed_permutation(np.eye(3), A),
 }
 BAD_MATRICES = {
     "complex": (np.eye(3) + 1j, "real numbers, got dtype complex128"),
@@ -79,8 +82,7 @@ BAD_MATRICES = {
 @pytest.mark.parametrize("name", MATRIX_FUNCTIONS)
 def test_bad_matrices_raise_invalid_params(name, case):
     A, match = BAD_MATRICES[case]
-    what = "a matrix" if name in ("sym_eig", "inv_sqrt_sym",
-                                  "polar_orthogonal") else name[4:]
+    what = name.partition("-")[2] or "a matrix"
     with pytest.raises(InvalidParams, match=f"^expected {what} of {match}"):
         MATRIX_FUNCTIONS[name](A)
 
@@ -148,6 +150,7 @@ def test_bad_options_raise_invalid_params(name, case):
 
 GENERATOR_USERS = {
     "sample_source": ("rng", lambda rng: sample_source("gamma:2", 5, rng)),
+    "random_orthogonal": ("rng", lambda rng: random_orthogonal(3, rng)),
     "generate_ic_sample": ("stream", lambda rng: generate_ic_sample(
         ("gamma:1", "gamma:4"), 10, rng)),
 }
