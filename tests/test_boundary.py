@@ -138,6 +138,7 @@ BAD_OPTS = {
 }
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("case", BAD_OPTS)
 @pytest.mark.parametrize("name", OPTS_USERS)
 def test_bad_options_raise_invalid_params(name, case):
@@ -162,6 +163,7 @@ BAD_GENERATORS = {
 }
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("case", BAD_GENERATORS)
 @pytest.mark.parametrize("name", GENERATOR_USERS)
 def test_bad_generators_raise_invalid_spec(name, case):
