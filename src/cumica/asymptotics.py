@@ -21,7 +21,7 @@ import numpy as np
 
 from .distributions import MomentProfile, SourceSpec, moment_profile
 from .errors import (IndexOutOfRange, InvalidParams, ZeroDenominator,
-                     _check_alpha)
+                     _check_alpha, _check_real)
 
 #: Relative floor below which a population skewness / excess kurtosis is
 #: treated as an exact zero when testing denominators.
@@ -58,6 +58,12 @@ class AsvTable:
 
 
 def _as_profiles(profiles):
+    """The moment profiles of a sequence of profiles and source specs
+    (strings included); anything but a sequence, a str included, raises
+    ``InvalidParams``, and a member that is neither ``TypeError``."""
+    if isinstance(profiles, str) or not np.iterable(profiles):
+        raise InvalidParams(f"expected a sequence of moment profiles or "
+                            f"source specs, got {type(profiles).__name__}")
     out = []
     for pr in profiles:
         if isinstance(pr, (str, SourceSpec)):
@@ -269,6 +275,8 @@ def _snap(value, scale):
 
 
 def _mixture_profile_snapped(pi, mu):
+    pi = _check_real("mixing weight", pi)
+    mu = _check_real("location shift", mu)
     if not (0.0 < pi < 1.0):
         raise InvalidParams(f"mixing weight must be in (0, 1), got {pi!r}")
     if mu == 0.0 or not math.isfinite(mu):
@@ -339,7 +347,7 @@ def optimal_alpha(pi, mu, grid_tol=1e-3):
     -------
     (alpha_star, f_star)
     """
-    if not (1e-6 <= grid_tol <= 0.5):
+    if not (1e-6 <= _check_real("grid_tol", grid_tol) <= 0.5):
         raise InvalidParams(
             f"grid_tol must be in [1e-6, 0.5], got {grid_tol!r}")
     pr = _mixture_profile_snapped(pi, mu)

@@ -280,11 +280,12 @@ class _Kernel:
 class _RowMoments(_Kernel):
     """The moment kernel read from the rows by ``_row_sums``, one
     rotation at a time, equations included, so it holds no more than a
-    row block of Y whatever n is."""
+    row block of Y whatever n is.  A kernel of one sample reads every
+    rotation from it, so ``owner`` is ignored."""
 
     __slots__ = ()
 
-    def __init__(self, xst, U):
+    def __init__(self, xst, U, owner=None):
         if U.ndim == 2:
             sums = _row_sums(xst, U)
         else:
@@ -330,27 +331,41 @@ class _TensorMoments(_Kernel):
     the pair ``(a, b)``, and ``E[y^3 x] = E[y^2 x x^T] u``.  ``h3`` and
     ``m4`` are these dotted with ``u``, so the estimating equations come
     with the moments.  A build costs O(k p^4) per rotation of k rows,
-    whatever n is.  A stack is read in groups of rotations whose ``(k, p,
-    p)`` gathers hold at most ``_GATHER_ENTRIES`` entries together, so a
-    large fit's batch of restarts needs no more memory than one
-    restart."""
+    whatever n is.
+
+    The tensors are one sample's, ``(m, p)`` and ``(m, m)``, which every
+    rotation reads (``owner`` is then ignored), or a stack of several
+    samples', ``(s, m, p)`` and ``(s, m, m)``, of which each rotation
+    reads sample ``owner`` (one index per rotation of a stack).  A stack
+    of rotations is read in groups whose gathers, of ``E[y^2 x x^T]`` and
+    of stacked tensors, hold at most ``_GATHER_ENTRIES`` entries
+    together, so a large batch needs no more memory than one rotation."""
 
     __slots__ = ()
 
-    def __init__(self, tensors, U):
+    def __init__(self, tensors, U, owner=None):
         k, p = U.shape[-2:]
-        group = max(1, _GATHER_ENTRIES // (k * p * p))
-        if U.ndim == 2 or len(U) <= group:
+        M3, M4 = tensors
+        stacked = M3.ndim == 3
+        if stacked and U.ndim == 2:
+            tensors, stacked = (M3[owner], M4[owner]), False
+        group = max(1, _GATHER_ENTRIES // (
+            k * p * p + (M3[0].size + M4[0].size if stacked else 0)))
+        if U.ndim == 2:
             T3, T4 = _tensor_equations(tensors, U)
         else:
-            T3, T4 = (np.concatenate(a) for a in zip(*(
-                _tensor_equations(tensors, U[s:s + group])
-                for s in range(0, len(U), group))))
+            parts = [_tensor_equations(
+                (M3[owner[s:s + group]], M4[owner[s:s + group]])
+                if stacked else tensors, U[s:s + group])
+                for s in range(0, len(U), group)]
+            T3, T4 = parts[0] if len(parts) == 1 else (
+                np.concatenate(a) for a in zip(*parts))
         super().__init__(U, _rowdot(T3, U), _rowdot(T4, U), T3, T4)
 
 
-# The tensor kernel gathers ``E[y^2 x x^T]`` for at most this many
-# entries at a time (1 MB, the gather of one rotation at p = 50).
+# The tensor kernel gathers ``E[y^2 x x^T]``, and the tensors of a stack
+# of samples, for at most this many entries at a time (1 MB, the gather
+# of one rotation at p = 50).
 _GATHER_ENTRIES = 1 << 17
 
 

@@ -108,6 +108,17 @@ class SourceSpec:
         return ":".join([self.family] + [repr(float(v)) for v in self.params])
 
 
+def _as_spec(spec):
+    """``spec`` as a ``SourceSpec``: as it is, or parsed from a string;
+    anything else raises ``InvalidSpec``."""
+    if isinstance(spec, str):
+        return SourceSpec.parse(spec)
+    if not isinstance(spec, SourceSpec):
+        raise InvalidSpec(f"expected a source spec or its string, got "
+                          f"{type(spec).__name__}")
+    return spec
+
+
 _NORMAL_MOMENTS = (1.0, 0.0, 1.0, 0.0, 3.0, 0.0, 15.0)  # E N(0,1)^r, r=0..6
 # The variance formulas multiply standardized moments up to a total order
 # of 16 (the squared fourth-cumulant criterion): with |E z^r| capped at
@@ -179,10 +190,10 @@ def moment_profile(spec):
     """Exact moment profile of a parsed (or string) source spec.
 
     Raises ``InvalidSpec`` when a standardized moment ``E z^r`` exceeds
-    ``1e18**r`` or overflows in floating point.
+    ``1e18**r`` or overflows in floating point, or for a ``spec`` that is
+    neither a spec nor its string.
     """
-    if isinstance(spec, str):
-        spec = SourceSpec.parse(spec)
+    spec = _as_spec(spec)
     try:
         m = _standardized_moments(spec)
         representable = all(abs(m[r]) <= _MOMENT_SCALE**r for r in range(3, 7))
@@ -226,8 +237,7 @@ def sample_source(spec, n, rng):
     """
     n = _check_int("n", n, 0)
     _check_generator("rng", rng)
-    if isinstance(spec, str):
-        spec = SourceSpec.parse(spec)
+    spec = _as_spec(spec)
     if spec.family == "normal":
         return rng.standard_normal(n)
     if spec.family == "gamma":

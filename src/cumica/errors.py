@@ -84,17 +84,35 @@ def _check_int(name, value, low=None, kind=None, error=InvalidSpec):
     return int(value)
 
 
-def _real_array(A, what):
+def _real_array(A, what, ndim=None):
     """``A`` as a float array, if its entries are real numbers (bools and
-    integers included); otherwise raise ``InvalidParams``, saying that
-    ``what`` must be of real numbers.  The type is checked before the
-    cast, so complex entries raise no ``ComplexWarning`` and str or
-    object ones no bare ``TypeError`` or ``ValueError``."""
-    A = np.asarray(A)
+    integers included) and, where ``ndim`` is given, it has that many
+    axes; otherwise raise ``InvalidParams``, saying what ``what`` must
+    be.  The type is checked before the cast, so complex entries raise no
+    ``ComplexWarning``, str or object ones no bare ``TypeError`` or
+    ``ValueError``, and nested sequences of unequal lengths no bare
+    ``ValueError``; the axes are checked before any is indexed."""
+    try:
+        A = np.asarray(A)
+    except ValueError:  # NumPy's message for a ragged nesting
+        raise InvalidParams(f"expected {what} of real numbers, got "
+                            f"sequences of unequal shapes") from None
     if A.dtype.kind not in "biuf":
         raise InvalidParams(f"expected {what} of real numbers, got dtype "
                             f"{A.dtype}")
+    if ndim is not None and A.ndim != ndim:
+        raise InvalidParams(f"expected {what} to be a {ndim}-d array, got "
+                            f"shape {A.shape}")
     return A.astype(float, copy=False)
+
+
+def _check_real(name, value):
+    """``value`` as a float, if it is a real number (NumPy's included, a
+    bool not); otherwise raise ``InvalidParams``."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value,
+                                                             numbers.Real):
+        raise InvalidParams(f"{name} must be a real number, got {value!r}")
+    return float(value)
 
 
 def _check_generator(name, rng):

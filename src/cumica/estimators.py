@@ -68,12 +68,19 @@ in the place of the fit it stopped.  A JADE fit needs its sample only
 for one pass that forms the cumulant matrices and moment tensors: its
 rotation is found from the matrices and read from the tensors (Cardoso
 & Souloumiac 1993).  So ``_all_cumulant_block`` runs that pass in the
-loop and rotates in one batch; a single fit is its block of one.
+loop and rotates every sample's matrices in one Jacobi batch.  A
+symmetric fit whose kernel reads the moment tensors needs its sample
+only for the pass that forms them, so ``_symmetric_block`` runs that
+pass in the loop, and then every start of every sample ascends in one
+lockstep batch, each rotation reading its own sample's tensors; a sample
+whose kernel reads the rows is solved alone as it is prepared.  A single
+fit of either method is its block of one; the deflation and compound
+fits run one sample at a time.
 """
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
@@ -84,8 +91,8 @@ from .cumulants import (_cumulant_stacks, _Kernel, _pair_moments, _pairs,
 from .errors import (CumicaError, DegenerateObjective, InvalidParams,
                      NearDegenerateSpectrum, RankDeficient, _check_alpha,
                      _check_int, _check_tol)
-from .linalg import (_joint_diagonalize_stacks, _polar_step, _rowdot,
-                     joint_diagonalize, random_orthogonal, sym_eig)
+from .linalg import (_jacobi, _polar_step, _require_symmetric_stack,
+                     _rowdot, joint_diagonalize, random_orthogonal, sym_eig)
 
 #: Objective floor (times p) below which the estimate cannot be trusted
 #: to separate anything; triggers the DegenerateObjective warning.
@@ -231,17 +238,42 @@ def _moment_kernel(xst):
     for p rows, 1.06x or more for one; below p = 10 both take tens of
     microseconds), and the tensors' ``p^4 / 4`` floats are no more than
     the ``n p`` of the sample itself."""
-    n, p = xst.shape
-    if p ** 3 <= 4 * n:
+    if _reads_tensors(xst):
         return partial(_TensorMoments, _pair_moments(xst)[1:])
     return partial(_RowMoments, xst)
+
+
+def _reads_tensors(xst):
+    """Whether the moment kernel of ``xst`` reads its moment tensors,
+    where ``p^3 <= 4 n`` (see ``_moment_kernel``), not its rows."""
+    n, p = xst.shape
+    return p ** 3 <= 4 * n
+
+
+def _lockstep_kernel(kernels, restarts):
+    """The kernel ``(U, starts) -> moments`` of ``_ascend`` on samples
+    with the moment kernels ``kernels``, each from ``restarts`` starts in
+    turn, so the start s is sample ``s // restarts``'s.  One sample's
+    kernel reads every rotation as a fit alone reads it; several
+    samples' kernels are tensor kernels, whose tensors are stacked once,
+    and each build reads each rotation from its own sample's."""
+    if len(kernels) == 1:
+        kernel, = kernels
+        return lambda U, starts: kernel(U)
+    tensors = [np.stack(a) for a in zip(*(k.args[0] for k in kernels))]
+    return lambda U, starts: _TensorMoments(
+        tensors, U, np.asarray(starts) // restarts)
 
 
 def _ascend(alpha, kernel, U0, opts, step, path):
     """Fixed-point ascents of the objective from each rotation of the
     ``(b, k, p)`` stack ``U0``, in lockstep: an iteration builds one
     moment kernel for the rows of every rotation still ascending, and
-    each rotation keeps the rules it would follow alone.
+    each rotation keeps the rules it would follow alone.  ``kernel(U,
+    starts)`` builds the moments of the stack U whose rotations come from
+    the starts (indices into U0) ``starts``, or of the one rotation U from
+    the start ``starts``; a kernel of one sample ignores the starts, and
+    one of a block's samples reads each rotation from its own sample's.
 
     ``step(T')`` maps the Newton-form equations ``T' = T - 12 (1 -
     alpha) h4 U`` at the current rotations U to the next rotations, NaN
@@ -263,14 +295,14 @@ def _ascend(alpha, kernel, U0, opts, step, path):
     """
     runs = [None] * len(U0)
     live = list(range(len(U0)))  # the start of each rotation in the batch
-    mom = kernel(U0)
+    mom = kernel(U0, live)
     obj = mom.objective(alpha)
     T = mom.gradient(alpha)
     hists = [[o] for o in obj]
     gauss = 12.0 * (1.0 - alpha)
     for iters in range(1, opts.max_iter + 1):
         # the Newton-form step: T less its Gaussian part
-        new = kernel(step(T - gauss * (mom.h4[..., None] * mom.U)))
+        new = kernel(step(T - gauss * (mom.h4[..., None] * mom.U)), live)
         obj_new = new.objective(alpha)
         T_new = new.gradient(alpha)  # the next step's, taken once
         leave = {}  # row -> (objective, moments, converged), if it stops
@@ -279,7 +311,7 @@ def _ascend(alpha, kernel, U0, opts, step, path):
             # numpy's spacing)
             floor = 16.0 * math.ulp(o)
             if not o_new >= o - floor:
-                back = _backtrack(alpha, kernel, o, floor,
+                back = _backtrack(alpha, kernel, live[i], o, floor,
                                   *path(mom.U[i], T[i]))
                 if back is None:  # numerically stationary: it ends here
                     leave[i] = (o, mom, math.isfinite(o))
@@ -308,18 +340,19 @@ def _ascend(alpha, kernel, U0, opts, step, path):
     return runs
 
 
-def _backtrack(alpha, kernel, obj, floor, point, slope):
+def _backtrack(alpha, kernel, start, obj, floor, point, slope):
     """Ascent fallback: the kernel and objective of the first
-    ``point(t)``, t = 1, 1/2, 1/4, ..., whose objective is not below
-    ``obj``.  ``slope`` is the objective's derivative along the path at t
-    = 0, so a point is tried only while its first-order gain ``t *
-    slope`` exceeds ``floor``, the rounding of ``obj``.  Returns None
-    when no such point gains: the objective is numerically stationary."""
+    ``point(t)``, t = 1, 1/2, 1/4, ..., of the rotation from ``start``
+    whose objective is not below ``obj``.  ``slope`` is the objective's
+    derivative along the path at t = 0, so a point is tried only while
+    its first-order gain ``t * slope`` exceeds ``floor``, the rounding of
+    ``obj``.  Returns None when no such point gains: the objective is
+    numerically stationary."""
     t = 1.0
     for _ in range(60):
         if not t * slope > floor:
             break
-        cand = kernel(point(t))
+        cand = kernel(point(t), start)
         obj_c = cand.objective(alpha)
         if obj_c >= obj:
             return cand, obj_c
@@ -391,8 +424,8 @@ def _deflation_solve(xst, alpha, opts):
             nrm = np.linalg.norm(u)
             u[:] = _orthocomplement_vector(prev) if nrm < 1e-8 else u / nrm
         obj, mom, iters, conv, hist = _best(_ascend(
-            alpha, kernel, U0, opts, partial(_sphere_step, project),
-            partial(_sphere_path, project)))
+            alpha, _lockstep_kernel([kernel], opts.restarts), U0, opts,
+            partial(_sphere_step, project), partial(_sphere_path, project)))
         rows.append(mom.U[0])
         iterations.append(iters)
         histories.append(hist)
@@ -438,14 +471,80 @@ def symmetric_pp(X, alpha, opts=None):
     the largest final objective wins, ties resolved toward the earlier
     start.
     """
-    return _fit("symmetric", X, alpha, opts, _symmetric_solve)
+    alpha, opts = _check_alpha(alpha), _solver_options(opts)
+    est, = _symmetric_block([lambda: (X, opts.seed)], alpha, opts)
+    if isinstance(est, Exception):
+        raise est
+    return est
 
 
 def _symmetric_solve(xst, alpha, opts):
-    obj, mom, iters, converged, hist = _best(_ascend(
-        alpha, _moment_kernel(xst), _stage_starts(xst.shape[1], opts), opts,
-        _polar_step, _cayley_path))
+    """The symmetric fit of the standardized sample ``xst`` from the
+    starts of ``opts.seed``, as the compound fit's symmetric pilot reads
+    it: the winning (kernel, objective, iterations, converged, restarts
+    used, objective history)."""
+    obj, mom, iters, converged, hist = _symmetric_runs(
+        alpha, [_moment_kernel(xst)], [_stage_starts(xst.shape[1], opts)],
+        opts)[0]
     return mom, obj, [iters], converged, opts.restarts, hist
+
+
+def _symmetric_runs(alpha, kernels, starts, opts):
+    """The best run (see ``_best``) of the symmetric fit of each sample,
+    whose moment kernel is ``kernels[i]`` and whose ``(restarts, p, p)``
+    starts are ``starts[i]``: every start of every sample ascends in one
+    lockstep batch (``_lockstep_kernel``), each as it would alone."""
+    r = len(starts[0])
+    runs = _ascend(alpha, _lockstep_kernel(kernels, r),
+                   np.concatenate(starts), opts, _polar_step, _cayley_path)
+    return [_best(runs[i:i + r]) for i in range(0, len(runs), r)]
+
+
+def _symmetric_block(draws, alpha, opts):
+    """``symmetric_pp`` of the samples of ``draws`` (see ``_fit_each``),
+    each from the starts of its own solver seed; a single fit is the
+    block of one.
+
+    Each sample is reduced to its whitener and moment kernel before the
+    next is drawn, so where the kernel reads the moment tensors the block
+    holds O(p^4) floats per sample and one sample at a time.  Those
+    samples then ascend in one batch (``_symmetric_runs``); a sample
+    whose kernel reads the rows (``p^3 > 4 n``) is solved alone, before
+    the next is drawn.  The error that stopped a preparation stands in
+    the place of its fit; so does one that stops the batch, which is
+    then solved one sample at a time to find the fits it stopped.
+    """
+    def prepare(X, seed):
+        st = standardize(X)  # its whitened copy is dropped on return
+        kernel = _moment_kernel(st.xst)
+        starts = _stage_starts(st.xst.shape[1], replace(opts, seed=seed))
+        run = None if _reads_tensors(st.xst) else _symmetric_runs(
+            alpha, [kernel], [starts], opts)[0]
+        return [st.whitener, kernel, starts, run]
+    preps = _fit_each(prepare, draws)
+    waiting = [prep for prep in preps
+               if not isinstance(prep, Exception) and prep[3] is None]
+    if waiting:
+        try:
+            runs = _symmetric_runs(alpha, [prep[1] for prep in waiting],
+                                   [prep[2] for prep in waiting], opts)
+        except (CumicaError, np.linalg.LinAlgError):
+            # one sample at a time, so the error stands in its fit's place
+            runs = _fit_each(
+                lambda kernel, starts: _symmetric_runs(
+                    alpha, [kernel], [starts], opts)[0],
+                [lambda prep=prep: prep[1:3] for prep in waiting])
+        for prep, run in zip(waiting, runs):
+            prep[3] = run
+    fits = []
+    for prep in preps:  # no comprehension, whose frame would move warnings
+        fit = prep if isinstance(prep, Exception) else prep[3]
+        if not isinstance(fit, Exception):
+            obj, mom, iters, converged, hist = fit
+            fit = _estimate("symmetric", prep[0], alpha, mom, obj, [iters],
+                            converged, opts.restarts, hist)
+        fits.append(fit)
+    return fits
 
 
 def _cayley_path(U, T):
@@ -569,21 +668,22 @@ def all_cumulant(X, alpha, opts=None):
 
 
 def _all_cumulant_matrices(xst, alpha):
-    """The matrices a JADE fit of the standardized sample ``xst``
-    diagonalizes, their weights, and the sample's moment tensors, all
-    from one pass over the pair products; a stack whose weight is zero
-    is not built."""
+    """The stacks of matrices a JADE fit of the standardized sample
+    ``xst`` diagonalizes (its third-cumulant matrices, its
+    fourth-cumulant ones, or both), the weight of each matrix, and the
+    sample's moment tensors, all from one pass over the pair products; a
+    stack whose weight is zero is not built."""
     p = xst.shape[1]
     c3, c4, tensors = _cumulant_stacks(xst, alpha > 0.0, alpha < 1.0)
-    matrices, weights = [], []
+    stacks, weights = [], []
     if c3 is not None:
-        matrices.extend(c3)
-        weights.extend([alpha] * p)
+        stacks.append(c3)
+        weights.append(np.full(p, alpha))
     if c4 is not None:
-        matrices.extend(c4)
+        stacks.append(c4)
         # pairs (i, j) with i < j stand in for both (i, j) and (j, i).
-        weights.extend((1.0 - alpha) * _pairs(p)[3])
-    return matrices, weights, tensors
+        weights.append((1.0 - alpha) * _pairs(p)[3])
+    return stacks, np.concatenate(weights), tensors
 
 
 def _fit_each(fit, draws):
@@ -610,25 +710,38 @@ def _all_cumulant_block(draws, alpha, opts):
 
     Each sample is reduced to its cumulant matrices and moment tensors
     before the next is drawn, so the block holds O(p^4) floats per sample
-    and one sample at a time.  Then one ``_joint_diagonalize_stacks`` call
-    rotates every sample's stack, each as it would alone, and each fit
-    reads its rotation's moments from its tensors; the error that stopped
-    a preparation stands in the place of its fit.
+    and one sample at a time.  The matrices are written, checked, straight
+    into the block's matrix-last Jacobi stacks, which one ``_jacobi`` call
+    then rotates, each stack as it would alone, and each fit reads its
+    rotation's moments from its tensors; the error that stopped a
+    preparation stands in the place of its fit.
     """
+    ready = []  # the whitener and moment tensors of each sample prepared
+    stacks = weights = None  # their matrices, a stack each, and weights
+
     def prepare(X, _):
+        nonlocal stacks, weights
         st = standardize(X)  # its whitened copy is dropped on return
-        return (st.whitener, *_all_cumulant_matrices(st.xst, alpha))
+        parts, weights, tensors = _all_cumulant_matrices(st.xst, alpha)
+        if stacks is None:
+            p = len(st.whitener)
+            stacks = np.empty((len(draws), p, p, len(weights)))
+        out, s = stacks[len(ready)], 0
+        for part in parts:
+            out[..., s:s + len(part)] = part.transpose(1, 2, 0)
+            s += len(part)
+        _require_symmetric_stack(out.transpose(2, 0, 1))
+        ready.append((st.whitener, tensors))
+        return ready[-1]
     preps = _fit_each(prepare, draws)
-    ready = [prep for prep in preps if not isinstance(prep, Exception)]
-    results = iter(_joint_diagonalize_stacks(
-        [matrices for _, matrices, _, _ in ready], ready[0][2],
-        **_sweep_limits(opts)) if ready else ())
+    results = iter(_jacobi(stacks[:len(ready)], weights,
+                           **_sweep_limits(opts)) if ready else ())
     fits = []
     for prep in preps:  # no comprehension, whose frame would move warnings
         if not isinstance(prep, Exception):
             res = next(results)
             prep = _estimate("all_cumulant", prep[0], alpha,
-                             _TensorMoments(prep[3], res.U), res.objective,
+                             _TensorMoments(prep[1], res.U), res.objective,
                              [res.sweeps], res.converged, 1,
                              res.objective_history)
         fits.append(prep)

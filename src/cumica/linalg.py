@@ -287,21 +287,26 @@ def _joint_diagonalize_stacks(stacks, weights, tol, max_sweeps):
     with its own angles.  A stack that converges stops rotating, so each
     one ends as it would alone, to the bit.  Returns one
     ``JointDiagResult`` per stack, in order."""
-    m = len(stacks[0]) if len(stacks) else 0
-    shape = np.shape(stacks[0][0]) if m else ()
-    if len(shape) != 2 or shape[0] != shape[1]:
-        raise InvalidParams(f"expected a nonempty stack of square matrices, "
-                            f"got {m} of shape {shape}")
-    p = shape[0]
-    buf = np.empty((len(stacks), p, p, m))
-    for b, matrices in enumerate(stacks):
+    # each member checked as it is, so a list of views is not copied
+    stacks = [[_real_array(A, "matrices") for A in
+               (S if np.iterable(S) else [S])] for S in stacks]
+    m = len(stacks[0])
+    shape = stacks[0][0].shape if m else ()
+    for members in stacks:
+        if (len(members) != m or len(shape) != 2 or shape[0] != shape[1]
+                or any(A.shape != shape for A in members)):
+            raise InvalidParams(f"expected a nonempty stack of square "
+                                f"matrices, got {len(members)} of shape "
+                                f"{members[-1].shape if members else ()}")
+    buf = np.empty((len(stacks), shape[0], shape[0], m))
+    for b, members in enumerate(stacks):
         # the one copy, rotated in place
-        np.stack(matrices, axis=-1, out=buf[b])
+        np.stack(members, axis=-1, out=buf[b])
         _require_symmetric_stack(buf[b].transpose(2, 0, 1))
     if weights is None:
         w = np.ones(m)
     else:
-        w = np.asarray(weights, dtype=float)
+        w = _real_array(weights, "weights")
         if w.shape != (m,):
             raise InvalidParams(f"expected {m} weights, got shape {w.shape}")
         if not np.isfinite(w).all():
@@ -323,7 +328,8 @@ def _jacobi(stacks, w, tol, max_sweeps):
     most ``16 * ulp(objective)``, the objective's rounding (a sweep whose
     angles are all below ``tol`` turns nothing, so it gains nothing), or
     unconverged at ``max_sweeps``.  A stack that stops leaves the batch,
-    so no stack's bits depend on the others."""
+    so no stack's bits depend on the others: the stacks still rotating
+    move up in place, so the array ends in no particular order."""
     B, p, _, m = stacks.shape
     U = np.broadcast_to(np.eye(p), (B, p, p)).copy()
     with np.errstate(over="ignore", invalid="ignore"):
@@ -397,8 +403,12 @@ def _jacobi(stacks, w, tol, max_sweeps):
                 keep.append(i)
         if len(keep) < len(live):
             live = [live[i] for i in keep]
-            if live:
-                stacks, U = stacks[keep], U[keep]
+            # the stacks still rotating move to the front, in place, so
+            # the batch never holds a second copy of them
+            for row, i in enumerate(keep):
+                if row < i:
+                    stacks[row], U[row] = stacks[i], U[i]
+            stacks, U = stacks[:len(keep)], U[:len(keep)]
     for i, j in enumerate(live):  # out of sweeps
         finish(i, j, False)
     return results

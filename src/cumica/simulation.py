@@ -10,12 +10,18 @@ Seeding discipline: a run takes one master seed and spawns one
 SeedSequence per replication from it before any work is dispatched;
 ``_replication_sample`` alone maps one to its replication's sample and
 solver seed (``cumica simulate --emit-data`` writes replication 0's).
-Replications run in fixed blocks of ``_BLOCK``, one pool task each that
-carries the run's settings once, so results are bitwise identical
-whatever the worker count.  Every block runs through one loop,
-``estimators._fit_each``, which draws one sample at a time and counts a
-numerical error as its replication's failure; a JADE block then rotates
-all of its cumulant stacks in one batched joint diagonalization.
+Replications run in blocks, one pool task each that carries the run's
+settings once.  A symmetric or JADE block is one worker's equal share of
+the replications, capped by a count and a budget of floats
+(``_block_size``), and is fitted as one batch: a symmetric block's
+starts ascend in one lockstep batch, and a JADE block's cumulant stacks
+are rotated in one batched joint diagonalization.  The deflation and
+compound methods fit one replication at a time, in fixed blocks of
+``_BLOCK``, which balance the workers' load.  Each replication ends as
+its fit alone ends, so results are bitwise identical whatever the worker
+count.  Every block runs through one loop, ``estimators._fit_each``,
+which draws one sample at a time and counts a numerical error as its
+replication's failure.
 """
 
 import itertools
@@ -29,20 +35,31 @@ from functools import partial
 import numpy as np
 
 from . import asymptotics
-from .distributions import SourceSpec, moment_profile, sample_source
+from .distributions import _as_spec, moment_profile, sample_source
 from .errors import (AssumptionViolated, CumicaError, CumicaWarning,
                      InvalidParams, InvalidSpec, SingularInput,
                      TooManyFailures, _check_alpha, _check_generator,
                      _check_int, _real_array)
 from .estimators import (_all_cumulant_block, _fit_each, _solver_options,
-                         all_cumulant, compound_cumulant, deflation_pp,
-                         symmetric_pp)
+                         _symmetric_block, all_cumulant, compound_cumulant,
+                         deflation_pp, symmetric_pp)
 
 _MAX_CONDITION = 1e8
 
-# Monte Carlo replications per pool task, whatever the worker count, so
-# a replication's work never depends on how many workers there are.
+# Monte Carlo replications per pool task of a method fitted one
+# replication at a time, whatever the worker count, so the tasks balance
+# the workers' load.
 _BLOCK = 8
+
+# The methods whose block of replications is fitted as one batch, each
+# replication as it would be alone, and the caps on such a block (see
+# _block_size).  The count keeps the message that returns a block's
+# outcomes small: at p = 3, blocks of 128 raised the parent's peak
+# resident memory by about 0.15 MB, and blocks of 64 did not.
+_BATCHES = {"symmetric": _symmetric_block,
+            "all_cumulant": _all_cumulant_block}
+_BATCH_FLOATS = 1 << 22
+_BATCH_REPS = 64
 
 # The method registry: estimator and variance table per canonical name,
 # looked up at call time; resolve_method applies the aliases.
@@ -112,8 +129,7 @@ class IcModelSpec:
     shift: object = None
 
     def __post_init__(self):
-        parsed = tuple(SourceSpec.parse(s) if isinstance(s, str) else s
-                       for s in self.sources)
+        parsed = tuple(_as_spec(s) for s in self.sources)
         if not parsed:
             raise InvalidSpec("model needs at least one source")
         self.sources = parsed
@@ -280,7 +296,7 @@ def mdi(W, Omega):
     matched row's scale is then optimal in closed form.  The result lies
     in [0, 1]; 0 exactly when W Omega is a scaled signed permutation.
     """
-    W, Omega = _real_array(W, "W"), _real_array(Omega, "Omega")
+    W, Omega = _real_array(W, "W", ndim=2), _real_array(Omega, "Omega", ndim=2)
     p = W.shape[0]
     if W.shape != (p, p) or Omega.shape != (p, p):
         raise InvalidParams("mdi needs two square matrices of equal size")
@@ -311,9 +327,14 @@ def align_signed_permutation(W, target=None):
     Returns the aligned matrix ``P J W`` where the signed permutation
     minimizes the Frobenius distance to the target.
     """
-    W = _real_array(W, "W")
+    W = _real_array(W, "W", ndim=2)
     p = W.shape[0]
-    target = np.eye(p) if target is None else _real_array(target, "target")
+    target = (np.eye(p) if target is None
+              else _real_array(target, "target", ndim=2))
+    if W.shape != (p, p) or target.shape != (p, p):
+        raise InvalidParams(f"alignment needs a square W and a target of "
+                            f"its size, got shapes {W.shape} and "
+                            f"{target.shape}")
     # Minimizing ||s_i W[j] - target[i]||^2 over the assignment j -> i
     # and signs reduces to maximizing sum |<W[j], target[i]>|.
     M = W @ target.T  # M[j, i]
@@ -482,17 +503,39 @@ def _outcome(est, Omega):
     return ("ok", None, aligned, score)
 
 
+def _block_size(method, p, alpha, restarts, replications, threads):
+    """Replications per pool task: ``_BLOCK`` for a method fitted one
+    replication at a time; for a batched one, a worker's equal share,
+    capped at ``_BATCH_REPS`` replications and so that the block holds at
+    most ``_BATCH_FLOATS`` floats, and at least one replication.  A JADE
+    replication holds its moment tensors and its Jacobi stack; a
+    symmetric one its tensors, which the batch stacks once more, and
+    about ten p x p matrices per start."""
+    if method not in _BATCHES:
+        return _BLOCK
+    m = p * (p + 1) // 2
+    tensors = m * p + m * m
+    if method == "all_cumulant":
+        stack = ((alpha > 0.0) * p + (alpha < 1.0) * m) * p * p
+        floats = tensors + stack
+    else:
+        floats = 2 * tensors + 10 * restarts * p * p
+    return max(1, min(-(-replications // threads), _BATCH_REPS,
+                      _BATCH_FLOATS // floats))
+
+
 def _run_block(run, seqs):
     """The outcomes of one block of Monte Carlo replications, from the
     run's settings ``run`` and the block's SeedSequences ``seqs``; must
     stay a top-level function so the process pool can pickle it.  Every
-    method's samples go through ``_fit_each``, JADE's inside its batch."""
+    method's samples go through ``_fit_each``, a batched method's inside
+    its batch."""
     model, method, alpha, n, opts = run
     draws = [partial(_replication_sample, model, n, seq) for seq in seqs]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", CumicaWarning)
-        if method == "all_cumulant":
-            fits = _all_cumulant_block(draws, alpha, opts)
+        if method in _BATCHES:
+            fits = _BATCHES[method](draws, alpha, opts)
         else:
             fits = _fit_each(lambda X, seed: _ESTIMATORS[method](
                 X, alpha, opts=replace(opts, seed=seed)), draws)
@@ -539,8 +582,10 @@ def monte_carlo_experiment(model, method, alpha, n, replications,
     replica = IcModelSpec(sources=model.sources)  # identity mixing, no shift
     run = (replica, method, alpha, n, opts)
     seqs = _seed_sequence(master_seed).spawn(replications)
-    blocks = [seqs[i:i + _BLOCK] for i in range(0, replications, _BLOCK)]
     threads = min(resolve_threads(threads), replications)
+    size = _block_size(method, model.p, alpha, opts.restarts, replications,
+                       threads)
+    blocks = [seqs[i:i + size] for i in range(0, replications, size)]
     if threads > 1:
         # the pool's modules load only for a run that uses them
         from concurrent.futures import ProcessPoolExecutor

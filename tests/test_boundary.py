@@ -14,9 +14,11 @@ from cumica import (SolverOptions, align_signed_permutation, all_cumulant,
                     monte_carlo_experiment, polar_orthogonal,
                     projection_cumulants, random_orthogonal, sample_cov,
                     sample_source, standardize, sym_eig, symmetric_pp)
-from cumica.asymptotics import asv_symmetric
+from cumica.asymptotics import asv_symmetric, optimal_alpha
+from cumica.distributions import moment_profile
 from cumica.errors import (InvalidParams, InvalidSpec, NonFiniteInput,
                            NotPositiveDefinite, SingularInput)
+from cumica.simulation import IcModelSpec
 from cumica.simulation import _max_assignment
 
 GOOD = np.random.default_rng(0).normal(size=(50, 3))
@@ -68,6 +70,9 @@ MATRIX_FUNCTIONS = {
     "mdi-Omega": lambda A: mdi(np.eye(3), A),
     "align-W": align_signed_permutation,
     "align-target": lambda A: align_signed_permutation(np.eye(3), A),
+    "joint_diagonalize-matrices": lambda A: joint_diagonalize([A]),
+    "joint_diagonalize-weights": lambda A: joint_diagonalize(
+        [np.eye(3)] * 3, weights=A[0]),
 }
 BAD_MATRICES = {
     "complex": (np.eye(3) + 1j, "real numbers, got dtype complex128"),
@@ -116,6 +121,28 @@ def test_bad_counts_are_named(case):
     call, error, match = BAD_COUNTS[case]
     with pytest.raises(error, match=match):
         call()
+
+
+SPEC_USERS = {
+    "moment_profile": moment_profile,
+    "sample_source": lambda spec: sample_source(spec, 5, RNG),
+    "IcModelSpec": lambda spec: IcModelSpec(sources=("gamma:2", spec)),
+}
+BAD_SPECS = {
+    "None": (None, "NoneType"),
+    "float": (2.0, "float"),
+    "profile": (moment_profile("gamma:2"), "MomentProfile"),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("case", BAD_SPECS)
+@pytest.mark.parametrize("name", SPEC_USERS)
+def test_bad_specs_raise_invalid_spec(name, case):
+    spec, kind = BAD_SPECS[case]
+    with pytest.raises(InvalidSpec, match=f"^expected a source spec or its "
+                                          f"string, got {kind}$"):
+        SPEC_USERS[name](spec)
 
 
 def test_counts_at_their_floors():
@@ -190,7 +217,22 @@ BAD_SHAPES = {
     "weights-shape": (lambda: joint_diagonalize([np.eye(2)] * 2,
                                                 weights=[1.0]),
                       r"expected 2 weights, got shape \(1,\)"),
+    "stack-ragged": (lambda: joint_diagonalize([np.eye(2), np.eye(3)]),
+                     r"^expected a nonempty stack of square matrices, got 2 "
+                     r"of shape \(3, 3\)$"),
+    "ragged": (lambda: mdi([[1.0, 0.0], [1.0]], np.eye(2)),
+               "^expected W of real numbers, got sequences of unequal "
+               "shapes$"),
     "mdi": (lambda: mdi(np.eye(2), np.eye(3)), "two square matrices"),
+    "mdi-scalar": (lambda: mdi(3.0, np.eye(3)),
+                   r"^expected W to be a 2-d array, got shape \(\)$"),
+    "mdi-vector": (lambda: mdi(np.eye(3), np.ones(3)),
+                   r"^expected Omega to be a 2-d array, got shape \(3,\)$"),
+    "align-rectangular": (lambda: align_signed_permutation(np.ones((2, 3))),
+                          r"^alignment needs a square W and a target of its "
+                          r"size, got shapes \(2, 3\) and \(2, 2\)$"),
+    "align-target": (lambda: align_signed_permutation(np.eye(3), np.eye(2)),
+                     r"got shapes \(3, 3\) and \(2, 2\)$"),
     "assignment": (lambda: _max_assignment(np.ones((2, 3))),
                    "assignment needs a square matrix"),
     "whitener": (lambda: standardize(GOOD, whitener=np.eye(2)),
@@ -200,6 +242,7 @@ BAD_SHAPES = {
 }
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("case", BAD_SHAPES)
 def test_shape_errors_raise_invalid_params(case):
     call, match = BAD_SHAPES[case]
@@ -217,9 +260,24 @@ BAD_NAMES = {
         r"assignment scores have 1 non-finite entries, first at \[\(0, 1\)\]"),
     "no-profiles": (lambda: asv_symmetric([], 0.8),
                     "need at least one source profile"),
+    "profiles-None": (lambda: asv_symmetric(None, 0.5),
+                      "^expected a sequence of moment profiles or source "
+                      "specs, got NoneType$"),
+    "profiles-str": (lambda: asv_symmetric("gamma:2", 0.5),
+                     "^expected a sequence of moment profiles or source "
+                     "specs, got str$"),
+    "pi-str": (lambda: optimal_alpha("x", 2.0),
+               "^mixing weight must be a real number, got 'x'$"),
+    "pi-None": (lambda: optimal_alpha(None, 2.0),
+                "^mixing weight must be a real number, got None$"),
+    "mu-bool": (lambda: optimal_alpha(0.3, True),
+                "^location shift must be a real number, got True$"),
+    "grid_tol-str": (lambda: optimal_alpha(0.3, 2.0, grid_tol="x"),
+                     "^grid_tol must be a real number, got 'x'$"),
 }
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("case", BAD_NAMES)
 def test_bad_names_and_values_raise_invalid_params(case):
     call, match = BAD_NAMES[case]

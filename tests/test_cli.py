@@ -18,10 +18,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import cumica.simulation
+import cumica.estimators
 from cumica.cli import _SIMULATE_KEYS, _build_parser, main
-from cumica.estimators import (SolverOptions, all_cumulant, compound_cumulant,
-                               symmetric_pp)
+from cumica.estimators import SolverOptions, all_cumulant, compound_cumulant
 from cumica.simulation import mdi
 
 
@@ -372,12 +371,12 @@ class TestSimulateAndEstimate:
         # the sample replication 0 of a Monte Carlo run with the same
         # seed fits, drawn through the same seed contract
         fitted = []
+        standardize = cumica.estimators.standardize
 
-        def record(X, alpha, opts=None):
+        def record(X, *args, **kwargs):
             fitted.append(X.copy())
-            return symmetric_pp(X, alpha, opts)
-        monkeypatch.setitem(cumica.simulation._ESTIMATORS, "symmetric",
-                            record)
+            return standardize(X, *args, **kwargs)
+        monkeypatch.setattr(cumica.estimators, "standardize", record)
         common = ["simulate", "--sources", "gamma:1,gamma:2,gamma:4",
                   "--n", "1000", "--seed", "6"]
         code, _, err = run([*common, "--method", "symmetric", "--alpha",

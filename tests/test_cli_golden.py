@@ -50,7 +50,7 @@ CASES = {
     "simulate_mc": ["simulate", "--sources", SOURCES, "--method", "jade",
                     "--alpha", "0.8", "--n", "1200", "--reps", "8",
                     "--seed", "4", "--threads", "1"],
-    # a block of 8 and one of 2, through the fits one at a time
+    # one block of 10, a worker's whole share, in one lockstep ascent
     "simulate_mc_symmetric": ["simulate", "--sources", SOURCES, "--method",
                               "symmetric", "--alpha", "0.8", "--n", "1200",
                               "--reps", "10", "--seed", "4",

@@ -13,6 +13,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -24,9 +25,9 @@ from cumica.cumulants import _BLOCK_ENTRIES
 from cumica.distributions import SourceSpec, moment_profile, sample_source
 from cumica.errors import (AssumptionViolated, DegenerateObjective,
                            InvalidParams, InvalidSpec, NotPositiveDefinite,
-                           SingularInput, TooManyFailures)
+                           RankDeficient, SingularInput, TooManyFailures)
 from cumica.estimators import (SolverOptions, _all_cumulant_block,
-                               all_cumulant)
+                               all_cumulant, symmetric_pp)
 from cumica.simulation import (ContourGrid, IcModelSpec, _max_assignment,
                                align_signed_permutation, canonical_method,
                                check_assumptions, contour_grid,
@@ -396,10 +397,9 @@ class TestMonteCarlo:
             monte_carlo_experiment(bad, "symmetric", 1.0, 1000, 8)
 
     def test_programming_error_is_not_a_failure(self, monkeypatch):
-        def broken(X, alpha, opts=None):
+        def broken(X, *args, **kwargs):
             raise TypeError("bug in an estimator")
-        monkeypatch.setitem(cumica.simulation._ESTIMATORS, "symmetric",
-                            broken)
+        monkeypatch.setattr(cumica.estimators, "standardize", broken)
         with pytest.raises(TypeError, match="bug in an estimator"):
             monte_carlo_experiment(GAMMA3, "symmetric", 0.8, 1000, 8,
                                    threads=1)
@@ -493,7 +493,7 @@ class TestJadeBlocksAtP5:
     alone, and the run as it would on any number of workers."""
 
     def test_every_block_position_matches_a_fit_alone(self, monkeypatch):
-        # 12 replications: a full block and one of four
+        # 12 replications: one block, the one worker's whole share
         seen = []
         outcome = cumica.simulation._outcome
 
@@ -542,11 +542,11 @@ def _alone(run, child):
 
 
 class TestJadeBlocks:
-    """JADE replications run in fixed blocks of eight through one batched
-    joint diagonalization; each ends as all_cumulant ends alone."""
+    """JADE replications run in blocks, a worker's share each, through one
+    batched joint diagonalization; each ends as all_cumulant ends alone."""
 
     def test_every_block_position_matches_a_fit_alone(self, monkeypatch):
-        # 20 replications: two full blocks and one of four
+        # 20 replications: one block, the one worker's whole share
         seen = []
         outcome = cumica.simulation._outcome
 
@@ -626,21 +626,21 @@ class TestJadeBlocks:
 
 class TestFitBlocks:
     """A block of any other method runs through the loop that a JADE
-    block's preparations run through, one fit at a time."""
+    block's preparations run through: a symmetric block's preparations,
+    before its one batch, and the fits of the others, one at a time."""
 
     def test_a_failed_fit_fails_only_its_replication(self, monkeypatch):
         good = cumica.simulation._run_block(
             *_jade_jobs(8, 12, method="symmetric"))
-        symmetric = cumica.simulation._ESTIMATORS["symmetric"]
+        standardize = cumica.estimators.standardize
         calls = []
 
-        def third_fails(X, alpha, opts=None):
+        def third_fails(X, *args, **kwargs):
             calls.append(None)
             if len(calls) == 3:
                 raise NotPositiveDefinite("singular sample")
-            return symmetric(X, alpha, opts)
-        monkeypatch.setitem(cumica.simulation._ESTIMATORS, "symmetric",
-                            third_fails)
+            return standardize(X, *args, **kwargs)
+        monkeypatch.setattr(cumica.estimators, "standardize", third_fails)
         bad = cumica.simulation._run_block(
             *_jade_jobs(8, 12, method="symmetric"))
         assert bad[2] == ("error", "NotPositiveDefinite", None, None)
@@ -652,14 +652,13 @@ class TestFitBlocks:
     def test_a_block_silences_only_the_package_warnings(self, monkeypatch):
         # the package's own warnings are dropped in a run; any other
         # module's warnings reach the caller
-        symmetric = cumica.simulation._ESTIMATORS["symmetric"]
+        standardize = cumica.estimators.standardize
 
-        def noisy(X, alpha, opts=None):
+        def noisy(X, *args, **kwargs):
             warnings.warn("from another module", UserWarning)
             warnings.warn("from the package", DegenerateObjective)
-            return symmetric(X, alpha, opts)
-        monkeypatch.setitem(cumica.simulation._ESTIMATORS, "symmetric",
-                            noisy)
+            return standardize(X, *args, **kwargs)
+        monkeypatch.setattr(cumica.estimators, "standardize", noisy)
         with warnings.catch_warnings(record=True) as rec:
             warnings.simplefilter("always")
             outcomes = cumica.simulation._run_block(
@@ -684,6 +683,174 @@ class TestFitBlocks:
         assert [status for status, *_ in outcomes] == ["ok"] * 8
         assert peak <= bound, (f"peak {peak / 1e6:.2f} MB, bound "
                                f"{bound / 1e6:.2f} MB")
+
+
+def _n_var_alone(model, method, n, reps, seed, opts):
+    """n * Var of the aligned unmixing entries over the replications of
+    a Monte Carlo run, each fitted alone by the public estimator with its
+    own solver seed."""
+    fit = {"symmetric": symmetric_pp, "jade": all_cumulant}[method]
+    aligned = []
+    for child in np.random.SeedSequence(seed).spawn(reps):
+        X, solver_seed = cumica.simulation._replication_sample(model, n,
+                                                               child)
+        est = fit(X, 0.8, replace(opts, seed=solver_seed))
+        aligned.append(align_signed_permutation(est.W))
+    return n * np.stack(aligned).var(axis=0, ddof=1)
+
+
+class TestBatchedBlocks:
+    """A symmetric or JADE block is one worker's share of the
+    replications, capped by a budget of floats, and fitted as one batch:
+    every replication ends as its fit alone ends, whatever the worker
+    count and however the run is split into blocks."""
+
+    @pytest.mark.parametrize("restarts", [1, 3])
+    @pytest.mark.parametrize("model", [GAMMA3, GAMMA5], ids=["p3", "p5"])
+    @pytest.mark.parametrize("method", ["symmetric", "jade"])
+    def test_n_var_is_bitwise_equal_to_fits_alone(self, method, model,
+                                                  restarts):
+        opts = SolverOptions(restarts=restarts)
+        alone = _n_var_alone(model, method, 1000, 10, 4, opts)
+        for threads in (1, 2, 4):
+            res = monte_carlo_experiment(model, method, 0.8, 1000, 10,
+                                         master_seed=4, opts=opts,
+                                         threads=threads)
+            assert res.failures == 0
+            assert res.n_var.tobytes() == alone.tobytes(), threads
+
+    @pytest.mark.parametrize("method", ["symmetric", "jade"])
+    def test_a_run_the_cap_splits_is_bitwise_equal(self, method,
+                                                   monkeypatch):
+        # a cap of three replications splits one worker's ten into
+        # blocks of 3, 3, 3 and 1
+        seen = []
+        run_block = cumica.simulation._run_block
+
+        def recording(run, seqs):
+            seen.append(len(seqs))
+            return run_block(run, seqs)
+        monkeypatch.setattr(cumica.simulation, "_BATCH_REPS", 3)
+        monkeypatch.setattr(cumica.simulation, "_run_block", recording)
+        opts = SolverOptions(restarts=3)
+        res = monte_carlo_experiment(GAMMA3, method, 0.8, 1000, 10,
+                                     master_seed=4, opts=opts, threads=1)
+        assert seen == [3, 3, 3, 1]
+        alone = _n_var_alone(GAMMA3, method, 1000, 10, 4, opts)
+        assert res.n_var.tobytes() == alone.tobytes()
+
+    def test_every_block_position_matches_symmetric_pp_alone(
+            self, monkeypatch):
+        seen = []
+        outcome = cumica.simulation._outcome
+
+        def record(est, omega):
+            seen.append(outcome(est, omega))
+            return seen[-1]
+        monkeypatch.setattr(cumica.simulation, "_outcome", record)
+        opts = SolverOptions(restarts=3)
+        res = monte_carlo_experiment(GAMMA3, "symmetric", 0.8, 1000, 12,
+                                     master_seed=9, opts=opts, threads=1)
+        assert res.failures == 0 and len(seen) == 12
+        for (status, _, aligned, score), child in zip(
+                seen, np.random.SeedSequence(9).spawn(12)):
+            X, seed = cumica.simulation._replication_sample(GAMMA3, 1000,
+                                                            child)
+            est = symmetric_pp(X, 0.8, replace(opts, seed=seed))
+            assert status == "ok"
+            assert aligned.tobytes() == align_signed_permutation(
+                est.W).tobytes()
+            assert score == mdi(est.W, np.eye(3))
+
+    def test_row_kernel_samples_are_solved_alone(self):
+        # at p = 10 the kernel reads the rows where n < 250: such a
+        # sample is solved as it is prepared, the others in the batch
+        model = IcModelSpec(sources=tuple(f"gamma:{0.5 * 1.5 ** k:.3f}"
+                                          for k in range(10)))
+        rng = np.random.default_rng(3)
+        samples = [generate_ic_sample(model, n, rng)[0]
+                   for n in (400, 200, 300, 240)]
+        opts = SolverOptions(restarts=2)
+        fits = cumica.estimators._symmetric_block(
+            [lambda X=X, i=i: (X, i) for i, X in enumerate(samples)], 0.8,
+            opts)
+        for i, (fit, X) in enumerate(zip(fits, samples)):
+            alone = symmetric_pp(X, 0.8, replace(opts, seed=i))
+            assert fit.W.tobytes() == alone.W.tobytes()
+            assert fit.objective_history.tobytes() == \
+                alone.objective_history.tobytes()
+            assert (fit.iterations, fit.converged) == (alone.iterations,
+                                                       alone.converged)
+
+    def test_a_failed_batch_is_solved_one_sample_at_a_time(
+            self, monkeypatch):
+        # a numerical error in the batch leaves no fit standing: each
+        # sample is solved alone, to the same bits, and an error there
+        # fails only its replication
+        good = cumica.simulation._run_block(
+            *_jade_jobs(8, 12, method="symmetric"))
+        runs = cumica.estimators._symmetric_runs
+        alone = []
+
+        def failing(alpha, kernels, starts, opts):
+            if len(kernels) > 1:
+                raise np.linalg.LinAlgError("SVD did not converge")
+            alone.append(None)
+            if len(alone) == 3:
+                raise RankDeficient("no step")
+            return runs(alpha, kernels, starts, opts)
+        monkeypatch.setattr(cumica.estimators, "_symmetric_runs", failing)
+        bad = cumica.simulation._run_block(*_jade_jobs(8, 12,
+                                                       method="symmetric"))
+        assert len(alone) == 8
+        assert bad[2] == ("error", "RankDeficient", None, None)
+        for i in (0, 1, 3, 4, 5, 6, 7):
+            assert bad[i][0] == good[i][0] == "ok"
+            assert bad[i][2].tobytes() == good[i][2].tobytes()
+            assert bad[i][3] == good[i][3]
+
+    def test_block_sizes(self):
+        size = cumica.simulation._block_size
+        assert size("deflation", 3, 0.8, 1, 256, 2) == 8
+        assert size("compound", 10, 0.8, 10, 256, 1) == 8
+        # p <= 10 takes a worker's whole share, up to 64 replications
+        assert size("symmetric", 3, 0.8, 1, 47, 2) == 24
+        assert size("all_cumulant", 3, 0.8, 1, 256, 2) == 64
+        assert size("all_cumulant", 10, 0.8, 1, 100, 2) == 50
+        assert size("symmetric", 10, 0.8, 10, 100, 2) == 50
+        # the budget of floats binds at larger p, never below one
+        assert size("all_cumulant", 20, 0.8, 1, 400, 1) == 29
+        assert size("all_cumulant", 50, 0.8, 1, 400, 1) == 1
+
+    def test_a_jade_block_at_p20_stays_within_the_cap(self, monkeypatch):
+        # the block's stacks and tensors fill the budget; beside them, a
+        # block holds what a block of one holds beside its own, one
+        # preparation at a time and a sweep's temporaries.  One sweep
+        # shows the peak: a stack that stops leaves its row in place
+        p = 20
+        model = IcModelSpec(sources=tuple(f"gamma:{0.5 * 1.3 ** k:.3f}"
+                                          for k in range(p)))
+        size = cumica.simulation._block_size("all_cumulant", p, 0.8, 1,
+                                             10 ** 9, 1)
+        floats = cumica.simulation._BATCH_FLOATS // size
+        assert size * floats <= cumica.simulation._BATCH_FLOATS
+        monkeypatch.setattr(cumica.estimators, "_sweep_limits",
+                            lambda opts: {"tol": 1e-10, "max_sweeps": 1})
+        rng = np.random.default_rng(1)
+        peaks = []
+        for reps in (1, size):
+            draws = [lambda: (generate_ic_sample(model, 2000, rng)[0], 0)]
+            tracemalloc.start()
+            try:
+                fits = _all_cumulant_block(draws * reps, 0.8,
+                                           SolverOptions(restarts=1))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert len(fits) == reps
+        bound = 8 * cumica.simulation._BATCH_FLOATS + 2 * peaks[0]
+        assert peaks[1] <= bound, (f"peak {peaks[1] / 1e6:.2f} MB, bound "
+                                   f"{bound / 1e6:.2f} MB")
 
 
 class TestContour:
