@@ -726,10 +726,9 @@ def _all_cumulant_block(draws, alpha, opts):
         if stacks is None:
             p = len(st.whitener)
             stacks = np.empty((len(draws), p, p, len(weights)))
-        out, s = stacks[len(ready)], 0
-        for part in parts:
-            out[..., s:s + len(part)] = part.transpose(1, 2, 0)
-            s += len(part)
+        out = stacks[len(ready)]
+        np.concatenate([part.transpose(1, 2, 0) for part in parts],
+                       axis=-1, out=out)
         _require_symmetric_stack(out.transpose(2, 0, 1))
         ready.append((st.whitener, tensors))
         return ready[-1]
