@@ -1,8 +1,9 @@
 """Bad data, badly shaped matrices, bad counts, options and unknown names
 are rejected at the boundary with ``InvalidParams``, a ``CumicaError``
-that is also a ``ValueError``, bad generators and sample sizes with
-``InvalidSpec``, and data whose moments overflow with ``NonFiniteInput``,
-with no NumPy warning on the way (warnings are errors here)."""
+that is also a ``ValueError``, bad generators, sample sizes and source
+specs with ``InvalidSpec``, and data whose moments overflow with
+``NonFiniteInput``, with no NumPy warning on the way (warnings are
+errors here)."""
 
 import numpy as np
 import pytest
